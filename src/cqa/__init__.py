@@ -22,7 +22,7 @@ from .classify import (
     in_cparsimony,
     is_id_set,
 )
-from .errors import AnalysisRefusal, CqaError, InputError
+from .errors import AnalysisRefusal, CqaError, InputError, InternalError
 from .evaluate import (
     AnswerSet,
     CountAnswer,

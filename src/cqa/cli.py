@@ -2,7 +2,7 @@
 
 Exit codes are a stable scripting contract: 0 success, 1 semantic refusal
 (query outside the class, repair space over the cap, mode mismatch),
-2 input error (syntax, schema, I/O, bad flags).
+2 input error (syntax, schema, I/O, bad flags), 3 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .attacks import attack_graph, attack_graph_dot
 from .classify import fuxman_graph, fuxman_graph_dot, in_cparsimony
-from .errors import AnalysisRefusal, InputError
+from .errors import AnalysisRefusal, InputError, InternalError
 from .evaluate import (
     cqacount_oracle,
     cqacount_parsimonious,
@@ -214,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
     except AnalysisRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,19 +1,21 @@
 """Query evaluation and range-consistent counting.
 
 Two routes compute the same answers on purpose: `cqacount_parsimonious`
-counts distinct id-set tuples over the query and its certain answers
-(two first-order passes, no repairs), while `cqacount_oracle` enumerates
+counts distinct id-set tuples over the answers of the widened query and
+the certain ones among them (one join and one certainty filter, no
+repairs), while `cqacount_oracle` enumerates
 every repair and aggregates min/max counts per group.  The oracle is the
 ground truth the fast route is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import groupby
+from typing import Iterable, Mapping, NamedTuple
 
 from .attacks import attack_graph
 from .classify import ClassificationReport, CyclicAttackGraphError, in_cparsimony
-from .errors import AnalysisRefusal, InputError
+from .errors import AnalysisRefusal, InputError, InternalError
 from .instances import (
     DEFAULT_REPAIR_CAP,
     DatabaseInstance,
@@ -21,7 +23,7 @@ from .instances import (
     enumerate_repairs,
     is_repair_of,
 )
-from .queries import Atom, ConjunctiveQuery, instantiate, make_free, substitute
+from .queries import Atom, ConjunctiveQuery, make_free, substitute
 
 
 class EvaluationError(InputError, ValueError):
@@ -118,9 +120,9 @@ def evaluate(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     )
 
 
-def _group_counts(answers: AnswerSet, width: int) -> dict[tuple[str, ...], int]:
+def _group_counts(tuples: Iterable[tuple[str, ...]], width: int) -> dict[tuple[str, ...], int]:
     seen: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
-    for t in answers.tuples:
+    for t in tuples:
         seen.setdefault(t[:width], set()).add(t[width:])
     return {group: len(rest) for group, rest in seen.items()}
 
@@ -145,71 +147,111 @@ def count_by(
 
 # --- certain answers --------------------------------------------------------
 
+class _Step(NamedTuple):
+    """One atom of the elimination order, with its variables split by when they bind."""
+
+    atom: Atom
+    probe: tuple[str, ...]  # bound by the head or an earlier step
+    new: tuple[str, ...]  # first bound here
+    reads: tuple[str, ...]  # bound variables this step and later ones read
+
+
+def _elimination_plan(q: ConjunctiveQuery) -> tuple[_Step, ...]:
+    """A topological order of the attack graph, computed once per query.
+
+    Grounding the variables of an unattacked atom only removes attacks, so
+    the order stays valid after any candidate tuple and any earlier step
+    have been bound.
+    """
+    graph = attack_graph(q)
+    order: list[Atom] = []
+    left = sorted(q.atoms, key=lambda a: a.name)
+    while left:
+        roots = [a for a in left if not any((b.name, a.name) in graph.edges for b in left)]
+        if not roots:
+            raise CyclicAttackGraphError(
+                "attack graph is cyclic: no first-order certainty check; use the repair oracle"
+            )
+        order.append(roots[0])
+        left.remove(roots[0])
+    bound = set(q.free_vars)
+    steps = []
+    for i, atom in enumerate(order):
+        later = frozenset().union(*(a.variables for a in order[i:]))
+        steps.append(_Step(
+            atom,
+            tuple(sorted(atom.variables & bound)),
+            tuple(sorted(atom.variables - bound)),
+            tuple(sorted(bound & later)),
+        ))
+        bound |= atom.variables
+    return tuple(steps)
+
+
+def _block_index(
+    step: _Step, db: DatabaseInstance
+) -> dict[tuple[str, ...], list[tuple[tuple[str, ...], ...]]]:
+    """Probe values -> one entry per usable block: the new-variable values of its facts.
+
+    A block is usable when every fact unifies with the atom and all facts
+    agree on the probe variables; any other block fails for every binding.
+    """
+    width = step.atom.relation.key_width
+    index: dict[tuple[str, ...], list[tuple[tuple[str, ...], ...]]] = {}
+    for _, block in groupby(db.relation_facts(step.atom.name), key=lambda f: f.values[:width]):
+        probes: set[tuple[str, ...]] = set()
+        news: list[tuple[str, ...]] = []
+        for fact in block:
+            binding = _unify(step.atom, fact, {})
+            if binding is None:
+                break
+            probes.add(tuple(binding[v] for v in step.probe))
+            news.append(tuple(binding[v] for v in step.new))
+        else:
+            if len(probes) == 1:
+                index.setdefault(probes.pop(), []).append(tuple(news))
+    return index
+
+
+def _certain_among(
+    q: ConjunctiveQuery,
+    plan: tuple[_Step, ...],
+    candidates: Iterable[tuple[str, ...]],
+    db: DatabaseInstance,
+) -> frozenset[tuple[str, ...]]:
+    """The candidate head tuples of `q` that hold in every repair.
+
+    A binding is certain at step i when some block under its probe values
+    has every fact certain at step i + 1.
+    """
+    indexes = [_block_index(step, db) for step in plan]
+    memo: list[dict[tuple[str, ...], bool]] = [{} for _ in plan]
+
+    def certain(i: int, binding: dict[str, str]) -> bool:
+        if i == len(plan):
+            return True
+        step = plan[i]
+        key = tuple(binding[v] for v in step.reads)
+        hit = memo[i].get(key)
+        if hit is None:
+            hit = any(
+                all(certain(i + 1, binding | dict(zip(step.new, values))) for values in entry)
+                for entry in indexes[i].get(tuple(binding[v] for v in step.probe), ())
+            )
+            memo[i][key] = hit
+        return hit
+
+    return frozenset(c for c in candidates if certain(0, dict(zip(q.free_vars, c))))
+
+
 def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
-    """Tuples true in every repair, by direct recursive rewriting evaluation.
+    """Tuples true in every repair, by the compiled first-order rewriting.
 
     Requires an acyclic attack graph; candidates come from the plain
-    answers (a sound superset), then each is checked individually.
+    answers (a sound superset) and are filtered by one elimination plan.
     """
-    if not attack_graph(q).is_acyclic():
-        raise CyclicAttackGraphError(
-            "attack graph is cyclic: no first-order certainty check; use the repair oracle"
-        )
-    candidates = evaluate(q, db)
-    kept = frozenset(
-        c for c in candidates.tuples if _certain_bool(substitute(q, q.free_vars, c), db)
-    )
-    return AnswerSet(q.free_vars, kept)
-
-
-def _certain_bool(qb: ConjunctiveQuery, db: DatabaseInstance) -> bool:
-    if not qb.atoms:
-        return True
-    graph = attack_graph(qb)
-    roots = graph.unattacked_atoms()
-    if not roots:
-        raise CyclicAttackGraphError("attack graph became cyclic during rewriting")
-    atom = roots[0]
-    rest = qb.without([atom])
-    for block in _compatible_blocks(atom, db):
-        for fact in block:
-            binding = _unify(atom, fact, {})
-            if binding is None or not _certain_bool(instantiate(rest, binding), db):
-                break
-        else:
-            return True
-    return False
-
-
-def _compatible_blocks(atom: Atom, db: DatabaseInstance) -> Iterator[tuple[Fact, ...]]:
-    """Blocks of the atom's relation whose key matches the atom's key pattern."""
-    width = atom.relation.key_width
-    if all(not t.is_var for t in atom.key_args):
-        block = db.block(atom.name, tuple(t.symbol for t in atom.key_args))
-        if block:
-            yield block
-        return
-    seen: set[tuple[str, ...]] = set()
-    for fact in db.relation_facts(atom.name):
-        key = fact.values[:width]
-        if key in seen:
-            continue
-        seen.add(key)
-        binding: dict[str, str] = {}
-        ok = True
-        for term, value in zip(atom.key_args, key):
-            if term.is_var:
-                prev = binding.get(term.symbol)
-                if prev is None:
-                    binding[term.symbol] = value
-                elif prev != value:
-                    ok = False
-                    break
-            elif term.symbol != value:
-                ok = False
-                break
-        if ok:
-            yield db.block(atom.name, key)
+    plan = _elimination_plan(q)
+    return AnswerSet(q.free_vars, _certain_among(q, plan, evaluate(q, db).tuples, db))
 
 
 # --- range-consistent counting ----------------------------------------------
@@ -251,22 +293,24 @@ def cqacount_parsimonious(
     """Range-consistent counts without touching any repair.
 
     Upper bounds count distinct id-set tuples among the plain answers of
-    the widened query; lower bounds count them among its certain answers.
-    Raises NotInCparsimonyError (with the classifier's certificate) when
-    the query is outside the class.
+    the widened query; lower bounds count them among the certain ones,
+    which are filtered from the same plain answers.  The answer groups
+    are the groups with a lower bound.  Raises NotInCparsimonyError (with
+    the classifier's certificate) when the query is outside the class.
     """
     report = in_cparsimony(q)
     if not report.in_cparsimony:
         raise NotInCparsimonyError(report)
     widened = make_free(q, report.id_set or ())
     width = len(q.free_vars)
-    upper = _group_counts(evaluate(widened, db), width)
-    lower = _group_counts(certain_answers(widened, db), width)
+    plain = evaluate(widened, db).tuples
+    upper = _group_counts(plain, width)
+    lower = _group_counts(_certain_among(widened, _elimination_plan(widened), plain, db), width)
     out = set()
-    for group in certain_answers(q, db).tuples:
-        m, n = lower.get(group, 0), upper.get(group, 0)
+    for group, m in sorted(lower.items()):
+        n = upper.get(group, 0)
         if not 1 <= m <= n:
-            raise RuntimeError(f"inconsistent parsimonious bounds [{m}, {n}] for {group}")
+            raise InternalError(f"inconsistent parsimonious bounds [{m}, {n}] for group {group}")
         out.add(RangeAnswer(group, m, n))
     return frozenset(out)
 

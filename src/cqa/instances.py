@@ -10,6 +10,7 @@ columns form the primary key.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import re
@@ -161,13 +162,25 @@ def is_repair_of(candidate: DatabaseInstance, db: DatabaseInstance) -> bool:
 _SCHEMA_LINE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s+arity=(?P<arity>\d+)\s+key=(?P<key>\d+)$")
 
 
+def _read_utf8(path: Path) -> str:
+    """File contents as text; a byte that is not UTF-8 is a BundleError naming its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b"x").splitlines())
+        raise BundleError(
+            f"{path}:{line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
+        ) from None
+
+
 def load_bundle(path: str | Path) -> DatabaseInstance:
     root = Path(path)
     schema_file = root / "schema.txt"
     if not schema_file.is_file():
         raise BundleError(f"{schema_file} not found")
     sigs: list[RelationSignature] = []
-    for lineno, raw in enumerate(schema_file.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(schema_file).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -180,13 +193,11 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
         data = root / f"{sig.name}.csv"
         if not data.is_file():
             continue
-        with data.open(newline="", encoding="utf-8") as fh:
-            for rowno, row in enumerate(csv.reader(fh), 1):
-                if len(row) != sig.arity:
-                    raise BundleError(
-                        f"{data}:{rowno}: {len(row)} columns for arity {sig.arity}"
-                    )
-                facts.append(Fact(sig.name, tuple(row)))
+        rows = csv.reader(io.StringIO(_read_utf8(data), newline=""))
+        for rowno, row in enumerate(rows, 1):
+            if len(row) != sig.arity:
+                raise BundleError(f"{data}:{rowno}: {len(row)} columns for arity {sig.arity}")
+            facts.append(Fact(sig.name, tuple(row)))
     return DatabaseInstance(sigs, facts)
 
 

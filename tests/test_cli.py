@@ -210,3 +210,46 @@ def test_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cparsimony"] is True
+
+
+def _run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "cqa.cli", *args], capture_output=True, text=True
+    )
+
+
+def test_count_non_utf8_csv_is_exit_2(tmp_path):
+    qpath = write_query(tmp_path, support.employee_query())
+    db = employee_bundle(tmp_path)
+    with open(f"{db}/D.csv", "ab") as fh:
+        fh.write(b"Sales,\xff\n")
+    proc = _run_cli("count", "--db", db, "--query", qpath, "--mode", "parsimonious")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "D.csv:5:" in proc.stderr and "UTF-8" in proc.stderr
+
+
+def test_count_non_utf8_schema_is_exit_2(tmp_path):
+    qpath = write_query(tmp_path, support.employee_query())
+    db = employee_bundle(tmp_path)
+    with open(f"{db}/schema.txt", "ab") as fh:
+        fh.write(b"# caf\xe9\n")
+    proc = _run_cli("count", "--db", db, "--query", qpath)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "schema.txt:3:" in proc.stderr
+
+
+def test_count_internal_error_is_exit_3(tmp_path, capsys, monkeypatch):
+    import importlib
+
+    evaluate_module = importlib.import_module("cqa.evaluate")
+    counts = evaluate_module._group_counts
+    monkeypatch.setattr(
+        evaluate_module, "_group_counts", lambda t, w: {g: -n for g, n in counts(t, w).items()}
+    )
+    qpath = write_query(tmp_path, support.employee_query())
+    db = employee_bundle(tmp_path)
+    assert main(["count", "--db", db, "--query", qpath, "--mode", "parsimonious"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: inconsistent parsimonious bounds [-1, -3] for group ('A',)\n"

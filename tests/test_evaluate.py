@@ -160,6 +160,35 @@ def test_certain_answers_with_repeated_key_variable():
     assert certain_answers(q, db).tuples == support.intersection_certain(q, db)
 
 
+def test_certain_answers_with_partly_bound_composite_key():
+    # after z is bound, S(z, w | v) still has w unbound: some block under z
+    # must have every fact certain at P, which S attacks
+    q = parse_query("q(z) :- S(z, w | v), P(v | 'ok').")
+    db = support.mkdb(
+        {"S": (3, 2), "P": (2, 1)},
+        {
+            "S": [("a", "1", "r"), ("a", "2", "p"), ("a", "2", "q"),
+                  ("b", "1", "p"), ("b", "1", "r"), ("c", "1", "p")],
+            "P": [("p", "ok"), ("q", "ok"), ("r", "ok"), ("r", "no")],
+        },
+    )
+    assert evaluate(q, db).tuples == {("a",), ("b",), ("c",)}
+    assert certain_answers(q, db).tuples == {("a",), ("c",)}
+    assert certain_answers(q, db).tuples == support.intersection_certain(q, db)
+
+
+def test_certain_answers_with_probe_at_non_key_position():
+    # the lookup shape: blocks of E that mix z values certify no group
+    q = parse_query("q(z) :- E(x | z).")
+    db = support.mkdb(
+        {"E": (2, 1)},
+        {"E": [("k1", "A"), ("k1", "B"), ("k2", "A"), ("k3", "B"), ("k3", "C"), ("k4", "D")]},
+    )
+    assert evaluate(q, db).tuples == {("A",), ("B",), ("C",), ("D",)}
+    assert certain_answers(q, db).tuples == {("A",), ("D",)}
+    assert certain_answers(q, db).tuples == support.intersection_certain(q, db)
+
+
 def test_certain_answers_requires_acyclic_graph():
     q = support.mutual_attack_query()
     db = DatabaseInstance([a.relation for a in q.atoms])
@@ -242,6 +271,14 @@ def test_parsimonious_on_consistent_db_degenerates_to_plain_counts():
     )
     got = cqacount_parsimonious(q, r1)
     assert got == {RangeAnswer(g, n, n) for g, n in counts.items()}
+
+
+def test_parsimonious_groups_are_the_certain_answers():
+    rng = random.Random(131)
+    for q, _ in cparsimony_corpus(137, 80):
+        db = random_instance(rng, q, max_repairs=64)
+        groups = {a.group for a in cqacount_parsimonious(q, db)}
+        assert groups == certain_answers(q, db).tuples
 
 
 def test_parsimonious_refuses_lookup_pair_with_certificate():

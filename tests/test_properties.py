@@ -9,7 +9,7 @@ from cqa.attacks import attack_graph
 from cqa.classify import in_cforest, in_cparsimony
 from cqa.evaluate import certain_answers, cqacount_oracle, evaluate
 from cqa.instances import enumerate_repairs, repair_count
-from cqa.queries import make_bound, make_free, parse_query, serialize_query
+from cqa.queries import instantiate, make_bound, make_free, parse_query, serialize_query
 
 
 def test_acyclic_attack_graphs_are_transitive():
@@ -50,6 +50,19 @@ def test_certain_answers_match_repair_intersection_smoke():
     for q in acyclic_corpus(103, 40):
         db = random_instance(rng, q, max_repairs=64)
         assert certain_answers(q, db).tuples == support.intersection_certain(q, db)
+
+
+def test_grounding_an_unattacked_atom_adds_no_attack():
+    # the lemma behind computing one elimination order per query
+    checked = 0
+    for q in acyclic_corpus(127, 300, max_atoms=6):
+        graph = attack_graph(q)
+        for atom in graph.unattacked_atoms():
+            grounding = {v: f"fresh_{v}" for v in atom.variables}
+            rest = instantiate(q.without([atom]), grounding)
+            assert set(attack_graph(rest).edges) <= set(graph.edges), serialize_query(q)
+            checked += 1
+    assert checked >= 300
 
 
 def test_repair_streams_are_independent():
