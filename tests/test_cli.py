@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import support
 from cqa.cli import main
 from cqa.instances import build_3dm_instance, load_bundle, save_bundle
@@ -253,3 +255,179 @@ def test_count_internal_error_is_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["count", "--db", db, "--query", qpath, "--mode", "parsimonious"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: inconsistent parsimonious bounds [-1, -3] for group ('A',)\n"
+
+
+# Full-string goldens: a strong edge (lookup pair), two components and a
+# violation path (matching pairs).
+GRAPH_GOLDENS = {
+    ("lookup_pair_query", "attack"): """\
+digraph attack_graph {
+  "R";
+  "S";
+  "R" -> "S" [style=bold];
+}
+""",
+    ("lookup_pair_query", "fuxman"): """\
+digraph fuxman_graph {
+  "R";
+  "S";
+  "R" -> "S";
+}
+""",
+    ("lookup_pair_query", "query"): """\
+graph query_graph {
+  "x";
+  "y";
+  "x" -- "y";
+}
+""",
+    ("two_component_query", "attack"): """\
+digraph attack_graph {
+  "P";
+  "R";
+  "S";
+  "T";
+  "R" -> "T";
+  "S" -> "T";
+}
+""",
+    ("two_component_query", "fuxman"): """\
+digraph fuxman_graph {
+  "P";
+  "R";
+  "S";
+  "T";
+  "R" -> "T";
+  "S" -> "T";
+}
+""",
+    ("two_component_query", "query"): """\
+graph query_graph {
+  "v";
+  "w";
+  "x";
+  "y1";
+  "y2";
+  "y3";
+  "v" -- "w";
+  "x" -- "y1";
+  "x" -- "y2";
+  "y1" -- "y2";
+  "y1" -- "y3";
+  "y2" -- "y3";
+}
+""",
+    ("matching_pairs_query", "attack"): """\
+digraph attack_graph {
+  "R1";
+  "R2";
+  "S1";
+  "S2";
+  "Z";
+}
+""",
+    ("matching_pairs_query", "fuxman"): """\
+digraph fuxman_graph {
+  "R1";
+  "R2";
+  "S1";
+  "S2";
+  "Z";
+  "R1" -> "R2";
+  "R1" -> "S1";
+  "R1" -> "S2";
+  "R2" -> "R1";
+  "R2" -> "S1";
+  "R2" -> "S2";
+  "S1" -> "R1";
+  "S1" -> "R2";
+  "S1" -> "S2";
+  "S2" -> "R1";
+  "S2" -> "R2";
+  "S2" -> "S1";
+}
+""",
+    ("matching_pairs_query", "query"): """\
+graph query_graph {
+  "x1";
+  "x2";
+  "y";
+  "x1" -- "y";
+  "x2" -- "y";
+}
+""",
+}
+
+CLASSIFY_GOLDENS = {
+    "lookup_pair_query": (
+        """\
+acyclic: yes
+strong attacks: R -> S
+id-set: none
+cparsimony: no
+cforest: no
+violation: none
+""",
+        {
+            "acyclic": True,
+            "strong_attacks": [["R", "S"]],
+            "id_set": None,
+            "cparsimony": False,
+            "cforest": False,
+            "violation": None,
+        },
+    ),
+    "two_component_query": (
+        """\
+acyclic: yes
+strong attacks: none
+id-set: v x
+cparsimony: yes
+cforest: no
+violation: none
+""",
+        {
+            "acyclic": True,
+            "strong_attacks": [],
+            "id_set": ["v", "x"],
+            "cparsimony": True,
+            "cforest": False,
+            "violation": None,
+        },
+    ),
+    "matching_pairs_query": (
+        """\
+acyclic: yes
+strong attacks: none
+id-set: none
+cparsimony: no
+cforest: no
+violation: path y - x2 reaches an id-set variable from notkey(R1) avoiding key(R1) and frozen variables
+""",
+        {
+            "acyclic": True,
+            "strong_attacks": [],
+            "id_set": None,
+            "cparsimony": False,
+            "cforest": False,
+            "violation": {"atom": "R1", "path": ["y", "x2"]},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(GRAPH_GOLDENS))
+def test_graph_golden(tmp_path, capsys, name, kind):
+    path = write_query(tmp_path, getattr(support, name)())
+    assert main(["graph", path, "--kind", kind]) == 0
+    assert capsys.readouterr().out == GRAPH_GOLDENS[name, kind]
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_GOLDENS))
+def test_classify_golden(tmp_path, capsys, name):
+    text, data = CLASSIFY_GOLDENS[name]
+    path = write_query(tmp_path, getattr(support, name)())
+    assert main(["classify", path]) == 0
+    assert capsys.readouterr().out == text
+    assert main(["classify", path, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
