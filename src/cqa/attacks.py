@@ -4,10 +4,11 @@ components, and frozen variables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .fds import SequentialProof, fdset, sequential_proof
-from .queries import Atom, ConjunctiveQuery, QueryError, QueryGraph, query_graph
+from .graphs import Digraph, path_to
+from .queries import Atom, ConjunctiveQuery, QueryError, query_graph
 
 
 def keycl(atom: Atom, q: ConjunctiveQuery) -> frozenset[str]:
@@ -40,46 +41,16 @@ class AttackEdge:
     witness: AttackWitness
 
 
-def _reachable(start: Iterable[str], allowed: frozenset[str], qg: QueryGraph) -> dict[str, str | None]:
-    """Layered BFS over allowed query-graph vertices; returns parent links."""
-    parent: dict[str, str | None] = {}
-    frontier: list[str] = []
-    for v in sorted(start):
-        if v in allowed and v not in parent:
-            parent[v] = None
-            frontier.append(v)
-    while frontier:
-        nxt: list[str] = []
-        for v in frontier:
-            for u in sorted(qg.neighbors(v)):
-                if u in allowed and u not in parent:
-                    parent[u] = v
-                    nxt.append(u)
-        frontier = nxt
-    return parent
-
-
-def _path_to(parent: Mapping[str, str | None], v: str) -> tuple[str, ...]:
-    out = [v]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])  # type: ignore[arg-type]
-    return tuple(reversed(out))
-
-
 def attacks_variable(atom: Atom, x: str, q: ConjunctiveQuery) -> AttackWitness | None:
     """Shortest witness that `atom` attacks variable `x`, or None."""
     qg = query_graph(q)
-    kc = keycl(atom, q)
-    if x not in qg.vertices or x in kc:
-        return None
-    parent = _reachable(atom.nonkey_vars, qg.vertices - kc, qg)
-    if x not in parent:
-        return None
-    return AttackWitness(atom, x, _path_to(parent, x))
+    parent = qg.reach(atom.nonkey_vars, qg.vertices - keycl(atom, q))
+    return AttackWitness(atom, x, path_to(parent, x)) if x in parent else None
 
 
-class AttackGraph:
-    """Digraph over the atoms of one query; edges carry witnesses."""
+class AttackGraph(Digraph):
+    """Digraph over the atom names of one query; `edges` maps each edge to
+    its AttackEdge, which carries the witness."""
 
     def __init__(
         self,
@@ -87,8 +58,8 @@ class AttackGraph:
         edges: Mapping[tuple[str, str], AttackEdge],
         variable_paths: Mapping[str, Mapping[str, tuple[str, ...]]],
     ):
+        super().__init__((a.name for a in query.atoms), dict(edges))
         self.query = query
-        self.edges = dict(edges)
         self._variable_paths = {k: dict(v) for k, v in variable_paths.items()}
 
     @property
@@ -111,52 +82,15 @@ class AttackGraph:
             e for _, e in sorted(self.edges.items()) if e.strong
         )
 
-    def successors(self, name: str) -> tuple[str, ...]:
-        return tuple(sorted(t for (s, t) in self.edges if s == name))
-
-    def predecessors(self, name: str) -> tuple[str, ...]:
-        return tuple(sorted(s for (s, t) in self.edges if t == name))
-
     def is_acyclic(self) -> bool:
-        state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(name: str) -> bool:
-            state[name] = 1
-            for nxt in self.successors(name):
-                if state.get(nxt) == 1:
-                    return False
-                if nxt not in state and not visit(nxt):
-                    return False
-            state[name] = 2
-            return True
-
-        return all(visit(a.name) for a in self.atoms if a.name not in state)
+        return self.topological_order() is not None
 
     def unattacked_atoms(self) -> tuple[Atom, ...]:
-        attacked = {t for (_, t) in self.edges}
-        return tuple(
-            sorted((a for a in self.atoms if a.name not in attacked), key=lambda a: a.name)
-        )
+        return tuple(self.query.atom(n) for n in sorted(self.vertices) if not self.in_degree(n))
 
     def components(self) -> tuple[tuple[Atom, ...], ...]:
         """Maximal weakly connected components, each sorted by relation name."""
-        byname = {a.name: a for a in self.atoms}
-        seen: set[str] = set()
-        comps: list[tuple[Atom, ...]] = []
-        for name in sorted(byname):
-            if name in seen:
-                continue
-            todo, comp = [name], set()
-            while todo:
-                cur = todo.pop()
-                if cur in comp:
-                    continue
-                comp.add(cur)
-                todo.extend(self.successors(cur))
-                todo.extend(self.predecessors(cur))
-            seen |= comp
-            comps.append(tuple(byname[n] for n in sorted(comp)))
-        return tuple(comps)
+        return tuple(tuple(self.query.atom(n) for n in comp) for comp in super().components())
 
 
 def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
@@ -165,9 +99,8 @@ def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
     edges: dict[tuple[str, str], AttackEdge] = {}
     variable_paths: dict[str, dict[str, tuple[str, ...]]] = {}
     for atom in q.atoms:
-        kc = keycl(atom, q)
-        parent = _reachable(atom.nonkey_vars, qg.vertices - kc, qg)
-        paths = {v: _path_to(parent, v) for v in parent}
+        parent = qg.reach(atom.nonkey_vars, qg.vertices - keycl(atom, q))
+        paths = {v: path_to(parent, v) for v in parent}
         variable_paths[atom.name] = paths
         for other in q.atoms:
             if other.name == atom.name:
@@ -203,11 +136,4 @@ def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> Frozen
 
 def attack_graph_dot(g: AttackGraph) -> str:
     """DOT rendering: solid edges are weak attacks, bold edges strong."""
-    lines = ["digraph attack_graph {"]
-    for atom in sorted(g.atoms, key=lambda a: a.name):
-        lines.append(f'  "{atom.name}";')
-    for (src, dst), edge in sorted(g.edges.items()):
-        style = " [style=bold]" if edge.strong else ""
-        lines.append(f'  "{src}" -> "{dst}"{style};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return g.dot("attack_graph", {k for k, e in g.edges.items() if e.strong})

@@ -15,6 +15,7 @@ from typing import Iterable
 from .attacks import AttackGraph, attack_graph, frozen_vars
 from .errors import AnalysisRefusal
 from .fds import fdset
+from .graphs import Digraph, path_to
 from .queries import Atom, ConjunctiveQuery, QueryError, query_graph
 
 
@@ -116,27 +117,10 @@ def is_id_set(
     qg = query_graph(q)
     targets = set(xs)
     for atom in q.atoms:
-        blocked = atom.key_vars | frozen
-        allowed = qg.vertices - blocked
-        starts = sorted(atom.nonkey_vars & allowed)
-        parent: dict[str, str | None] = {v: None for v in starts}
-        frontier = list(starts)
-        hit = next((v for v in starts if v in targets), None)
-        while frontier and hit is None:
-            nxt: list[str] = []
-            for v in frontier:
-                for u in sorted(qg.neighbors(v)):
-                    if u in allowed and u not in parent:
-                        parent[u] = v
-                        if u in targets and hit is None:
-                            hit = u
-                        nxt.append(u)
-            frontier = nxt
+        parent = qg.reach(atom.nonkey_vars, qg.vertices - atom.key_vars - frozen)
+        hit = next((v for v in parent if v in targets), None)
         if hit is not None:
-            path = [hit]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])  # type: ignore[arg-type]
-            return False, IdSetViolation(atom=atom.name, path=tuple(reversed(path)))
+            return False, IdSetViolation(atom=atom.name, path=path_to(parent, hit))
     return True, None
 
 
@@ -160,32 +144,17 @@ def in_cparsimony(q: ConjunctiveQuery) -> ClassificationReport:
     )
 
 
-@dataclass(frozen=True)
-class FuxmanGraph:
-    atoms: tuple[Atom, ...]
-    edges: frozenset[tuple[str, str]]
+class FuxmanGraph(Digraph):
+    """Digraph over the atom names of one query."""
 
-    def successors(self, name: str) -> tuple[str, ...]:
-        return tuple(sorted(t for (s, t) in self.edges if s == name))
-
-    def in_degree(self, name: str) -> int:
-        return sum(1 for (_, t) in self.edges if t == name)
-
-    def has_cycle(self) -> bool:
-        state: dict[str, int] = {}
-
-        def visit(name: str) -> bool:
-            state[name] = 1
-            for nxt in self.successors(name):
-                if state.get(nxt) == 1 or (nxt not in state and visit(nxt)):
-                    return True
-            state[name] = 2
-            return False
-
-        return any(visit(a.name) for a in self.atoms if a.name not in state)
+    def __init__(self, atoms: tuple[Atom, ...], edges: frozenset[tuple[str, str]]):
+        super().__init__((a.name for a in atoms), edges)
+        self.atoms = atoms
 
     def is_forest(self) -> bool:
-        return not self.has_cycle() and all(self.in_degree(a.name) <= 1 for a in self.atoms)
+        return self.topological_order() is not None and all(
+            self.in_degree(a.name) <= 1 for a in self.atoms
+        )
 
 
 def fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
@@ -212,10 +181,4 @@ def in_cforest(q: ConjunctiveQuery) -> bool:
 
 
 def fuxman_graph_dot(fg: FuxmanGraph) -> str:
-    lines = ["digraph fuxman_graph {"]
-    for atom in sorted(fg.atoms, key=lambda a: a.name):
-        lines.append(f'  "{atom.name}";')
-    for src, dst in sorted(fg.edges):
-        lines.append(f'  "{src}" -> "{dst}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return fg.dot("fuxman_graph")

@@ -25,6 +25,7 @@ from .evaluate import (
 from .fds import fdset
 from .instances import (
     DEFAULT_REPAIR_CAP,
+    _read_utf8,
     build_3dm_instance,
     enumerate_repairs,
     load_bundle,
@@ -44,7 +45,7 @@ from .queries import (
 
 
 def _load_query(path: str) -> ConjunctiveQuery:
-    return parse_query(Path(path).read_text(encoding="utf-8"))
+    return parse_query(_read_utf8(Path(path)))
 
 
 def _effective_cap(flag_value: int | None) -> int:
@@ -129,7 +130,8 @@ def cmd_fd(args: argparse.Namespace) -> int:
 def cmd_repairs(args: argparse.Namespace) -> int:
     db = load_bundle(args.db)
     count = repair_count(db)
-    cap = _effective_cap(None)
+    # Enumeration is lazy, so the cap only guards a full dump.
+    cap = _effective_cap(None) if args.limit is None else count
     shown = count if args.limit is None else min(args.limit, count)
     print(f"{count} repairs")
     for i, repair in enumerate(enumerate_repairs(db, cap), 1):
@@ -143,7 +145,7 @@ def cmd_repairs(args: argparse.Namespace) -> int:
 
 def cmd_gen3dm(args: argparse.Namespace) -> int:
     triples = []
-    for lineno, raw in enumerate(Path(args.triples).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(Path(args.triples)).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -137,12 +137,10 @@ def count_by(
     if len(set(group_vars)) != len(group_vars) or not set(group_vars) <= set(q_full.free_vars):
         raise EvaluationError(f"grouping variables {group_vars} must be distinct head variables")
     answers = evaluate(q_full, db)
-    zpos = [answers.head.index(z) for z in group_vars]
-    wpos = [i for i, v in enumerate(answers.head) if v not in set(group_vars)]
-    seen: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
-    for t in answers.tuples:
-        seen.setdefault(tuple(t[i] for i in zpos), set()).add(tuple(t[i] for i in wpos))
-    return frozenset(CountAnswer(group, len(rest)) for group, rest in seen.items())
+    rest = [v for v in answers.head if v not in group_vars]
+    order = [answers.head.index(v) for v in group_vars + tuple(rest)]
+    counts = _group_counts((tuple(t[i] for i in order) for t in answers.tuples), len(group_vars))
+    return frozenset(CountAnswer(group, n) for group, n in counts.items())
 
 
 # --- certain answers --------------------------------------------------------
@@ -163,17 +161,12 @@ def _elimination_plan(q: ConjunctiveQuery) -> tuple[_Step, ...]:
     the order stays valid after any candidate tuple and any earlier step
     have been bound.
     """
-    graph = attack_graph(q)
-    order: list[Atom] = []
-    left = sorted(q.atoms, key=lambda a: a.name)
-    while left:
-        roots = [a for a in left if not any((b.name, a.name) in graph.edges for b in left)]
-        if not roots:
-            raise CyclicAttackGraphError(
-                "attack graph is cyclic: no first-order certainty check; use the repair oracle"
-            )
-        order.append(roots[0])
-        left.remove(roots[0])
+    names = attack_graph(q).topological_order()
+    if names is None:
+        raise CyclicAttackGraphError(
+            "attack graph is cyclic: no first-order certainty check; use the repair oracle"
+        )
+    order = [q.atom(name) for name in names]
     bound = set(q.free_vars)
     steps = []
     for i, atom in enumerate(order):

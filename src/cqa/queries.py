@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError
+from .graphs import Digraph
 
 
 class QueryError(InputError, ValueError):
@@ -212,8 +213,8 @@ def substitute(
 def instantiate(q: ConjunctiveQuery, binding: Mapping[str, str]) -> ConjunctiveQuery:
     """Replace arbitrary variables (free or bound) by constants.
 
-    Internal building block of the certain-answer recursion; `substitute`
-    is the head-only public face.
+    `substitute` is the head-only public face; tests also use this to
+    ground bound variables.
     """
     if not binding:
         return q
@@ -232,23 +233,14 @@ def instantiate(q: ConjunctiveQuery, binding: Mapping[str, str]) -> ConjunctiveQ
     )
 
 
-@dataclass(frozen=True)
-class QueryGraph:
+class QueryGraph(Digraph):
     """Undirected co-occurrence graph over the bound variables."""
 
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-
-    @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+    def __init__(self, vertices: Iterable[str], edges: frozenset[tuple[str, str]]):
+        super().__init__(vertices, edges, directed=False)
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return self.adjacency[v]
+        return frozenset(self._succ[v])
 
 
 def query_graph(q: ConjunctiveQuery) -> QueryGraph:
@@ -263,13 +255,7 @@ def query_graph(q: ConjunctiveQuery) -> QueryGraph:
 
 
 def query_graph_dot(g: QueryGraph) -> str:
-    lines = ["graph query_graph {"]
-    for v in sorted(g.vertices):
-        lines.append(f'  "{v}";')
-    for a, b in sorted(g.edges):
-        lines.append(f'  "{a}" -- "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return g.dot("query_graph")
 
 
 # --- text format ---------------------------------------------------------

@@ -1,8 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from cqa.cli import main
@@ -431,3 +437,49 @@ def test_classify_golden(tmp_path, capsys, name):
     assert capsys.readouterr().out == text
     assert main(["classify", path, "--json"]) == 0
     assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
+
+
+def test_classify_non_utf8_query_is_exit_2(tmp_path):
+    path = tmp_path / "q.cq"
+    path.write_bytes(b"# caf\xe9\nq(z) :- R(z).\n")
+    proc = _run_cli("classify", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "q.cq:1:" in proc.stderr and "0xe9" in proc.stderr
+
+
+def test_gen3dm_non_utf8_triples_is_exit_2(tmp_path):
+    triples = tmp_path / "triples.txt"
+    triples.write_bytes(b"a d f\na e g\nb \xe9 g\n")
+    proc = _run_cli("gen3dm", str(triples), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "triples.txt:3:" in proc.stderr
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=60),
+        st.text(alphabet="qRSxyz(),|.:-' #\n\xe9", max_size=60).map(lambda s: s.encode("latin-1")),
+    )
+)
+def test_classify_any_query_bytes_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "q.cq"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["classify", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_repairs_limit_ignores_cap(tmp_path, capsys, monkeypatch):
+    db = employee_bundle(tmp_path)
+    monkeypatch.setenv("CQA_CAP", "2")
+    assert main(["repairs", "--db", db, "--limit", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("4 repairs\n") and out.count("repair ") == 1
+    assert main(["repairs", "--db", db]) == 1
+    assert "4 repairs exceed the cap of 2" in capsys.readouterr().err
