@@ -9,7 +9,6 @@ from .attacks import (
     attack_graph_dot,
     attacks_variable,
     frozen_vars,
-    keycl,
 )
 from .classify import (
     ClassificationReport,
@@ -41,6 +40,7 @@ from .fds import (
     FunctionalDependencySet,
     SequentialProof,
     fdset,
+    keycl,
     sequential_proof,
 )
 from .instances import (

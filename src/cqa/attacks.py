@@ -1,4 +1,4 @@
-"""Attack graphs over query atoms: keycl, witnesses, weak/strong labels,
+"""Attack graphs over query atoms: witnesses, weak/strong labels,
 components, and frozen variables."""
 
 from __future__ import annotations
@@ -6,21 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .fds import SequentialProof, fdset, sequential_proof
+from .fds import FunctionalDependencySet, SequentialProof, _keycl, fdset, keycl, sequential_proof
 from .graphs import Digraph, path_to
-from .queries import Atom, ConjunctiveQuery, QueryError, query_graph
-
-
-def keycl(atom: Atom, q: ConjunctiveQuery) -> frozenset[str]:
-    """free(q) plus everything key(atom) determines once `atom` is removed.
-
-    The closure runs against fdset(q minus the atom); free variables of q
-    stay in the result even when they no longer occur anywhere.
-    """
-    if not any(a.name == atom.name for a in q.atoms):
-        raise QueryError(f"atom {atom.name} is not part of {q.name}")
-    rest = q.without([atom])
-    return frozenset(q.free_vars) | fdset(rest).closure(atom.key_vars)
+from .queries import Atom, ConjunctiveQuery, QueryGraph, query_graph
 
 
 @dataclass(frozen=True)
@@ -50,16 +38,21 @@ def attacks_variable(atom: Atom, x: str, q: ConjunctiveQuery) -> AttackWitness |
 
 class AttackGraph(Digraph):
     """Digraph over the atom names of one query; `edges` maps each edge to
-    its AttackEdge, which carries the witness."""
+    its AttackEdge, which carries the witness.  It keeps the query's FD set
+    and query graph it was built from, for later analysis of the same query."""
 
     def __init__(
         self,
         query: ConjunctiveQuery,
         edges: Mapping[tuple[str, str], AttackEdge],
         variable_paths: Mapping[str, Mapping[str, tuple[str, ...]]],
+        fds: FunctionalDependencySet,
+        qg: QueryGraph,
     ):
         super().__init__((a.name for a in query.atoms), dict(edges))
         self.query = query
+        self.fds = fds
+        self.query_graph = qg
         self._variable_paths = {k: dict(v) for k, v in variable_paths.items()}
 
     @property
@@ -99,7 +92,7 @@ def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
     edges: dict[tuple[str, str], AttackEdge] = {}
     variable_paths: dict[str, dict[str, tuple[str, ...]]] = {}
     for atom in q.atoms:
-        parent = qg.reach(atom.nonkey_vars, qg.vertices - keycl(atom, q))
+        parent = qg.reach(atom.nonkey_vars, qg.vertices - _keycl(atom, q, fds))
         paths = {v: path_to(parent, v) for v in parent}
         variable_paths[atom.name] = paths
         for other in q.atoms:
@@ -111,7 +104,7 @@ def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
             witness = AttackWitness(atom, hit[0], paths[hit[0]])
             strong = not fds.determines(atom.key_vars, other.key_vars)
             edges[(atom.name, other.name)] = AttackEdge(atom, other, strong, witness)
-    return AttackGraph(q, edges, variable_paths)
+    return AttackGraph(q, edges, variable_paths, fds, qg)
 
 
 @dataclass(frozen=True)

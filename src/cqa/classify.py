@@ -14,9 +14,8 @@ from typing import Iterable
 
 from .attacks import AttackGraph, attack_graph, frozen_vars
 from .errors import AnalysisRefusal
-from .fds import fdset
 from .graphs import Digraph, path_to
-from .queries import Atom, ConjunctiveQuery, QueryError, query_graph
+from .queries import Atom, ConjunctiveQuery, _check_bound
 
 
 class CyclicAttackGraphError(AnalysisRefusal):
@@ -92,20 +91,12 @@ def is_id_set(
 ) -> tuple[bool, IdSetViolation | None]:
     """Check the two id-set conditions for the tuple xs; on failure the
     violation names the offending atom (and separating path, if any)."""
-    xs = tuple(xs)
-    if len(set(xs)) != len(xs):
-        raise QueryError(f"duplicate variable in {xs}")
-    bound = set(q.bound_vars)
-    bad = [x for x in xs if x not in bound]
-    if bad:
-        raise QueryError(f"variable(s) {bad} are not bound in {q.name}")
-
+    xs = _check_bound(q, xs)
     g = graph if graph is not None else attack_graph(q)
-    fds = fdset(q)
 
     # (1) every component owns an unattacked atom whose key xs determines
     unattacked = {a.name for a in g.unattacked_atoms()}
-    closure = fds.closure(xs)
+    closure = g.fds.closure(xs)
     for comp in g.components():
         sources = [a for a in comp if a.name in unattacked]
         if not any(a.key_vars <= closure for a in sources):
@@ -114,7 +105,7 @@ def is_id_set(
     # (2) no query-graph path from a non-key variable to xs may dodge both
     # the atom's key and the frozen variables
     frozen = frozen_vars(q, g).vars
-    qg = query_graph(q)
+    qg = g.query_graph
     targets = set(xs)
     for atom in q.atoms:
         parent = qg.reach(atom.nonkey_vars, qg.vertices - atom.key_vars - frozen)

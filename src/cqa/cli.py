@@ -49,15 +49,14 @@ def _load_query(path: str) -> ConjunctiveQuery:
 
 
 def _effective_cap(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("CQA_CAP")
-    if env is None:
-        return DEFAULT_REPAIR_CAP
+    env = os.environ.get("CQA_CAP", str(DEFAULT_REPAIR_CAP))
     try:
-        return int(env)
+        cap = flag_value if flag_value is not None else int(env)
     except ValueError:
         raise InputError(f"CQA_CAP={env!r} is not an integer") from None
+    if cap < 0:
+        raise InputError(f"the repair cap (--cap or CQA_CAP) must not be negative, got {cap}")
+    return cap
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -128,6 +127,8 @@ def cmd_fd(args: argparse.Namespace) -> int:
 
 
 def cmd_repairs(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise InputError(f"--limit must not be negative, got {args.limit}")
     db = load_bundle(args.db)
     count = repair_count(db)
     # Enumeration is lazy, so the cap only guards a full dump.

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .queries import Atom, ConjunctiveQuery
+from .queries import Atom, ConjunctiveQuery, QueryError
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,13 @@ class FunctionalDependencySet:
     def closure(self, seed: Iterable[str]) -> frozenset[str]:
         """Every variable determined by `seed`; always contains seed and free."""
         closed = set(seed)
-        missing = []
-        by_var: dict[str, list[int]] = {}
-        ready: list[int] = []
-        for i, dep in enumerate(self.deps):
-            wait = {v for v in dep.lhs if v not in closed}
-            missing.append(len(wait))
-            if wait:
-                for v in wait:
-                    by_var.setdefault(v, []).append(i)
-            else:
-                ready.append(i)
-        while ready:
-            dep = self.deps[ready.pop()]
-            for v in dep.rhs:
-                if v in closed:
-                    continue
-                closed.add(v)
-                for j in by_var.get(v, ()):
-                    missing[j] -= 1
-                    if missing[j] == 0:
-                        ready.append(j)
+        grew = True
+        while grew:
+            grew = False
+            for dep in self.deps:
+                if dep.lhs <= closed and not dep.rhs <= closed:
+                    closed |= dep.rhs
+                    grew = True
         return frozenset(closed)
 
     def implies(self, lhs: Iterable[str], var: str) -> bool:
@@ -76,6 +62,21 @@ def fdset(q: ConjunctiveQuery) -> FunctionalDependencySet:
     for atom in q.atoms:
         deps.append(FunctionalDependency(atom.key_vars, atom.variables))
     return FunctionalDependencySet(deps, q.variables, q.free_vars)
+
+
+def keycl(atom: Atom, q: ConjunctiveQuery) -> frozenset[str]:
+    """free(q) plus everything key(atom) determines under the dependencies
+    of q other than the atom's own; free variables of q always stay in."""
+    return _keycl(atom, q, fdset(q))
+
+
+def _keycl(atom: Atom, q: ConjunctiveQuery, fds: FunctionalDependencySet) -> frozenset[str]:
+    """keycl(atom, q) read off fds = fdset(q), where atom i owns dependency i + 1."""
+    i = next((i for i, a in enumerate(q.atoms) if a.name == atom.name), None)
+    if i is None:
+        raise QueryError(f"atom {atom.name} is not part of {q.name}")
+    rest = fds.deps[: i + 1] + fds.deps[i + 2 :]
+    return FunctionalDependencySet(rest, fds.universe, fds.free).closure(atom.key_vars)
 
 
 @dataclass(frozen=True)

@@ -137,10 +137,10 @@ def enumerate_repairs(
     Refuses spaces larger than `cap` outright: sampling would break the
     tight-bound guarantee the enumeration exists to provide.
     """
-    count = repair_count(db)
+    all_blocks = db.blocks()
+    count = math.prod(len(b.members) for b in all_blocks)
     if count > cap:
         raise RepairSpaceOverflow(count, cap)
-    all_blocks = db.blocks()
     sigs = db.schema.values()
     for choice in itertools.product(*(range(len(b.members)) for b in all_blocks)):
         yield DatabaseInstance(
@@ -194,10 +194,13 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
         if not data.is_file():
             continue
         rows = csv.reader(io.StringIO(_read_utf8(data), newline=""))
-        for rowno, row in enumerate(rows, 1):
-            if len(row) != sig.arity:
-                raise BundleError(f"{data}:{rowno}: {len(row)} columns for arity {sig.arity}")
-            facts.append(Fact(sig.name, tuple(row)))
+        try:
+            for rowno, row in enumerate(rows, 1):
+                if len(row) != sig.arity:
+                    raise BundleError(f"{data}:{rowno}: {len(row)} columns for arity {sig.arity}")
+                facts.append(Fact(sig.name, tuple(row)))
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise BundleError(f"{data}:{rows.line_num}: {exc}") from None
     return DatabaseInstance(sigs, facts)
 
 

@@ -151,10 +151,6 @@ class ConjunctiveQuery:
                     out.append(term.symbol)
         return tuple(out)
 
-    @property
-    def is_full(self) -> bool:
-        return not self.bound_vars
-
     def atom(self, relation_name: str) -> Atom:
         for a in self.atoms:
             if a.name == relation_name:
@@ -173,8 +169,8 @@ class ConjunctiveQuery:
         )
 
 
-def make_free(q: ConjunctiveQuery, xs: Iterable[str]) -> ConjunctiveQuery:
-    """Promote the bound variables `xs` to the head (appended in order)."""
+def _check_bound(q: ConjunctiveQuery, xs: Iterable[str]) -> tuple[str, ...]:
+    """`xs` as a tuple, after checking it names distinct bound variables of q."""
     xs = tuple(xs)
     if len(set(xs)) != len(xs):
         raise QueryError(f"duplicate variable in {xs}")
@@ -182,7 +178,12 @@ def make_free(q: ConjunctiveQuery, xs: Iterable[str]) -> ConjunctiveQuery:
     bad = [x for x in xs if x not in bound]
     if bad:
         raise QueryError(f"variable(s) {bad} are not bound in {q.name}")
-    return replace(q, free_vars=q.free_vars + xs)
+    return xs
+
+
+def make_free(q: ConjunctiveQuery, xs: Iterable[str]) -> ConjunctiveQuery:
+    """Promote the bound variables `xs` to the head (appended in order)."""
+    return replace(q, free_vars=q.free_vars + _check_bound(q, xs))
 
 
 def make_bound(q: ConjunctiveQuery, xs: Iterable[str]) -> ConjunctiveQuery:

@@ -33,6 +33,17 @@ def test_keycl_contains_key_and_free():
             assert keycl(atom, q) >= atom.key_vars | set(q.free_vars)
 
 
+def test_keycl_equals_closure_over_query_without_atom():
+    # keycl reads q's own dependencies minus the atom's; the definition it
+    # replaced rebuilt the query without the atom and closed under that.
+    rng = random.Random(404)
+    for _ in range(1000):
+        q = random_query(rng, max_atoms=12, max_vars=rng.choice((4, 7, 10)), const_prob=0.08)
+        for atom in q.atoms:
+            old = frozenset(q.free_vars) | fdset(q.without([atom])).closure(atom.key_vars)
+            assert keycl(atom, q) == old
+
+
 def test_keycl_requires_member_atom():
     q = parse_query("q(z) :- R(x | z).")
     other = parse_query("q(z) :- S(x | z).").atom("S")

@@ -125,6 +125,28 @@ def test_count_cap_env_var(tmp_path, capsys, monkeypatch):
     assert main(["count", "--db", db, "--query", qpath, "--mode", "oracle"]) == 2
 
 
+def test_negative_cap_is_exit_2(tmp_path, capsys, monkeypatch):
+    qpath = write_query(tmp_path, support.employee_query())
+    db = employee_bundle(tmp_path)
+    assert main(["count", "--db", db, "--query", qpath, "--mode", "oracle", "--cap", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "must not be negative, got -5" in err and "refused" not in err
+    monkeypatch.setenv("CQA_CAP", "-1")
+    assert main(["count", "--db", db, "--query", qpath, "--mode", "oracle"]) == 2
+    assert main(["repairs", "--db", db]) == 2
+    assert "must not be negative, got -1" in capsys.readouterr().err
+
+
+def test_repairs_negative_limit_is_exit_2(tmp_path, capsys):
+    db = employee_bundle(tmp_path)
+    assert main(["repairs", "--db", db, "--limit", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--limit must not be negative, got -3" in captured.err
+    assert main(["repairs", "--db", db, "--limit", "0"]) == 0
+    assert capsys.readouterr().out == "4 repairs\n"
+
+
 def test_count_empty_database(tmp_path, capsys):
     qpath = write_query(tmp_path, support.employee_query())
     root = tmp_path / "empty"
@@ -235,6 +257,19 @@ def test_count_non_utf8_csv_is_exit_2(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "D.csv:5:" in proc.stderr and "UTF-8" in proc.stderr
+
+
+def test_count_oversized_csv_field_is_exit_2(tmp_path):
+    # the csv module refuses fields over 131,072 characters by default
+    qpath = write_query(tmp_path, support.employee_query())
+    db = employee_bundle(tmp_path)
+    with open(f"{db}/D.csv", "a", encoding="utf-8") as fh:
+        fh.write("Sales," + "x" * 200_000 + "\n")
+    proc = _run_cli("count", "--db", db, "--query", qpath, "--mode", "parsimonious")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "D.csv:5:" in proc.stderr and "field larger than field limit" in proc.stderr
 
 
 def test_count_non_utf8_schema_is_exit_2(tmp_path):
@@ -483,3 +518,31 @@ def test_repairs_limit_ignores_cap(tmp_path, capsys, monkeypatch):
     assert out.startswith("4 repairs\n") and out.count("repair ") == 1
     assert main(["repairs", "--db", db]) == 1
     assert "4 repairs exceed the cap of 2" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    schema=st.lists(
+        st.one_of(
+            st.just("R arity=2 key=1"),
+            st.text(alphabet="R arity=key0123-_#\t", max_size=24),
+        ),
+        max_size=3,
+    ),
+    rows=st.one_of(
+        st.binary(max_size=80),
+        st.text(alphabet='ab,"\r\n\t\x00\xe9 ', max_size=80).map(lambda s: s.encode("latin-1")),
+    ),
+)
+def test_count_any_bundle_bytes_exits_cleanly(schema, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "q.cq").write_text("q(z) :- R(x | z).\n")
+        (root / "db").mkdir()
+        (root / "db" / "schema.txt").write_text("\n".join(schema) + "\n", encoding="utf-8")
+        (root / "db" / "R.csv").write_bytes(rows)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["count", "--db", str(root / "db"), "--query", str(root / "q.cq")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
