@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .fds import FunctionalDependencySet, SequentialProof, _keycl, fdset, keycl, sequential_proof
+from .fds import FunctionalDependencySet, SequentialProof, _keycl, _sequential_proof, fdset, keycl
 from .graphs import Digraph, path_to
 from .queries import Atom, ConjunctiveQuery, QueryGraph, query_graph
 
@@ -116,12 +116,18 @@ class FrozenVariables:
 
 
 def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> FrozenVariables:
-    """A bound x is frozen when fdset over the atoms not attacking x yields {} -> x."""
+    """A bound x is frozen when fdset over the atoms not attacking x yields {} -> x.
+
+    The proof runs over those atoms and every head variable of q: a head
+    variable that occurs in none of them is in no key and is not x, so it
+    cannot change the proof.
+    """
     g = graph if graph is not None else attack_graph(q)
     certs: dict[str, SequentialProof] = {}
     for x in q.bound_vars:
         attackers = g.attackers_of_variable(x)
-        proof = sequential_proof(q.without(attackers), (), x)
+        rest = [a for a in q.atoms if a.name not in attackers]
+        proof = _sequential_proof(rest, q.free_vars, (), x)
         if proof is not None:
             certs[x] = proof
     return FrozenVariables(frozenset(certs), certs)

@@ -129,13 +129,13 @@ def cmd_fd(args: argparse.Namespace) -> int:
 def cmd_repairs(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit must not be negative, got {args.limit}")
+    cap = _effective_cap(args.cap)
     db = load_bundle(args.db)
     count = repair_count(db)
-    # Enumeration is lazy, so the cap only guards a full dump.
-    cap = _effective_cap(None) if args.limit is None else count
     shown = count if args.limit is None else min(args.limit, count)
     print(f"{count} repairs")
-    for i, repair in enumerate(enumerate_repairs(db, cap), 1):
+    # Enumeration is lazy, so the cap only guards a full dump.
+    for i, repair in enumerate(enumerate_repairs(db, cap if args.limit is None else count), 1):
         if i > shown:
             break
         print(f"repair {i}:")
@@ -197,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repairs", help="count and dump the repairs of a bundle")
     p.add_argument("--db", required=True)
     p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help="repair-space cap for a full dump")
     p.set_defaults(func=cmd_repairs)
 
     p = sub.add_parser("gen3dm", help="build a matching-gadget bundle from a triples file")

@@ -3,15 +3,23 @@
 Two routes compute the same answers on purpose: `cqacount_parsimonious`
 counts distinct id-set tuples over the answers of the widened query and
 the certain ones among them (one join and one certainty filter, no
-repairs), while `cqacount_oracle` enumerates
-every repair and aggregates min/max counts per group.  The oracle is the
+repairs), while `cqacount_oracle` enumerates every repair of the query's
+relations and aggregates min/max counts per group.  The oracle is the
 ground truth the fast route is checked against.
+
+Joins are compiled once per query: each atom gets a matcher from fact
+values to its variables' values, and the atoms are ordered so that those
+with a bound key come first and then those with the most bound variables.
+Rows are tuples in the order the steps bind their variables.  The
+parsimonious route matches each relation once and feeds that one scan to
+both the join's hash indexes and the certainty check's block indexes.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Iterable, Mapping, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .attacks import attack_graph
 from .classify import ClassificationReport, CyclicAttackGraphError, in_cparsimony
@@ -19,7 +27,6 @@ from .errors import AnalysisRefusal, InputError, InternalError
 from .instances import (
     DEFAULT_REPAIR_CAP,
     DatabaseInstance,
-    Fact,
     enumerate_repairs,
     is_repair_of,
 )
@@ -77,47 +84,162 @@ def _check_schema(q: ConjunctiveQuery, db: DatabaseInstance) -> None:
             )
 
 
-def _unify(atom: Atom, fact: Fact, binding: Mapping[str, str]) -> dict[str, str] | None:
-    out = dict(binding)
-    for term, value in zip(atom.args, fact.values):
-        if term.is_var:
-            seen = out.get(term.symbol)
-            if seen is None:
-                out[term.symbol] = value
-            elif seen != value:
+def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The items of a tuple at `positions`, always as a tuple."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda t: (t[i],)
+    return itemgetter(*positions) if positions else lambda t: ()
+
+
+def _atom_vars(atom: Atom) -> tuple[str, ...]:
+    """The atom's distinct variables in first-occurrence order: the layout of
+    the values its matcher returns."""
+    return tuple(dict.fromkeys(t.symbol for t in atom.args if t.is_var))
+
+
+def _matcher(atom: Atom) -> Callable[[tuple[str, ...]], tuple[str, ...] | None]:
+    """Fact values -> the values of `_atom_vars(atom)`, or None when the fact
+    breaks a constant or gives a repeated variable two values."""
+    first: dict[str, int] = {}
+    tests: list[tuple[int, int | None, str | None]] = []
+    for i, term in enumerate(atom.args):
+        if not term.is_var:
+            tests.append((i, None, term.symbol))
+        elif term.symbol in first:
+            tests.append((i, first[term.symbol], None))
+        else:
+            first[term.symbol] = i
+    pick = _getter(tuple(first.values()))
+    if not tests:
+        return pick
+
+    def match(values: tuple[str, ...]) -> tuple[str, ...] | None:
+        for i, j, const in tests:
+            if values[i] != (const if j is None else values[j]):
                 return None
-        elif term.symbol != value:
-            return None
-    return out
+        return pick(values)
+
+    return match
 
 
-def _candidates(atom: Atom, binding: Mapping[str, str], db: DatabaseInstance) -> tuple[Fact, ...]:
-    key: list[str] = []
-    for term in atom.key_args:
-        value = binding.get(term.symbol) if term.is_var else term.symbol
-        if value is None:
-            return db.relation_facts(atom.name)
-        key.append(value)
-    return db.block(atom.name, tuple(key))
+class _Scan(NamedTuple):
+    """One pass of an atom's matcher over its relation."""
+
+    matches: list[tuple[str, ...]]  # the variable values of every matching fact
+    blocks: list[tuple[tuple[str, ...], ...]]  # the same, per block whose facts all match
+
+
+def _scan(atom: Atom, match: Callable, db: DatabaseInstance) -> _Scan:
+    width = atom.relation.key_width
+    matches: list[tuple[str, ...]] = []
+    blocks: list[tuple[tuple[str, ...], ...]] = []
+    for _, block in groupby(db.relation_facts(atom.name), key=lambda f: f.values[:width]):
+        got = [match(fact.values) for fact in block]
+        hits = [m for m in got if m is not None]
+        matches += hits
+        if len(hits) == len(got):
+            blocks.append(tuple(hits))
+    return _Scan(matches, blocks)
+
+
+class _JoinStep(NamedTuple):
+    """One atom of a join plan.  Rows are tuples holding the variables in
+    the order the steps bind them."""
+
+    atom: Atom
+    match: Callable[[tuple[str, ...]], tuple[str, ...] | None]
+    probe: Callable[[tuple], tuple]  # row -> the atom's variables bound earlier
+    own: Callable[[tuple], tuple]  # match -> the same variables
+    new: Callable[[tuple], tuple]  # match -> the variables first bound here
+    key: Callable[[tuple], tuple] | None  # row -> key values, when all are bound
+
+
+class _Join(NamedTuple):
+    steps: tuple[_JoinStep, ...]
+    head: Callable[[tuple], tuple]  # row -> answer tuple
+
+
+def _key_getter(atom: Atom, slots: Mapping[str, int]) -> Callable[[tuple], tuple]:
+    """row -> the atom's key values, constants included."""
+    if all(t.is_var for t in atom.key_args):
+        return _getter([slots[t.symbol] for t in atom.key_args])
+    parts = [(slots[t.symbol] if t.is_var else None, t.symbol) for t in atom.key_args]
+    return lambda row: tuple(c if s is None else row[s] for s, c in parts)
+
+
+def _bind(atom: Atom, slots: dict[str, int]) -> tuple[Callable, Callable, Callable]:
+    """Getters for the next step over `atom`: row -> its variables already in
+    `slots`, match -> the same variables, match -> the others, which this
+    appends to `slots`."""
+    names = _atom_vars(atom)
+    bound = [i for i, v in enumerate(names) if v in slots]
+    fresh = [i for i, v in enumerate(names) if v not in slots]
+    probe = _getter([slots[names[i]] for i in bound])
+    for i in fresh:
+        slots[names[i]] = len(slots)
+    return probe, _getter(bound), _getter(fresh)
+
+
+def _compile_join(atoms: Sequence[Atom], head: Sequence[str]) -> _Join:
+    """A join order chosen once per query: atoms whose key is bound first,
+    then the atom with the most bound variables, ties in query order."""
+    slots: dict[str, int] = {}
+    todo = list(atoms)
+    steps = []
+    while todo:
+        atom = min(todo, key=lambda a: (
+            not a.key_vars <= slots.keys(), -len(a.variables & slots.keys())))
+        todo.remove(atom)
+        key = _key_getter(atom, slots) if atom.key_vars <= slots.keys() else None
+        steps.append(_JoinStep(atom, _matcher(atom), *_bind(atom, slots), key))
+    return _Join(tuple(steps), _getter([slots[v] for v in head]))
+
+
+def _scans(plan: _Join, db: DatabaseInstance) -> dict[str, _Scan]:
+    return {step.atom.name: _scan(step.atom, step.match, db) for step in plan.steps}
+
+
+def _join(
+    plan: _Join, db: DatabaseInstance, scans: Mapping[str, _Scan] | None = None
+) -> set[tuple[str, ...]]:
+    """The distinct answer tuples of a compiled join.
+
+    With `scans`, every step reads a hash index on its bound variables built
+    from the scan; without, a step whose key is bound probes `db.block` and
+    every other step scans its relation.
+    """
+    rows: list[tuple] = [()]
+    for step in plan.steps:
+        if scans is None and step.key is not None:
+            rows = [
+                row + step.new(m)
+                for row in rows
+                for fact in db.block(step.atom.name, step.key(row))
+                if (m := step.match(fact.values)) is not None and step.own(m) == step.probe(row)
+            ]
+        else:
+            if scans is None:
+                matches = [
+                    m for fact in db.relation_facts(step.atom.name)
+                    if (m := step.match(fact.values)) is not None
+                ]
+            else:
+                matches = scans[step.atom.name].matches
+            index: dict[tuple, list[tuple]] = {}
+            for m in matches:
+                index.setdefault(step.own(m), []).append(step.new(m))
+            rows = [row + new for row in rows for new in index.get(step.probe(row), ())]
+        if not rows:
+            break
+    return {plan.head(row) for row in rows}
 
 
 def evaluate(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
-    """All head tuples with a satisfying valuation (naive join, key-hash lookups)."""
+    """All head tuples with a satisfying valuation, by a join compiled for
+    the query (key-bound atoms probe blocks, others a hash index)."""
     _check_schema(q, db)
-    rows: list[dict[str, str]] = [{}]
-    for atom in q.atoms:
-        rows = [
-            bound
-            for partial in rows
-            for fact in _candidates(atom, partial, db)
-            if (bound := _unify(atom, fact, partial)) is not None
-        ]
-        if not rows:
-            break
-    return AnswerSet(
-        q.free_vars,
-        frozenset(tuple(row[v] for v in q.free_vars) for row in rows),
-    )
+    return AnswerSet(q.free_vars, frozenset(_join(_compile_join(q.atoms, q.free_vars), db)))
 
 
 def _group_counts(tuples: Iterable[tuple[str, ...]], width: int) -> dict[tuple[str, ...], int]:
@@ -127,31 +249,38 @@ def _group_counts(tuples: Iterable[tuple[str, ...]], width: int) -> dict[tuple[s
     return {group: len(rest) for group, rest in seen.items()}
 
 
+def _counting_join(q_full: ConjunctiveQuery, group_vars: tuple[str, ...]) -> _Join:
+    """The join of a full query with the grouping variables leading its answers."""
+    if q_full.bound_vars:
+        raise EvaluationError(f"counting requires a full query; {q_full.bound_vars} are bound")
+    if len(set(group_vars)) != len(group_vars) or not set(group_vars) <= set(q_full.free_vars):
+        raise EvaluationError(f"grouping variables {group_vars} must be distinct head variables")
+    rest = tuple(v for v in q_full.free_vars if v not in group_vars)
+    return _compile_join(q_full.atoms, group_vars + rest)
+
+
 def count_by(
     q_full: ConjunctiveQuery, group_vars: Iterable[str], db: DatabaseInstance
 ) -> frozenset[CountAnswer]:
     """Distinct remaining-variable tuples per group, on the instance as-is."""
     group_vars = tuple(group_vars)
-    if q_full.bound_vars:
-        raise EvaluationError(f"counting requires a full query; {q_full.bound_vars} are bound")
-    if len(set(group_vars)) != len(group_vars) or not set(group_vars) <= set(q_full.free_vars):
-        raise EvaluationError(f"grouping variables {group_vars} must be distinct head variables")
-    answers = evaluate(q_full, db)
-    rest = [v for v in answers.head if v not in group_vars]
-    order = [answers.head.index(v) for v in group_vars + tuple(rest)]
-    counts = _group_counts((tuple(t[i] for i in order) for t in answers.tuples), len(group_vars))
+    plan = _counting_join(q_full, group_vars)
+    _check_schema(q_full, db)
+    counts = _group_counts(_join(plan, db), len(group_vars))
     return frozenset(CountAnswer(group, n) for group, n in counts.items())
 
 
 # --- certain answers --------------------------------------------------------
 
 class _Step(NamedTuple):
-    """One atom of the elimination order, with its variables split by when they bind."""
+    """One atom of the elimination order.  A binding is a tuple of slots:
+    the head, then the new variables of each earlier step."""
 
     atom: Atom
-    probe: tuple[str, ...]  # bound by the head or an earlier step
-    new: tuple[str, ...]  # first bound here
-    reads: tuple[str, ...]  # bound variables this step and later ones read
+    probe: Callable[[tuple], tuple]  # slots -> the atom's variables bound earlier
+    reads: Callable[[tuple], tuple]  # slots -> what this step and later ones read
+    own: Callable[[tuple], tuple]  # match -> the probe variables
+    new: Callable[[tuple], tuple]  # match -> the variables first bound here
 
 
 def _elimination_plan(q: ConjunctiveQuery) -> tuple[_Step, ...]:
@@ -167,74 +296,75 @@ def _elimination_plan(q: ConjunctiveQuery) -> tuple[_Step, ...]:
             "attack graph is cyclic: no first-order certainty check; use the repair oracle"
         )
     order = [q.atom(name) for name in names]
-    bound = set(q.free_vars)
+    slots = {v: i for i, v in enumerate(q.free_vars)}
     steps = []
     for i, atom in enumerate(order):
         later = frozenset().union(*(a.variables for a in order[i:]))
-        steps.append(_Step(
-            atom,
-            tuple(sorted(atom.variables & bound)),
-            tuple(sorted(atom.variables - bound)),
-            tuple(sorted(bound & later)),
-        ))
-        bound |= atom.variables
+        reads = _getter(sorted(slots[v] for v in later if v in slots))
+        probe, own, new = _bind(atom, slots)
+        steps.append(_Step(atom, probe, reads, own, new))
     return tuple(steps)
 
 
-def _block_index(
-    step: _Step, db: DatabaseInstance
-) -> dict[tuple[str, ...], list[tuple[tuple[str, ...], ...]]]:
+def _block_index(step: _Step, scan: _Scan) -> dict[tuple, list[tuple[tuple, ...]]]:
     """Probe values -> one entry per usable block: the new-variable values of its facts.
 
-    A block is usable when every fact unifies with the atom and all facts
-    agree on the probe variables; any other block fails for every binding.
+    A block is usable when every fact matches the atom and all facts agree
+    on the probe variables; any other block fails for every binding.
     """
-    width = step.atom.relation.key_width
-    index: dict[tuple[str, ...], list[tuple[tuple[str, ...], ...]]] = {}
-    for _, block in groupby(db.relation_facts(step.atom.name), key=lambda f: f.values[:width]):
-        probes: set[tuple[str, ...]] = set()
-        news: list[tuple[str, ...]] = []
-        for fact in block:
-            binding = _unify(step.atom, fact, {})
-            if binding is None:
-                break
-            probes.add(tuple(binding[v] for v in step.probe))
-            news.append(tuple(binding[v] for v in step.new))
-        else:
-            if len(probes) == 1:
-                index.setdefault(probes.pop(), []).append(tuple(news))
+    index: dict[tuple, list[tuple[tuple, ...]]] = {}
+    for block in scan.blocks:
+        probes = {step.own(m) for m in block}
+        if len(probes) == 1:
+            index.setdefault(probes.pop(), []).append(tuple(step.new(m) for m in block))
     return index
 
 
 def _certain_among(
-    q: ConjunctiveQuery,
     plan: tuple[_Step, ...],
     candidates: Iterable[tuple[str, ...]],
-    db: DatabaseInstance,
+    scans: Mapping[str, _Scan],
 ) -> frozenset[tuple[str, ...]]:
-    """The candidate head tuples of `q` that hold in every repair.
+    """The candidate head tuples that hold in every repair.
 
     A binding is certain at step i when some block under its probe values
-    has every fact certain at step i + 1.
+    has every fact certain at step i + 1; at the last step that is a block
+    under the probe values at all.
     """
-    indexes = [_block_index(step, db) for step in plan]
-    memo: list[dict[tuple[str, ...], bool]] = [{} for _ in plan]
+    if not plan:
+        return frozenset(candidates)
+    indexes = [_block_index(step, scans[step.atom.name]) for step in plan]
+    memo: list[dict[tuple, bool]] = [{} for _ in plan]
+    last = len(plan) - 1
 
-    def certain(i: int, binding: dict[str, str]) -> bool:
-        if i == len(plan):
-            return True
+    def certain(i: int, slots: tuple) -> bool:
         step = plan[i]
-        key = tuple(binding[v] for v in step.reads)
+        if i == last:
+            return step.probe(slots) in indexes[i]
+        key = step.reads(slots)
         hit = memo[i].get(key)
         if hit is None:
             hit = any(
-                all(certain(i + 1, binding | dict(zip(step.new, values))) for values in entry)
-                for entry in indexes[i].get(tuple(binding[v] for v in step.probe), ())
+                all(certain(i + 1, slots + values) for values in entry)
+                for entry in indexes[i].get(step.probe(slots), ())
             )
             memo[i][key] = hit
         return hit
 
-    return frozenset(c for c in candidates if certain(0, dict(zip(q.free_vars, c))))
+    return frozenset(c for c in candidates if certain(0, c))
+
+
+def _plain_and_certain(
+    q: ConjunctiveQuery, db: DatabaseInstance
+) -> tuple[set[tuple[str, ...]], frozenset[tuple[str, ...]]]:
+    """The plain answers of `q` and the certain ones among them, from one scan
+    of each relation shared by the join and the certainty check."""
+    plan = _elimination_plan(q)
+    _check_schema(q, db)
+    join = _compile_join(q.atoms, q.free_vars)
+    scans = _scans(join, db)
+    plain = _join(join, db, scans)
+    return plain, _certain_among(plan, plain, scans)
 
 
 def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
@@ -243,11 +373,21 @@ def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     Requires an acyclic attack graph; candidates come from the plain
     answers (a sound superset) and are filtered by one elimination plan.
     """
-    plan = _elimination_plan(q)
-    return AnswerSet(q.free_vars, _certain_among(q, plan, evaluate(q, db).tuples, db))
+    return AnswerSet(q.free_vars, _plain_and_certain(q, db)[1])
 
 
 # --- range-consistent counting ----------------------------------------------
+
+def _visible(q: ConjunctiveQuery, db: DatabaseInstance) -> DatabaseInstance:
+    """`db` cut down to the relations of `q`, whose schema has been checked
+    against it; the blocks of any other relation cannot change its answers."""
+    names = [atom.name for atom in q.atoms]
+    if len(names) == len(db.schema):
+        return db
+    return DatabaseInstance(
+        (db.schema[name] for name in names), (f for name in names for f in db.relation_facts(name))
+    )
+
 
 def cqacount_oracle(
     q_full: ConjunctiveQuery,
@@ -257,22 +397,25 @@ def cqacount_oracle(
 ) -> frozenset[RangeAnswer]:
     """Tight [min, max] counts per group over every repair.
 
-    A group qualifies only when every repair produces it; the bounds are
-    attained by actual repairs by construction.
+    Only the relations of the query are enumerated, so `cap` bounds the
+    repairs of those relations.  A group qualifies only when every repair
+    produces it; the bounds are attained by actual repairs by construction.
     """
     group_vars = tuple(group_vars)
+    plan = _counting_join(q_full, group_vars)
+    _check_schema(q_full, db)
     stats: dict[tuple[str, ...], list[int]] = {}
     repairs = 0
-    for repair in enumerate_repairs(db, cap):
+    for repair in enumerate_repairs(_visible(q_full, db), cap):
         repairs += 1
-        for answer in count_by(q_full, group_vars, repair):
-            rec = stats.get(answer.group)
+        for group, count in _group_counts(_join(plan, repair), len(group_vars)).items():
+            rec = stats.get(group)
             if rec is None:
-                stats[answer.group] = [1, answer.count, answer.count]
+                stats[group] = [1, count, count]
             else:
                 rec[0] += 1
-                rec[1] = min(rec[1], answer.count)
-                rec[2] = max(rec[2], answer.count)
+                rec[1] = min(rec[1], count)
+                rec[2] = max(rec[2], count)
     return frozenset(
         RangeAnswer(group, low, high)
         for group, (hits, low, high) in stats.items()
@@ -294,11 +437,10 @@ def cqacount_parsimonious(
     report = in_cparsimony(q)
     if not report.in_cparsimony:
         raise NotInCparsimonyError(report)
-    widened = make_free(q, report.id_set or ())
     width = len(q.free_vars)
-    plain = evaluate(widened, db).tuples
+    plain, certain = _plain_and_certain(make_free(q, report.id_set or ()), db)
     upper = _group_counts(plain, width)
-    lower = _group_counts(_certain_among(widened, _elimination_plan(widened), plain, db), width)
+    lower = _group_counts(certain, width)
     out = set()
     for group, m in sorted(lower.items()):
         n = upper.get(group, 0)
@@ -343,9 +485,15 @@ def is_pessimistic_repair(
 
 # --- result emission -----------------------------------------------------------
 
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def range_answers_tsv(answers: Iterable[RangeAnswer]) -> str:
+    r"""One line per group; a backslash, tab, LF or CR inside a value is
+    written as `\\`, `\t`, `\n` or `\r`."""
     lines = [
-        "\t".join([*a.group, str(a.lower), str(a.upper)]) for a in sorted(answers)
+        "\t".join([*(v.translate(_TSV_ESCAPES) for v in a.group), str(a.lower), str(a.upper)])
+        for a in sorted(answers)
     ]
     return "\n".join(lines)
 

@@ -8,7 +8,7 @@ constants in all downstream closure tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .queries import Atom, ConjunctiveQuery, QueryError
 
@@ -101,12 +101,20 @@ def sequential_proof(
     may still be redundant.  Atoms are tried in query order, so the result
     is deterministic.
     """
+    return _sequential_proof(q.atoms, q.free_vars, base, target)
+
+
+def _sequential_proof(
+    atoms: Sequence[Atom], free: Iterable[str], base: Iterable[str], target: str
+) -> SequentialProof | None:
+    """`sequential_proof` over the given atoms with the head variables `free`."""
     base = frozenset(base)
-    known = set(q.free_vars) | base
+    given = set(free) | base
+    known = set(given)
     proof: list[Atom] = []
     used: set[str] = set()
     while target not in known:
-        for atom in q.atoms:
+        for atom in atoms:
             if atom.name not in used and atom.key_vars <= known:
                 proof.append(atom)
                 used.add(atom.name)
@@ -116,7 +124,7 @@ def sequential_proof(
             return None
 
     def covers(prefix: list[Atom]) -> bool:
-        have = set(q.free_vars) | base
+        have = set(given)
         for a in prefix:
             have |= a.variables
         return target in have

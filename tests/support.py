@@ -1,15 +1,15 @@
 """Golden queries/instances from worked examples, plus independent oracles
-(two-row FD tableau, repair-intersection certainty, exhaustive id-set search)
-that the fast implementations are checked against."""
+(naive join, two-row FD tableau, repair-intersection certainty, exhaustive
+id-set search) that the fast implementations are checked against."""
 
 from itertools import combinations
 
 from cqa.attacks import AttackWitness, attack_graph, keycl
 from cqa.classify import is_id_set
-from cqa.evaluate import evaluate
+from cqa.evaluate import AnswerSet, _check_schema, evaluate
 from cqa.fds import FunctionalDependencySet
 from cqa.instances import DatabaseInstance, Fact, enumerate_repairs
-from cqa.queries import ConjunctiveQuery, parse_query
+from cqa.queries import Atom, ConjunctiveQuery, parse_query
 
 
 def mkdb(schema: dict[str, tuple[int, int]], rows: dict[str, list[tuple]]) -> DatabaseInstance:
@@ -166,6 +166,50 @@ def brute_force_implies(fds: FunctionalDependencySet, lhs, target: str) -> bool:
         if not (lhs & differ) and target in differ:
             return False
     return True
+
+
+def _unify(atom: Atom, fact: Fact, binding: dict[str, str]) -> dict[str, str] | None:
+    out = dict(binding)
+    for term, value in zip(atom.args, fact.values):
+        if term.is_var:
+            seen = out.get(term.symbol)
+            if seen is None:
+                out[term.symbol] = value
+            elif seen != value:
+                return None
+        elif term.symbol != value:
+            return None
+    return out
+
+
+def _candidates(atom: Atom, binding: dict[str, str], db: DatabaseInstance) -> tuple[Fact, ...]:
+    key: list[str] = []
+    for term in atom.key_args:
+        value = binding.get(term.symbol) if term.is_var else term.symbol
+        if value is None:
+            return db.relation_facts(atom.name)
+        key.append(value)
+    return db.block(atom.name, tuple(key))
+
+
+def naive_evaluate(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
+    """All head tuples with a satisfying valuation: a join in query order over
+    binding dicts, with a key lookup whenever an atom's key is bound."""
+    _check_schema(q, db)
+    rows: list[dict[str, str]] = [{}]
+    for atom in q.atoms:
+        rows = [
+            bound
+            for partial in rows
+            for fact in _candidates(atom, partial, db)
+            if (bound := _unify(atom, fact, partial)) is not None
+        ]
+        if not rows:
+            break
+    return AnswerSet(
+        q.free_vars,
+        frozenset(tuple(row[v] for v in q.free_vars) for row in rows),
+    )
 
 
 def intersection_certain(q: ConjunctiveQuery, db: DatabaseInstance, cap: int = 1 << 14):

@@ -147,6 +147,31 @@ def test_repairs_negative_limit_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().out == "4 repairs\n"
 
 
+def test_count_tsv_escapes_tabs_and_newlines(tmp_path, capsys):
+    qpath = tmp_path / "q.cq"
+    qpath.write_text("q(z) :- R(x | z).\n")
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "schema.txt").write_text("R arity=2 key=1\n")
+    (root / "R.csv").write_text('k1,"b\tc"\nk2,"e\nf"\n', newline="")
+    assert main(["count", "--db", str(root), "--query", str(qpath), "--mode", "parsimonious"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["b\\tc", "1", "1"], ["e\\nf", "1", "1"]]
+
+
+def test_repairs_cap_flag(tmp_path, capsys, monkeypatch):
+    db = employee_bundle(tmp_path)
+    assert main(["repairs", "--db", db, "--cap", "3"]) == 1
+    assert "4 repairs exceed the cap of 3" in capsys.readouterr().err
+    monkeypatch.setenv("CQA_CAP", "2")
+    assert main(["repairs", "--db", db, "--cap", "4"]) == 0  # the flag wins over CQA_CAP
+    assert capsys.readouterr().out.count("repair ") == 4
+    assert main(["repairs", "--db", db, "--cap", "1", "--limit", "2"]) == 0
+    assert capsys.readouterr().out.count("repair ") == 2
+    assert main(["repairs", "--db", db, "--cap", "-1"]) == 2
+    assert "must not be negative, got -1" in capsys.readouterr().err
+
+
 def test_count_empty_database(tmp_path, capsys):
     qpath = write_query(tmp_path, support.employee_query())
     root = tmp_path / "empty"

@@ -1,9 +1,11 @@
+import importlib
+import itertools
 import random
 
 import pytest
 
 import support
-from generators import cparsimony_corpus, random_instance
+from generators import DOMAIN, cparsimony_corpus, random_instance, random_query
 from cqa.classify import CyclicAttackGraphError
 from cqa.evaluate import (
     CountAnswer,
@@ -20,8 +22,14 @@ from cqa.evaluate import (
     range_answers_json,
     range_answers_tsv,
 )
-from cqa.instances import DatabaseInstance, Fact, enumerate_repairs
-from cqa.queries import make_free, parse_query
+from cqa.instances import (
+    DEFAULT_REPAIR_CAP,
+    DatabaseInstance,
+    Fact,
+    enumerate_repairs,
+    repair_count,
+)
+from cqa.queries import RelationSignature, make_free, parse_query, serialize_query
 
 
 def chain_full_query():
@@ -241,6 +249,24 @@ def test_oracle_matching_gadget():
     assert cqacount_oracle(full, ("z",), db) == {RangeAnswer(("c",), 1, 3)}
 
 
+def test_oracle_ignores_conflicts_outside_the_query():
+    # 21 two-fact blocks of an unused relation make 2**23 repairs in all,
+    # over the default cap, but only the 4 repairs of E and D matter
+    q = support.employee_query()
+    base = support.employee_db()
+    noise = RelationSignature("N", 2, 1)
+    db = DatabaseInstance(
+        [*base.schema.values(), noise],
+        [*base.facts, *(Fact("N", (f"k{i}", v)) for i in range(21) for v in ("u", "v"))],
+    )
+    assert repair_count(db) > DEFAULT_REPAIR_CAP
+    answer = cqacount_oracle(make_free(q, q.bound_vars), q.free_vars, db)
+    assert answer == cqacount_parsimonious(q, db) == {
+        RangeAnswer(("A",), 1, 3),
+        RangeAnswer(("B",), 1, 3),
+    }
+
+
 def test_oracle_respects_cap():
     full = make_free(support.employee_query(), ("x", "y"))
     from cqa.instances import RepairSpaceOverflow
@@ -335,6 +361,7 @@ def test_repair_checks_reject_non_repairs():
 def test_range_answer_emission():
     answers = [RangeAnswer(("B",), 1, 3), RangeAnswer(("A",), 1, 3)]
     assert range_answers_tsv(answers) == "A\t1\t3\nB\t1\t3"
+    assert range_answers_tsv([RangeAnswer(("a\\b", "c\rd"), 1, 2)]) == "a\\\\b\tc\\rd\t1\t2"
     assert range_answers_json(answers) == [
         {"group": ["A"], "m": 1, "n": 3},
         {"group": ["B"], "m": 1, "n": 3},
@@ -362,3 +389,46 @@ def test_projection_extension_unique_on_consistent_instances():
                 key = tuple(byvar[v] for v in order[: nz + nx])
                 rest = tuple(byvar[v] for v in order[nz + nx :])
                 assert seen.setdefault(key, rest) == rest
+
+
+evaluate_module = importlib.import_module("cqa.evaluate")
+
+
+def _join_instance(rng, q):
+    """Up to eight facts per relation (sometimes none) over a domain of one to
+    four values, so joins both succeed and die part-way."""
+    domain = DOMAIN[: rng.randint(1, 4)]
+    facts = [
+        Fact(atom.name, tuple(rng.choice(domain) for _ in range(atom.relation.arity)))
+        for atom in q.atoms
+        for _ in range(rng.choice((0, 1, 2, 4, 8)))
+    ]
+    return DatabaseInstance((a.relation for a in q.atoms), facts)
+
+
+def test_evaluate_equals_naive_join_on_random_pairs():
+    # both ways of feeding the compiled join: block probes and per-call
+    # scans (the parsimonious route's), against the query-order join
+    rng = random.Random(2027)
+    seen = dict.fromkeys(
+        ("key constant", "non-key constant", "repeated variable", "key width 0",
+         "empty relation", "disjoint atoms", "join dies"), 0)
+    for _ in range(2400):
+        q = random_query(rng, max_atoms=5, max_vars=5, const_prob=0.15)
+        db = _join_instance(rng, q)
+        want = support.naive_evaluate(q, db)
+        assert evaluate(q, db) == want, (serialize_query(q), db.facts)
+        plan = evaluate_module._compile_join(q.atoms, q.free_vars)
+        shared = evaluate_module._join(plan, db, evaluate_module._scans(plan, db))
+        assert shared == want.tuples, (serialize_query(q), db.facts)
+        seen["key constant"] += any(not t.is_var for a in q.atoms for t in a.key_args)
+        seen["non-key constant"] += any(not t.is_var for a in q.atoms for t in a.nonkey_args)
+        seen["repeated variable"] += any(
+            sum(t.is_var for t in a.args) > len(a.variables) for a in q.atoms)
+        seen["key width 0"] += any(a.relation.key_width == 0 for a in q.atoms)
+        empty = any(not db.relation_facts(a.name) for a in q.atoms)
+        seen["empty relation"] += empty
+        seen["disjoint atoms"] += any(
+            not a.variables & b.variables for a, b in itertools.combinations(q.atoms, 2))
+        seen["join dies"] += not want.tuples and not empty
+    assert min(seen.values()) >= 50, seen
