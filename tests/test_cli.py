@@ -571,3 +571,125 @@ def test_count_any_bundle_bytes_exits_cleanly(schema, rows):
             code = main(["count", "--db", str(root / "db"), "--query", str(root / "q.cq")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# Full-string goldens for `cqa repairs`: dump order, dedup and block order.
+EMPLOYEE_REPAIRS = """\
+4 repairs
+repair 1:
+  D(HR, A)
+  D(IT, A)
+  D(MIS, B)
+  E(Anny, F, HR)
+  E(Dolores, F, IT)
+  E(Lucy, F, MIS)
+  E(Suzy, F, HR)
+repair 2:
+  D(HR, A)
+  D(IT, A)
+  D(MIS, B)
+  E(Anny, F, IT)
+  E(Dolores, F, IT)
+  E(Lucy, F, MIS)
+  E(Suzy, F, HR)
+repair 3:
+  D(HR, A)
+  D(IT, B)
+  D(MIS, B)
+  E(Anny, F, HR)
+  E(Dolores, F, IT)
+  E(Lucy, F, MIS)
+  E(Suzy, F, HR)
+repair 4:
+  D(HR, A)
+  D(IT, B)
+  D(MIS, B)
+  E(Anny, F, IT)
+  E(Dolores, F, IT)
+  E(Lucy, F, MIS)
+  E(Suzy, F, HR)
+"""
+
+UNSORTED_REPAIRS = """\
+6 repairs
+repair 1:
+  R(B, 9)
+  R(a, 1)
+  R(b, 1)
+  S(x)
+  S(y)
+  T(p)
+repair 2:
+  R(B, 9)
+  R(a, 1)
+  R(b, 1)
+  S(x)
+  S(y)
+  T(q)
+repair 3:
+  R(B, 9)
+  R(a, 1)
+  R(b, 10)
+  S(x)
+  S(y)
+  T(p)
+repair 4:
+  R(B, 9)
+  R(a, 1)
+  R(b, 10)
+  S(x)
+  S(y)
+  T(q)
+repair 5:
+  R(B, 9)
+  R(a, 1)
+  R(b, 2)
+  S(x)
+  S(y)
+  T(p)
+repair 6:
+  R(B, 9)
+  R(a, 1)
+  R(b, 2)
+  S(x)
+  S(y)
+  T(q)
+"""
+
+
+def unsorted_bundle(tmp_path):
+    """Relations declared out of order, `R.csv` rows out of order with one
+    duplicate, a value sorting as text ("10" < "2") and a key-width-0 relation."""
+    root = tmp_path / "unsorted"
+    root.mkdir()
+    (root / "schema.txt").write_text("S arity=1 key=1\nR arity=2 key=1\nT arity=1 key=0\n")
+    (root / "R.csv").write_text("b,2\na,1\nb,1\na,1\nB,9\nb,10\n")
+    (root / "S.csv").write_text("y\nx\n")
+    (root / "T.csv").write_text("q\np\n")
+    return str(root)
+
+
+def _dump_head(dump: str, repairs: int) -> str:
+    """The count line and the first `repairs` repairs of a full dump."""
+    parts = dump.split("repair ")
+    return "repair ".join(parts[: repairs + 1])
+
+
+@pytest.mark.parametrize("bundle,golden", [
+    (employee_bundle, EMPLOYEE_REPAIRS),
+    (unsorted_bundle, UNSORTED_REPAIRS),
+])
+def test_repairs_dump_golden(tmp_path, capsys, bundle, golden):
+    db = bundle(tmp_path)
+    assert main(["repairs", "--db", db]) == 0
+    assert capsys.readouterr().out == golden
+    assert main(["repairs", "--db", db, "--limit", "2"]) == 0
+    assert capsys.readouterr().out == _dump_head(golden, 2)
+
+
+def test_schema_declaring_a_relation_twice_is_exit_2(tmp_path, capsys):
+    db = employee_bundle(tmp_path)
+    with open(f"{db}/schema.txt", "a") as fh:
+        fh.write("E arity=3 key=1\n")
+    assert main(["repairs", "--db", db]) == 2
+    assert capsys.readouterr().err == "error: relation E declared twice\n"
