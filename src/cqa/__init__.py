@@ -49,10 +49,8 @@ from .instances import (
     DatabaseInstance,
     Fact,
     RepairSpaceOverflow,
-    blocks,
     build_3dm_instance,
     enumerate_repairs,
-    is_consistent,
     is_repair_of,
     load_bundle,
     repair_count,

@@ -78,7 +78,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     q = _load_query(args.query)
     db = load_bundle(args.db)
-    cap = _effective_cap(args.cap)
+    cap = None if args.mode == "parsimonious" else _effective_cap(args.cap)
     results = {}
     if args.mode in ("parsimonious", "both"):
         results["parsimonious"] = cqacount_parsimonious(q, db)

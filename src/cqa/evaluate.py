@@ -17,7 +17,6 @@ both the join's hash indexes and the certainty check's block indexes.
 
 from __future__ import annotations
 
-from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -131,15 +130,13 @@ class _Scan(NamedTuple):
 
 
 def _scan(atom: Atom, match: Callable, db: DatabaseInstance) -> _Scan:
-    width = atom.relation.key_width
     matches: list[tuple[str, ...]] = []
     blocks: list[tuple[tuple[str, ...], ...]] = []
-    for _, block in groupby(db.relation_facts(atom.name), key=lambda f: f.values[:width]):
-        got = [match(fact.values) for fact in block]
-        hits = [m for m in got if m is not None]
-        matches += hits
-        if len(hits) == len(got):
-            blocks.append(tuple(hits))
+    for rows in db._blocks[atom.name].values():
+        got = [m for row in rows if (m := match(row)) is not None]
+        matches += got
+        if len(got) == len(rows):
+            blocks.append(tuple(got))
     return _Scan(matches, blocks)
 
 
@@ -212,17 +209,18 @@ def _join(
     rows: list[tuple] = [()]
     for step in plan.steps:
         if scans is None and step.key is not None:
+            blocks = db._blocks[step.atom.name]
             rows = [
                 row + step.new(m)
                 for row in rows
-                for fact in db.block(step.atom.name, step.key(row))
-                if (m := step.match(fact.values)) is not None and step.own(m) == step.probe(row)
+                for values in blocks.get(step.key(row), ())
+                if (m := step.match(values)) is not None and step.own(m) == step.probe(row)
             ]
         else:
             if scans is None:
                 matches = [
-                    m for fact in db.relation_facts(step.atom.name)
-                    if (m := step.match(fact.values)) is not None
+                    m for values in db._rows[step.atom.name]
+                    if (m := step.match(values)) is not None
                 ]
             else:
                 matches = scans[step.atom.name].matches
@@ -381,11 +379,13 @@ def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
 def _visible(q: ConjunctiveQuery, db: DatabaseInstance) -> DatabaseInstance:
     """`db` cut down to the relations of `q`, whose schema has been checked
     against it; the blocks of any other relation cannot change its answers."""
-    names = [atom.name for atom in q.atoms]
+    names = sorted(atom.name for atom in q.atoms)
     if len(names) == len(db.schema):
         return db
-    return DatabaseInstance(
-        (db.schema[name] for name in names), (f for name in names for f in db.relation_facts(name))
+    return DatabaseInstance._from_rows(
+        {name: db.schema[name] for name in names},
+        {name: db._rows[name] for name in names},
+        {name: db._blocks[name] for name in names},
     )
 
 

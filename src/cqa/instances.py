@@ -14,7 +14,10 @@ import io
 import itertools
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -57,76 +60,103 @@ class Block:
     members: tuple[Fact, ...]
 
 
+Row = tuple[str, ...]
+
+
+def _schema(sigs: Iterable[RelationSignature]) -> dict[str, RelationSignature]:
+    """Signatures by name, in name order; a name declared twice is a SchemaError."""
+    out: dict[str, RelationSignature] = {}
+    for sig in sigs:
+        if sig.name in out:
+            raise SchemaError(f"relation {sig.name} declared twice")
+        out[sig.name] = sig
+    return dict(sorted(out.items()))
+
+
 class DatabaseInstance:
-    """Immutable set of facts over a fixed schema, indexed by key."""
+    """Immutable set of facts over a fixed schema, indexed by key.
+
+    Stored as rows (value tuples), which the evaluation layer reads
+    directly; `Fact` objects are built only where the API hands them out.
+    """
+
+    schema: dict[str, RelationSignature]  # in name order
+    _rows: dict[str, tuple[Row, ...]]  # per relation, in schema order: sorted distinct rows
+    _blocks: dict[str, dict[Row, tuple[Row, ...]]]  # per relation: key -> rows, in key order
 
     def __init__(self, schema: Iterable[RelationSignature], facts: Iterable[Fact] = ()):
-        sigs: dict[str, RelationSignature] = {}
-        for sig in schema:
-            if sig.name in sigs:
-                raise SchemaError(f"relation {sig.name} declared twice")
-            sigs[sig.name] = sig
-        self.schema: dict[str, RelationSignature] = dict(sorted(sigs.items()))
-        canonical = sorted(set(facts))
-        for fact in canonical:
-            sig = self.schema.get(fact.relation)
-            if sig is None:
-                raise SchemaError(f"fact over undeclared relation {fact.relation}")
-            if len(fact.values) != sig.arity:
-                raise SchemaError(
-                    f"fact {fact} has {len(fact.values)} columns, expected {sig.arity}"
-                )
-        self.facts: tuple[Fact, ...] = tuple(canonical)
-        self._by_relation: dict[str, list[Fact]] = {name: [] for name in self.schema}
-        self._blocks: dict[tuple[str, tuple[str, ...]], list[Fact]] = {}
-        for fact in self.facts:
-            key = fact.values[: self.schema[fact.relation].key_width]
-            self._by_relation[fact.relation].append(fact)
-            self._blocks.setdefault((fact.relation, key), []).append(fact)
+        sigs = _schema(schema)
+        rows: defaultdict[str, set[Row]] = defaultdict(set)
+        for fact in facts:
+            rows[fact.relation].add(fact.values)
+        bad = [Fact(name, values) for name, got in rows.items() for values in got
+               if name not in sigs or len(values) != sigs[name].arity]
+        if bad:  # name the first in fact order
+            fact = min(bad)
+            sig = sigs.get(fact.relation)
+            raise SchemaError(f"fact over undeclared relation {fact.relation}" if sig is None else
+                              f"fact {fact} has {len(fact.values)} columns, expected {sig.arity}")
+        self._fill(sigs, {name: tuple(sorted(rows[name])) for name in sigs})
+
+    @classmethod
+    def _from_rows(cls, schema, rows, blocks=None) -> DatabaseInstance:
+        """An instance from per-relation rows that are already sorted, distinct
+        and checked against `schema` (in name order); nothing is sorted or
+        validated again, and the block map is built unless given."""
+        db = cls.__new__(cls)
+        db._fill(schema, rows, blocks)
+        return db
+
+    def _fill(self, schema, rows, blocks=None) -> None:
+        self.schema, self._rows = schema, rows
+        self._blocks = blocks or {
+            name: {key: tuple(members) for key, members in
+                   itertools.groupby(rows[name], itemgetter(slice(0, sig.key_width)))}
+            for name, sig in schema.items()
+        }
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DatabaseInstance)
             and self.schema == other.schema
-            and self.facts == other.facts
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((tuple(self.schema.items()), self.facts))
+        return hash((tuple(self.schema.items()), tuple(self._rows.items())))
 
     def __repr__(self) -> str:
-        return f"DatabaseInstance({len(self.schema)} relations, {len(self.facts)} facts)"
+        size = sum(map(len, self._rows.values()))
+        return f"DatabaseInstance({len(self.schema)} relations, {size} facts)"
+
+    @cached_property
+    def facts(self) -> tuple[Fact, ...]:
+        """Every fact, in fact order (relation, then values)."""
+        return tuple(Fact(name, row) for name, rows in self._rows.items() for row in rows)
 
     def relation_facts(self, name: str) -> tuple[Fact, ...]:
-        return tuple(self._by_relation.get(name, ()))
+        return tuple(Fact(name, row) for row in self._rows.get(name, ()))
 
     def block(self, name: str, key: tuple[str, ...]) -> tuple[Fact, ...]:
-        return tuple(self._blocks.get((name, key), ()))
+        return tuple(Fact(name, row) for row in self._blocks.get(name, {}).get(key, ()))
 
     def blocks(self) -> tuple[Block, ...]:
         return tuple(
-            Block(rel, key, tuple(members))
-            for (rel, key), members in sorted(self._blocks.items())
+            Block(name, key, tuple(Fact(name, row) for row in rows))
+            for name, by_key in self._blocks.items()
+            for key, rows in by_key.items()
         )
 
     def is_consistent(self) -> bool:
-        return all(len(members) == 1 for members in self._blocks.values())
+        return all(len(rows) == 1 for by_key in self._blocks.values() for rows in by_key.values())
 
     @property
     def active_domain(self) -> frozenset[str]:
-        return frozenset(v for fact in self.facts for v in fact.values)
-
-
-def blocks(db: DatabaseInstance) -> tuple[Block, ...]:
-    return db.blocks()
-
-
-def is_consistent(db: DatabaseInstance) -> bool:
-    return db.is_consistent()
+        return frozenset(v for rows in self._rows.values() for row in rows for v in row)
 
 
 def repair_count(db: DatabaseInstance) -> int:
-    return math.prod(len(b.members) for b in db.blocks())
+    return math.prod(len(rows) for by_key in db._blocks.values() for rows in by_key.values())
 
 
 def enumerate_repairs(
@@ -135,25 +165,27 @@ def enumerate_repairs(
     """All repairs, lexicographically by block order and member index.
 
     Refuses spaces larger than `cap` outright: sampling would break the
-    tight-bound guarantee the enumeration exists to provide.
+    tight-bound guarantee the enumeration exists to provide.  Each repair
+    keeps one row per block; rows chosen in block order are already sorted.
     """
-    all_blocks = db.blocks()
-    count = math.prod(len(b.members) for b in all_blocks)
+    members = [rows for by_key in db._blocks.values() for rows in by_key.values()]
+    count = math.prod(map(len, members))
     if count > cap:
         raise RepairSpaceOverflow(count, cap)
-    sigs = db.schema.values()
-    for choice in itertools.product(*(range(len(b.members)) for b in all_blocks)):
-        yield DatabaseInstance(
-            sigs, (b.members[i] for b, i in zip(all_blocks, choice))
-        )
+    keys = {name: tuple(by_key) for name, by_key in db._blocks.items()}
+    ends = list(itertools.accumulate(map(len, keys.values())))  # past each relation's blocks
+    for choice in itertools.product(*members):
+        rows = {name: choice[end - len(k) : end] for (name, k), end in zip(keys.items(), ends)}
+        blocks = {name: dict(zip(keys[name], zip(chosen))) for name, chosen in rows.items()}
+        yield DatabaseInstance._from_rows(db.schema, rows, blocks)
 
 
 def is_repair_of(candidate: DatabaseInstance, db: DatabaseInstance) -> bool:
     return (
         candidate.schema == db.schema
-        and set(candidate.facts) <= set(db.facts)
+        and all(set(rows) <= set(db._rows[name]) for name, rows in candidate._rows.items())
         and candidate.is_consistent()
-        and len(candidate.facts) == len(db.blocks())
+        and sum(map(len, candidate._rows.values())) == sum(map(len, db._blocks.values()))
     )
 
 
@@ -188,20 +220,22 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
         if m is None:
             raise BundleError(f"{schema_file}:{lineno}: cannot parse {line!r}")
         sigs.append(RelationSignature(m["name"], int(m["arity"]), int(m["key"])))
-    facts: list[Fact] = []
+    rows: dict[str, set[Row]] = {}
     for sig in sigs:
+        got = rows.setdefault(sig.name, set())
         data = root / f"{sig.name}.csv"
         if not data.is_file():
             continue
-        rows = csv.reader(io.StringIO(_read_utf8(data), newline=""))
+        reader = csv.reader(io.StringIO(_read_utf8(data), newline=""))
         try:
-            for rowno, row in enumerate(rows, 1):
+            for rowno, row in enumerate(reader, 1):
                 if len(row) != sig.arity:
                     raise BundleError(f"{data}:{rowno}: {len(row)} columns for arity {sig.arity}")
-                facts.append(Fact(sig.name, tuple(row)))
+                got.add(tuple(row))
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise BundleError(f"{data}:{rows.line_num}: {exc}") from None
-    return DatabaseInstance(sigs, facts)
+            raise BundleError(f"{data}:{reader.line_num}: {exc}") from None
+    schema = _schema(sigs)
+    return DatabaseInstance._from_rows(schema, {name: tuple(sorted(rows[name])) for name in schema})
 
 
 def save_bundle(db: DatabaseInstance, path: str | Path) -> None:
@@ -211,7 +245,7 @@ def save_bundle(db: DatabaseInstance, path: str | Path) -> None:
     (root / "schema.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for name in db.schema:
         with (root / f"{name}.csv").open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(fact.values for fact in db.relation_facts(name))
+            csv.writer(fh).writerows(db._rows[name])
 
 
 # --- matching-gadget instances ---------------------------------------------

@@ -1,15 +1,27 @@
 """Golden queries/instances from worked examples, plus independent oracles
 (naive join, two-row FD tableau, repair-intersection certainty, exhaustive
-id-set search) that the fast implementations are checked against."""
+id-set search, the Fact-sorting instance store) that the fast
+implementations are checked against."""
 
+import itertools
+import math
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from cqa.attacks import AttackWitness, attack_graph, keycl
 from cqa.classify import is_id_set
-from cqa.evaluate import AnswerSet, _check_schema, evaluate
+from cqa.evaluate import AnswerSet, RangeAnswer, _check_schema, evaluate
 from cqa.fds import FunctionalDependencySet
-from cqa.instances import DatabaseInstance, Fact, enumerate_repairs
-from cqa.queries import Atom, ConjunctiveQuery, parse_query
+from cqa.instances import (
+    DEFAULT_REPAIR_CAP,
+    Block,
+    DatabaseInstance,
+    Fact,
+    RepairSpaceOverflow,
+    SchemaError,
+    enumerate_repairs,
+)
+from cqa.queries import Atom, ConjunctiveQuery, RelationSignature, parse_query
 
 
 def mkdb(schema: dict[str, tuple[int, int]], rows: dict[str, list[tuple]]) -> DatabaseInstance:
@@ -244,4 +256,108 @@ def witness_is_valid(w: AttackWitness, q: ConjunctiveQuery) -> bool:
     return all(
         any({a, b} <= atom.variables for atom in q.atoms)
         for a, b in zip(w.path, w.path[1:])
+    )
+
+
+# --- the Fact-sorting instance store the row store replaced -------------------
+# Kept verbatim (renamed) as the slow path the row store is checked against.
+
+class FactDatabaseInstance:
+    """Immutable set of facts over a fixed schema, indexed by key."""
+
+    def __init__(self, schema: Iterable[RelationSignature], facts: Iterable[Fact] = ()):
+        sigs: dict[str, RelationSignature] = {}
+        for sig in schema:
+            if sig.name in sigs:
+                raise SchemaError(f"relation {sig.name} declared twice")
+            sigs[sig.name] = sig
+        self.schema: dict[str, RelationSignature] = dict(sorted(sigs.items()))
+        canonical = sorted(set(facts))
+        for fact in canonical:
+            sig = self.schema.get(fact.relation)
+            if sig is None:
+                raise SchemaError(f"fact over undeclared relation {fact.relation}")
+            if len(fact.values) != sig.arity:
+                raise SchemaError(
+                    f"fact {fact} has {len(fact.values)} columns, expected {sig.arity}"
+                )
+        self.facts: tuple[Fact, ...] = tuple(canonical)
+        self._by_relation: dict[str, list[Fact]] = {name: [] for name in self.schema}
+        self._blocks: dict[tuple[str, tuple[str, ...]], list[Fact]] = {}
+        for fact in self.facts:
+            key = fact.values[: self.schema[fact.relation].key_width]
+            self._by_relation[fact.relation].append(fact)
+            self._blocks.setdefault((fact.relation, key), []).append(fact)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, FactDatabaseInstance)
+            and self.schema == other.schema
+            and self.facts == other.facts
+        )
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.schema.items()), self.facts))
+
+    def __repr__(self) -> str:
+        return f"FactDatabaseInstance({len(self.schema)} relations, {len(self.facts)} facts)"
+
+    def relation_facts(self, name: str) -> tuple[Fact, ...]:
+        return tuple(self._by_relation.get(name, ()))
+
+    def block(self, name: str, key: tuple[str, ...]) -> tuple[Fact, ...]:
+        return tuple(self._blocks.get((name, key), ()))
+
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(
+            Block(rel, key, tuple(members))
+            for (rel, key), members in sorted(self._blocks.items())
+        )
+
+    def is_consistent(self) -> bool:
+        return all(len(members) == 1 for members in self._blocks.values())
+
+    @property
+    def active_domain(self) -> frozenset[str]:
+        return frozenset(v for fact in self.facts for v in fact.values)
+
+
+def fact_enumerate_repairs(
+    db: FactDatabaseInstance, cap: int = DEFAULT_REPAIR_CAP
+) -> Iterator[FactDatabaseInstance]:
+    """All repairs, lexicographically by block order and member index.
+
+    Refuses spaces larger than `cap` outright: sampling would break the
+    tight-bound guarantee the enumeration exists to provide.
+    """
+    all_blocks = db.blocks()
+    count = math.prod(len(b.members) for b in all_blocks)
+    if count > cap:
+        raise RepairSpaceOverflow(count, cap)
+    sigs = db.schema.values()
+    for choice in itertools.product(*(range(len(b.members)) for b in all_blocks)):
+        yield FactDatabaseInstance(
+            sigs, (b.members[i] for b, i in zip(all_blocks, choice))
+        )
+
+
+def fact_oracle(q_full: ConjunctiveQuery, group_vars, db: FactDatabaseInstance):
+    """Range answers over every repair of a Fact-sorting instance, each repair
+    joined by `naive_evaluate`."""
+    width = len(group_vars)
+    head = tuple(group_vars) + tuple(v for v in q_full.free_vars if v not in group_vars)
+    q_head = ConjunctiveQuery(q_full.atoms, head)
+    stats: dict = {}
+    repairs = 0
+    for repair in fact_enumerate_repairs(db):
+        repairs += 1
+        seen: dict = {}
+        for t in naive_evaluate(q_head, repair).tuples:
+            seen.setdefault(t[:width], set()).add(t[width:])
+        for group, rest in seen.items():
+            stats.setdefault(group, []).append(len(rest))
+    return frozenset(
+        RangeAnswer(group, min(counts), max(counts))
+        for group, counts in stats.items()
+        if len(counts) == repairs
     )

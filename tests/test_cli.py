@@ -693,3 +693,15 @@ def test_schema_declaring_a_relation_twice_is_exit_2(tmp_path, capsys):
         fh.write("E arity=3 key=1\n")
     assert main(["repairs", "--db", db]) == 2
     assert capsys.readouterr().err == "error: relation E declared twice\n"
+
+
+@pytest.mark.parametrize("env", ["junk", "-1"])
+def test_cap_is_validated_only_when_the_oracle_runs(tmp_path, capsys, monkeypatch, env):
+    qpath = write_query(tmp_path, support.employee_query())
+    db = employee_bundle(tmp_path)
+    monkeypatch.setenv("CQA_CAP", env)
+    assert main(["count", "--db", db, "--query", qpath, "--mode", "parsimonious"]) == 0
+    assert capsys.readouterr().out == "A\t1\t3\nB\t1\t3\n"
+    for mode in ("oracle", "both"):
+        assert main(["count", "--db", db, "--query", qpath, "--mode", mode]) == 2
+        assert "CQA_CAP" in capsys.readouterr().err

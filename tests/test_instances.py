@@ -1,11 +1,14 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 import support
 from generators import random_instance, random_query
+from cqa.classify import in_cparsimony
 from cqa.errors import InputError
+from cqa.evaluate import cqacount_oracle, cqacount_parsimonious
 from cqa.instances import (
     Block,
     DatabaseInstance,
@@ -20,7 +23,7 @@ from cqa.instances import (
     save_bundle,
     threedm_query,
 )
-from cqa.queries import RelationSignature
+from cqa.queries import RelationSignature, make_free
 
 
 def test_blocks_of_employee_db():
@@ -219,3 +222,85 @@ def test_threedm_query_shape():
     q = threedm_query()
     assert [a.name for a in q.atoms] == ["Z", "R1", "S1", "R2", "S2", "R3", "S3"]
     assert q.free_vars == ("z",)
+
+
+def _random_bundle(rng: random.Random):
+    """A random query and facts for its relations from `random_instance`,
+    varied: one relation emptied, an unused relation (often of key width
+    0), some facts repeated, facts and signatures shuffled."""
+    q = random_query(rng, max_atoms=4)
+    sigs = [atom.relation for atom in q.atoms]
+    facts = list(random_instance(rng, q).facts)
+    if rng.random() < 0.3:
+        gone = rng.choice(sigs).name
+        facts = [f for f in facts if f.relation != gone]
+    if rng.random() < 0.5:
+        arity = rng.randint(1, 3)
+        sigs.append(RelationSignature("U", arity, rng.choice((0, rng.randint(0, arity)))))
+        facts += [
+            Fact("U", tuple(rng.choice("ab") for _ in range(arity)))
+            for _ in range(rng.randint(0, 4))
+        ]
+    facts += rng.sample(facts, min(len(facts), rng.randint(0, 3)))
+    rng.shuffle(facts)
+    rng.shuffle(sigs)
+    return q, sigs, facts
+
+
+def test_row_store_equals_fact_store_on_random_bundles():
+    """The row store against the Fact-sorting store it replaced: every
+    Fact-level view, equality and hashing, the repair sequence and both
+    counting routes."""
+    rng = random.Random(6061)
+    seen = {"width0": 0, "empty": 0, "dups": 0, "unused": 0, "cparsimony": 0}
+    prev = None
+    for _ in range(1000):
+        q, sigs, facts = _random_bundle(rng)
+        new = DatabaseInstance(sigs, facts)
+        old = support.FactDatabaseInstance(sigs, facts)
+        seen["width0"] += any(s.key_width == 0 and new.relation_facts(s.name) for s in sigs)
+        seen["empty"] += any(not new.relation_facts(s.name) for s in sigs)
+        seen["dups"] += len(facts) > len(set(facts))
+        seen["unused"] += len(sigs) > len(q.atoms)
+
+        assert list(new.schema.items()) == list(old.schema.items())
+        assert new.facts == old.facts
+        for name in [*new.schema, "Nope"]:
+            assert new.relation_facts(name) == old.relation_facts(name)
+        assert new.blocks() == old.blocks()
+        for b in old.blocks():
+            assert new.block(b.relation, b.key_values) == old.block(b.relation, b.key_values)
+            missing = ("zz",) * len(b.key_values)
+            assert new.block(b.relation, missing) == old.block(b.relation, missing)
+        assert new.is_consistent() == old.is_consistent()
+        assert new.active_domain == old.active_domain
+        assert repair_count(new) == math.prod(len(b.members) for b in old.blocks())
+
+        again = DatabaseInstance(reversed(sigs), reversed(facts))
+        assert again == new and hash(again) == hash(new)
+        if prev is not None:
+            assert (new == prev[0]) == (old == prev[1])
+        first = sigs[0]
+        rekeyed = [replace(first, key_width=(first.key_width + 1) % (first.arity + 1)), *sigs[1:]]
+        assert DatabaseInstance(rekeyed, facts) != new
+        assert support.FactDatabaseInstance(rekeyed, facts) != old
+        prev = new, old
+
+        repairs = list(enumerate_repairs(new))
+        old_repairs = list(support.fact_enumerate_repairs(old))
+        assert [(list(r.schema.items()), r.facts) for r in repairs] == [
+            (list(r.schema.items()), r.facts) for r in old_repairs
+        ]
+        for r in repairs:
+            rebuilt = DatabaseInstance(sigs, r.facts)
+            assert r == rebuilt and hash(r) == hash(rebuilt)
+            assert r.blocks() == rebuilt.blocks() and r.is_consistent()
+            assert is_repair_of(r, new)
+
+        full = make_free(q, q.bound_vars)
+        want = support.fact_oracle(full, q.free_vars, old)
+        assert cqacount_oracle(full, q.free_vars, new) == want
+        if in_cparsimony(q).in_cparsimony:
+            seen["cparsimony"] += 1
+            assert cqacount_parsimonious(q, new) == want
+    assert min(seen.values()) >= 50, seen
