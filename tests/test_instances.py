@@ -249,8 +249,8 @@ def _random_bundle(rng: random.Random):
 
 def test_row_store_equals_fact_store_on_random_bundles():
     """The row store against the Fact-sorting store it replaced: every
-    Fact-level view, equality and hashing, the repair sequence and both
-    counting routes."""
+    Fact-level view, equality and hashing, the error naming the first bad
+    fact, the repair sequence and both counting routes."""
     rng = random.Random(6061)
     seen = {"width0": 0, "empty": 0, "dups": 0, "unused": 0, "cparsimony": 0}
     prev = None
@@ -285,6 +285,17 @@ def test_row_store_equals_fact_store_on_random_bundles():
         assert DatabaseInstance(rekeyed, facts) != new
         assert support.FactDatabaseInstance(rekeyed, facts) != old
         prev = new, old
+
+        broken = facts + rng.sample([
+            Fact("Zed", ("a",)), Fact("A0", ("a",)), Fact(first.name, ("a",) * (first.arity + 1)),
+            Fact(first.name, ("b",) * (first.arity + 1)), Fact(sigs[-1].name, ()),
+        ], rng.randint(1, 3))
+        errors = []
+        for store in (DatabaseInstance, support.FactDatabaseInstance):
+            with pytest.raises(SchemaError) as err:
+                store(sigs, broken)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
         repairs = list(enumerate_repairs(new))
         old_repairs = list(support.fact_enumerate_repairs(old))
