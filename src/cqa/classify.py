@@ -117,7 +117,11 @@ def is_id_set(
 
 def in_cparsimony(q: ConjunctiveQuery) -> ClassificationReport:
     """Full classification report; `id_set` is the minimal one when membership holds."""
-    g = attack_graph(q)
+    return _report(q, attack_graph(q))
+
+
+def _report(q: ConjunctiveQuery, g: AttackGraph) -> ClassificationReport:
+    """`in_cparsimony` for a caller that keeps the attack graph `g` of `q`."""
     acyclic = g.is_acyclic()
     strong = tuple((e.source.name, e.target.name) for e in g.strong_edges())
     cforest = in_cforest(q)

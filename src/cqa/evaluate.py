@@ -10,18 +10,20 @@ ground truth the fast route is checked against.
 Joins are compiled once per query: each atom gets a matcher from fact
 values to its variables' values, and the atoms are ordered so that those
 with a bound key come first and then those with the most bound variables.
-Rows are tuples in the order the steps bind their variables.  The
-parsimonious route matches each relation once and feeds that one scan to
-both the join's hash indexes and the certainty check's block indexes.
+Rows are tuples in the order the steps bind their variables.  Every step
+reads a hash index from its bound variables' values to its new ones,
+built from one matcher pass over its relation.  The parsimonious route
+feeds that one scan to both the join and the certainty check's block
+indexes; only the certainty check reads key blocks.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .attacks import attack_graph
-from .classify import ClassificationReport, CyclicAttackGraphError, in_cparsimony
+from .attacks import AttackGraph, attack_graph
+from .classify import ClassificationReport, CyclicAttackGraphError, _report
 from .errors import AnalysisRefusal, InputError, InternalError
 from .instances import (
     DEFAULT_REPAIR_CAP,
@@ -149,20 +151,11 @@ class _JoinStep(NamedTuple):
     probe: Callable[[tuple], tuple]  # row -> the atom's variables bound earlier
     own: Callable[[tuple], tuple]  # match -> the same variables
     new: Callable[[tuple], tuple]  # match -> the variables first bound here
-    key: Callable[[tuple], tuple] | None  # row -> key values, when all are bound
 
 
 class _Join(NamedTuple):
     steps: tuple[_JoinStep, ...]
     head: Callable[[tuple], tuple]  # row -> answer tuple
-
-
-def _key_getter(atom: Atom, slots: Mapping[str, int]) -> Callable[[tuple], tuple]:
-    """row -> the atom's key values, constants included."""
-    if all(t.is_var for t in atom.key_args):
-        return _getter([slots[t.symbol] for t in atom.key_args])
-    parts = [(slots[t.symbol] if t.is_var else None, t.symbol) for t in atom.key_args]
-    return lambda row: tuple(c if s is None else row[s] for s, c in parts)
 
 
 def _bind(atom: Atom, slots: dict[str, int]) -> tuple[Callable, Callable, Callable]:
@@ -188,8 +181,7 @@ def _compile_join(atoms: Sequence[Atom], head: Sequence[str]) -> _Join:
         atom = min(todo, key=lambda a: (
             not a.key_vars <= slots.keys(), -len(a.variables & slots.keys())))
         todo.remove(atom)
-        key = _key_getter(atom, slots) if atom.key_vars <= slots.keys() else None
-        steps.append(_JoinStep(atom, _matcher(atom), *_bind(atom, slots), key))
+        steps.append(_JoinStep(atom, _matcher(atom), *_bind(atom, slots)))
     return _Join(tuple(steps), _getter([slots[v] for v in head]))
 
 
@@ -197,37 +189,25 @@ def _scans(plan: _Join, db: DatabaseInstance) -> dict[str, _Scan]:
     return {step.atom.name: _scan(step.atom, step.match, db) for step in plan.steps}
 
 
-def _join(
-    plan: _Join, db: DatabaseInstance, scans: Mapping[str, _Scan] | None = None
-) -> set[tuple[str, ...]]:
-    """The distinct answer tuples of a compiled join.
+def _matches(plan: _Join, db: DatabaseInstance) -> list[Iterator[tuple[str, ...]]]:
+    """Per step, a lazy matcher pass over its relation: a join that dies
+    early never matches the relations of its later steps."""
+    return [
+        (m for m in map(step.match, db._rows[step.atom.name]) if m is not None)
+        for step in plan.steps
+    ]
 
-    With `scans`, every step reads a hash index on its bound variables built
-    from the scan; without, a step whose key is bound probes `db.block` and
-    every other step scans its relation.
-    """
+
+def _join(plan: _Join, matches: Sequence[Iterable[tuple]]) -> set[tuple[str, ...]]:
+    """The distinct answer tuples of a compiled join.  Every step reads a
+    hash index on its bound variables, built from its entry in `matches`
+    (the matcher outputs over its relation)."""
     rows: list[tuple] = [()]
-    for step in plan.steps:
-        if scans is None and step.key is not None:
-            blocks = db._blocks[step.atom.name]
-            rows = [
-                row + step.new(m)
-                for row in rows
-                for values in blocks.get(step.key(row), ())
-                if (m := step.match(values)) is not None and step.own(m) == step.probe(row)
-            ]
-        else:
-            if scans is None:
-                matches = [
-                    m for values in db._rows[step.atom.name]
-                    if (m := step.match(values)) is not None
-                ]
-            else:
-                matches = scans[step.atom.name].matches
-            index: dict[tuple, list[tuple]] = {}
-            for m in matches:
-                index.setdefault(step.own(m), []).append(step.new(m))
-            rows = [row + new for row in rows for new in index.get(step.probe(row), ())]
+    for step, got in zip(plan.steps, matches):
+        index: dict[tuple, list[tuple]] = {}
+        for m in got:
+            index.setdefault(step.own(m), []).append(step.new(m))
+        rows = [row + new for row in rows for new in index.get(step.probe(row), ())]
         if not rows:
             break
     return {plan.head(row) for row in rows}
@@ -235,9 +215,10 @@ def _join(
 
 def evaluate(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     """All head tuples with a satisfying valuation, by a join compiled for
-    the query (key-bound atoms probe blocks, others a hash index)."""
+    the query (every atom through a hash index on its bound variables)."""
     _check_schema(q, db)
-    return AnswerSet(q.free_vars, frozenset(_join(_compile_join(q.atoms, q.free_vars), db)))
+    plan = _compile_join(q.atoms, q.free_vars)
+    return AnswerSet(q.free_vars, frozenset(_join(plan, _matches(plan, db))))
 
 
 def _group_counts(tuples: Iterable[tuple[str, ...]], width: int) -> dict[tuple[str, ...], int]:
@@ -264,7 +245,7 @@ def count_by(
     group_vars = tuple(group_vars)
     plan = _counting_join(q_full, group_vars)
     _check_schema(q_full, db)
-    counts = _group_counts(_join(plan, db), len(group_vars))
+    counts = _group_counts(_join(plan, _matches(plan, db)), len(group_vars))
     return frozenset(CountAnswer(group, n) for group, n in counts.items())
 
 
@@ -281,14 +262,15 @@ class _Step(NamedTuple):
     new: Callable[[tuple], tuple]  # match -> the variables first bound here
 
 
-def _elimination_plan(q: ConjunctiveQuery) -> tuple[_Step, ...]:
-    """A topological order of the attack graph, computed once per query.
+def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, ...]:
+    """A topological order of `graph`, the attack graph of `q` or of the query
+    `q` widens, computed once per query.
 
-    Grounding the variables of an unattacked atom only removes attacks, so
-    the order stays valid after any candidate tuple and any earlier step
-    have been bound.
+    Grounding the variables of an unattacked atom or making variables free
+    only removes attacks, so the order stays valid for the widened query and
+    after any candidate tuple and any earlier step have been bound.
     """
-    names = attack_graph(q).topological_order()
+    names = graph.topological_order()
     if names is None:
         raise CyclicAttackGraphError(
             "attack graph is cyclic: no first-order certainty check; use the repair oracle"
@@ -353,15 +335,15 @@ def _certain_among(
 
 
 def _plain_and_certain(
-    q: ConjunctiveQuery, db: DatabaseInstance
+    q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph
 ) -> tuple[set[tuple[str, ...]], frozenset[tuple[str, ...]]]:
     """The plain answers of `q` and the certain ones among them, from one scan
     of each relation shared by the join and the certainty check."""
-    plan = _elimination_plan(q)
+    plan = _elimination_plan(q, graph)
     _check_schema(q, db)
     join = _compile_join(q.atoms, q.free_vars)
     scans = _scans(join, db)
-    plain = _join(join, db, scans)
+    plain = _join(join, [scans[step.atom.name].matches for step in join.steps])
     return plain, _certain_among(plan, plain, scans)
 
 
@@ -371,7 +353,7 @@ def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     Requires an acyclic attack graph; candidates come from the plain
     answers (a sound superset) and are filtered by one elimination plan.
     """
-    return AnswerSet(q.free_vars, _plain_and_certain(q, db)[1])
+    return AnswerSet(q.free_vars, _plain_and_certain(q, db, attack_graph(q))[1])
 
 
 # --- range-consistent counting ----------------------------------------------
@@ -385,7 +367,6 @@ def _visible(q: ConjunctiveQuery, db: DatabaseInstance) -> DatabaseInstance:
     return DatabaseInstance._from_rows(
         {name: db.schema[name] for name in names},
         {name: db._rows[name] for name in names},
-        {name: db._blocks[name] for name in names},
     )
 
 
@@ -408,7 +389,8 @@ def cqacount_oracle(
     repairs = 0
     for repair in enumerate_repairs(_visible(q_full, db), cap):
         repairs += 1
-        for group, count in _group_counts(_join(plan, repair), len(group_vars)).items():
+        counts = _group_counts(_join(plan, _matches(plan, repair)), len(group_vars))
+        for group, count in counts.items():
             rec = stats.get(group)
             if rec is None:
                 stats[group] = [1, count, count]
@@ -434,11 +416,12 @@ def cqacount_parsimonious(
     are the groups with a lower bound.  Raises NotInCparsimonyError (with
     the classifier's certificate) when the query is outside the class.
     """
-    report = in_cparsimony(q)
+    graph = attack_graph(q)
+    report = _report(q, graph)
     if not report.in_cparsimony:
         raise NotInCparsimonyError(report)
     width = len(q.free_vars)
-    plain, certain = _plain_and_certain(make_free(q, report.id_set or ()), db)
+    plain, certain = _plain_and_certain(make_free(q, report.id_set or ()), db, graph)
     upper = _group_counts(plain, width)
     lower = _group_counts(certain, width)
     out = set()

@@ -82,7 +82,6 @@ class DatabaseInstance:
 
     schema: dict[str, RelationSignature]  # in name order
     _rows: dict[str, tuple[Row, ...]]  # per relation, in schema order: sorted distinct rows
-    _blocks: dict[str, dict[Row, tuple[Row, ...]]]  # per relation: key -> rows, in key order
 
     def __init__(self, schema: Iterable[RelationSignature], facts: Iterable[Fact] = ()):
         sigs = _schema(schema)
@@ -96,23 +95,25 @@ class DatabaseInstance:
             sig = sigs.get(fact.relation)
             raise SchemaError(f"fact over undeclared relation {fact.relation}" if sig is None else
                               f"fact {fact} has {len(fact.values)} columns, expected {sig.arity}")
-        self._fill(sigs, {name: tuple(sorted(rows[name])) for name in sigs})
+        self.schema = sigs
+        self._rows = {name: tuple(sorted(rows[name])) for name in sigs}
 
     @classmethod
-    def _from_rows(cls, schema, rows, blocks=None) -> DatabaseInstance:
+    def _from_rows(cls, schema, rows) -> DatabaseInstance:
         """An instance from per-relation rows that are already sorted, distinct
         and checked against `schema` (in name order); nothing is sorted or
-        validated again, and the block map is built unless given."""
+        validated again."""
         db = cls.__new__(cls)
-        db._fill(schema, rows, blocks)
+        db.schema, db._rows = schema, rows
         return db
 
-    def _fill(self, schema, rows, blocks=None) -> None:
-        self.schema, self._rows = schema, rows
-        self._blocks = blocks or {
+    @cached_property
+    def _blocks(self) -> dict[str, dict[Row, tuple[Row, ...]]]:
+        """Per relation: key -> rows, in key order; grouped from the rows on first use."""
+        return {
             name: {key: tuple(members) for key, members in
-                   itertools.groupby(rows[name], itemgetter(slice(0, sig.key_width)))}
-            for name, sig in schema.items()
+                   itertools.groupby(self._rows[name], itemgetter(slice(0, sig.key_width)))}
+            for name, sig in self.schema.items()
         }
 
     def __eq__(self, other: object) -> bool:
@@ -166,18 +167,18 @@ def enumerate_repairs(
 
     Refuses spaces larger than `cap` outright: sampling would break the
     tight-bound guarantee the enumeration exists to provide.  Each repair
-    keeps one row per block; rows chosen in block order are already sorted.
+    keeps rows only, one per block; rows chosen in block order are already sorted.
     """
     members = [rows for by_key in db._blocks.values() for rows in by_key.values()]
     count = math.prod(map(len, members))
     if count > cap:
         raise RepairSpaceOverflow(count, cap)
-    keys = {name: tuple(by_key) for name, by_key in db._blocks.items()}
-    ends = list(itertools.accumulate(map(len, keys.values())))  # past each relation's blocks
+    ends = itertools.accumulate(map(len, db._blocks.values()), initial=0)
+    # relation -> the slice of a choice that holds its blocks' rows
+    cuts = {name: slice(*span) for name, span in zip(db._blocks, itertools.pairwise(ends))}
     for choice in itertools.product(*members):
-        rows = {name: choice[end - len(k) : end] for (name, k), end in zip(keys.items(), ends)}
-        blocks = {name: dict(zip(keys[name], zip(chosen))) for name, chosen in rows.items()}
-        yield DatabaseInstance._from_rows(db.schema, rows, blocks)
+        yield DatabaseInstance._from_rows(
+            db.schema, {name: choice[cut] for name, cut in cuts.items()})
 
 
 def is_repair_of(candidate: DatabaseInstance, db: DatabaseInstance) -> bool:

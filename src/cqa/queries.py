@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InputError
 from .graphs import Digraph
@@ -208,17 +208,7 @@ def substitute(
     bad = [z for z in zs if z not in free]
     if bad:
         raise QueryError(f"variable(s) {bad} are not free in {q.name}")
-    return instantiate(q, dict(zip(zs, cs)))
-
-
-def instantiate(q: ConjunctiveQuery, binding: Mapping[str, str]) -> ConjunctiveQuery:
-    """Replace arbitrary variables (free or bound) by constants.
-
-    `substitute` is the head-only public face; tests also use this to
-    ground bound variables.
-    """
-    if not binding:
-        return q
+    binding = dict(zip(zs, cs))
     atoms = tuple(
         Atom(
             a.relation,

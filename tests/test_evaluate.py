@@ -1,3 +1,4 @@
+import collections
 import importlib
 import itertools
 import random
@@ -407,8 +408,9 @@ def _join_instance(rng, q):
 
 
 def test_evaluate_equals_naive_join_on_random_pairs():
-    # both ways of feeding the compiled join: block probes and per-call
-    # scans (the parsimonious route's), against the query-order join
+    # the compiled join fed by one matcher pass per relation (`evaluate`,
+    # `count_by`) and by the parsimonious route's shared scan, against the
+    # query-order join
     rng = random.Random(2027)
     seen = dict.fromkeys(
         ("key constant", "non-key constant", "repeated variable", "key width 0",
@@ -419,8 +421,16 @@ def test_evaluate_equals_naive_join_on_random_pairs():
         want = support.naive_evaluate(q, db)
         assert evaluate(q, db) == want, (serialize_query(q), db.facts)
         plan = evaluate_module._compile_join(q.atoms, q.free_vars)
-        shared = evaluate_module._join(plan, db, evaluate_module._scans(plan, db))
+        scans = evaluate_module._scans(plan, db)
+        matches = [scans[step.atom.name].matches for step in plan.steps]
+        shared = evaluate_module._join(plan, matches)
         assert shared == want.tuples, (serialize_query(q), db.facts)
+        full = make_free(q, q.bound_vars)
+        naive = collections.Counter(
+            t[: len(q.free_vars)] for t in support.naive_evaluate(full, db).tuples)
+        counts = count_by(full, q.free_vars, db)
+        assert counts == {CountAnswer(g, n) for g, n in naive.items()}, (
+            serialize_query(q), db.facts)
         seen["key constant"] += any(not t.is_var for a in q.atoms for t in a.key_args)
         seen["non-key constant"] += any(not t.is_var for a in q.atoms for t in a.nonkey_args)
         seen["repeated variable"] += any(

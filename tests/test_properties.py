@@ -4,12 +4,12 @@ import itertools
 import random
 
 import support
-from generators import acyclic_corpus, random_instance, random_query
+from generators import acyclic_corpus, cparsimony_corpus, random_instance, random_query
 from cqa.attacks import attack_graph
 from cqa.classify import in_cforest, in_cparsimony
 from cqa.evaluate import certain_answers, cqacount_oracle, evaluate
 from cqa.instances import enumerate_repairs, repair_count
-from cqa.queries import instantiate, make_bound, make_free, parse_query, serialize_query
+from cqa.queries import make_bound, make_free, parse_query, serialize_query, substitute
 
 
 def test_acyclic_attack_graphs_are_transitive():
@@ -58,11 +58,23 @@ def test_grounding_an_unattacked_atom_adds_no_attack():
     for q in acyclic_corpus(127, 300, max_atoms=6):
         graph = attack_graph(q)
         for atom in graph.unattacked_atoms():
-            grounding = {v: f"fresh_{v}" for v in atom.variables}
-            rest = instantiate(q.without([atom]), grounding)
+            rest = q.without([atom])
+            rest = make_free(rest, [v for v in rest.bound_vars if v in atom.variables])
+            grounded = [v for v in rest.free_vars if v in atom.variables]
+            rest = substitute(rest, grounded, [f"fresh_{v}" for v in grounded])
             assert set(attack_graph(rest).edges) <= set(graph.edges), serialize_query(q)
             checked += 1
     assert checked >= 300
+
+
+def test_widening_to_the_id_set_adds_no_attack():
+    # why the parsimonious route reuses the original query's elimination order
+    widened_some = 0
+    for q, report in cparsimony_corpus(131, 2000):
+        widened = make_free(q, report.id_set)
+        assert set(attack_graph(widened).edges) <= set(attack_graph(q).edges), serialize_query(q)
+        widened_some += bool(report.id_set)
+    assert widened_some >= 1000
 
 
 def test_repair_streams_are_independent():
