@@ -705,3 +705,174 @@ def test_cap_is_validated_only_when_the_oracle_runs(tmp_path, capsys, monkeypatc
     for mode in ("oracle", "both"):
         assert main(["count", "--db", db, "--query", qpath, "--mode", mode]) == 2
         assert "CQA_CAP" in capsys.readouterr().err
+
+
+# Full-string goldens for `cqa count`: TSV and JSON bodies, the per-mode
+# headers of `--mode both` and its `agree` key.
+EMPLOYEE_COUNT_TSV = "A\t1\t3\nB\t1\t3\n"
+
+EMPLOYEE_COUNT_JSON = """\
+[
+  {
+    "group": [
+      "A"
+    ],
+    "m": 1,
+    "n": 3
+  },
+  {
+    "group": [
+      "B"
+    ],
+    "m": 1,
+    "n": 3
+  }
+]
+"""
+
+EMPLOYEE_BOTH_TSV = "# parsimonious\nA\t1\t3\nB\t1\t3\n# oracle\nA\t1\t3\nB\t1\t3\n"
+
+EMPLOYEE_BOTH_JSON = """\
+{
+  "parsimonious": [
+    {
+      "group": [
+        "A"
+      ],
+      "m": 1,
+      "n": 3
+    },
+    {
+      "group": [
+        "B"
+      ],
+      "m": 1,
+      "n": 3
+    }
+  ],
+  "oracle": [
+    {
+      "group": [
+        "A"
+      ],
+      "m": 1,
+      "n": 3
+    },
+    {
+      "group": [
+        "B"
+      ],
+      "m": 1,
+      "n": 3
+    }
+  ],
+  "agree": true
+}
+"""
+
+CHAIN_COUNT_TSV = "g1\t1\t3\ng2\t1\t3\n"
+
+CHAIN_COUNT_JSON = """\
+[
+  {
+    "group": [
+      "g1"
+    ],
+    "m": 1,
+    "n": 3
+  },
+  {
+    "group": [
+      "g2"
+    ],
+    "m": 1,
+    "n": 3
+  }
+]
+"""
+
+CHAIN_BOTH_TSV = "# parsimonious\ng1\t1\t3\ng2\t1\t3\n# oracle\ng1\t1\t3\ng2\t1\t3\n"
+
+CHAIN_BOTH_JSON = """\
+{
+  "parsimonious": [
+    {
+      "group": [
+        "g1"
+      ],
+      "m": 1,
+      "n": 3
+    },
+    {
+      "group": [
+        "g2"
+      ],
+      "m": 1,
+      "n": 3
+    }
+  ],
+  "oracle": [
+    {
+      "group": [
+        "g1"
+      ],
+      "m": 1,
+      "n": 3
+    },
+    {
+      "group": [
+        "g2"
+      ],
+      "m": 1,
+      "n": 3
+    }
+  ],
+  "agree": true
+}
+"""
+
+COUNT_GOLDENS = {
+    ("employee", "parsimonious", False): EMPLOYEE_COUNT_TSV,
+    ("employee", "parsimonious", True): EMPLOYEE_COUNT_JSON,
+    ("employee", "oracle", False): EMPLOYEE_COUNT_TSV,
+    ("employee", "oracle", True): EMPLOYEE_COUNT_JSON,
+    ("employee", "both", False): EMPLOYEE_BOTH_TSV,
+    ("employee", "both", True): EMPLOYEE_BOTH_JSON,
+    ("chain", "parsimonious", False): CHAIN_COUNT_TSV,
+    ("chain", "parsimonious", True): CHAIN_COUNT_JSON,
+    ("chain", "oracle", False): CHAIN_COUNT_TSV,
+    ("chain", "oracle", True): CHAIN_COUNT_JSON,
+    ("chain", "both", False): CHAIN_BOTH_TSV,
+    ("chain", "both", True): CHAIN_BOTH_JSON,
+}
+
+COUNT_CASES = {
+    "employee": (support.employee_query, support.employee_db),
+    "chain": (support.chain_query, support.chain_db),
+    "lookup_pair": (support.lookup_pair_query, support.lookup_pair_db),
+}
+
+
+def count_args(tmp_path, name, mode):
+    query, db = COUNT_CASES[name]
+    target = tmp_path / name
+    save_bundle(db(), target)
+    return ["count", "--db", str(target), "--query", write_query(tmp_path, query()), "--mode", mode]
+
+
+@pytest.mark.parametrize("name,mode,as_json", sorted(COUNT_GOLDENS))
+def test_count_golden(tmp_path, capsys, name, mode, as_json):
+    args = count_args(tmp_path, name, mode) + (["--json"] if as_json else [])
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out == COUNT_GOLDENS[name, mode, as_json]
+    assert err == ""
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_count_refusal_golden(tmp_path, capsys, as_json):
+    args = count_args(tmp_path, "lookup_pair", "parsimonious") + (["--json"] if as_json else [])
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "refused: query not in Cparsimony: strong attack R -> S\n"
