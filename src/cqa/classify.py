@@ -117,14 +117,14 @@ def is_id_set(
 
 def in_cparsimony(q: ConjunctiveQuery) -> ClassificationReport:
     """Full classification report; `id_set` is the minimal one when membership holds."""
-    return _report(q, attack_graph(q))
+    return _report(q, attack_graph(q), in_cforest(q))
 
 
-def _report(q: ConjunctiveQuery, g: AttackGraph) -> ClassificationReport:
-    """`in_cparsimony` for a caller that keeps the attack graph `g` of `q`."""
+def _report(q: ConjunctiveQuery, g: AttackGraph, cforest: bool = False) -> ClassificationReport:
+    """`in_cparsimony` for a caller that keeps the attack graph `g` of `q` and
+    needs only the Cparsimony fields; `in_cforest` is `cforest` as given."""
     acyclic = g.is_acyclic()
     strong = tuple((e.source.name, e.target.name) for e in g.strong_edges())
-    cforest = in_cforest(q)
     if not acyclic or strong:
         return ClassificationReport(acyclic, strong, None, None, False, cforest)
     candidate = tuple(sorted(candidate_id_set(q, g)))

@@ -7,23 +7,24 @@ repairs), while `cqacount_oracle` enumerates every repair of the query's
 relations and aggregates min/max counts per group.  The oracle is the
 ground truth the fast route is checked against.
 
-Joins are compiled once per query: each atom gets a matcher from fact
-values to its variables' values, and the atoms are ordered so that those
-with a bound key come first and then those with the most bound variables.
-Rows are tuples in the order the steps bind their variables.  Every step
-reads a hash index from its bound variables' values to its new ones,
-built from one matcher pass over its relation.  The parsimonious route
-feeds that one scan to both the join and the certainty check's block
-indexes; only the certainty check reads key blocks.
+Both first-order passes run steps compiled once per query by one builder
+from an atom order and the variables bound up front: per atom a matcher
+from fact values to its variables, and getters over rows, the tuples of
+variable values in binding order.  The join binds key-bound atoms first,
+then those with the most bound variables, and reads a hash index per step;
+the certainty check binds the head, then follows the attack graph's
+topological order over key blocks.  The parsimonious route feeds one
+matcher pass over each relation to both.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .attacks import AttackGraph, attack_graph
-from .classify import ClassificationReport, CyclicAttackGraphError, _report
+from .classify import ClassificationReport, CyclicAttackGraphError, _report, in_cparsimony
 from .errors import AnalysisRefusal, InputError, InternalError
 from .instances import (
     DEFAULT_REPAIR_CAP,
@@ -125,16 +126,17 @@ def _matcher(atom: Atom) -> Callable[[tuple[str, ...]], tuple[str, ...] | None]:
 
 
 class _Scan(NamedTuple):
-    """One pass of an atom's matcher over its relation."""
+    """One pass of a step's matcher over its relation."""
 
     matches: list[tuple[str, ...]]  # the variable values of every matching fact
     blocks: list[tuple[tuple[str, ...], ...]]  # the same, per block whose facts all match
 
 
-def _scan(atom: Atom, match: Callable, db: DatabaseInstance) -> _Scan:
+def _scan(step: _Step, db: DatabaseInstance) -> _Scan:
     matches: list[tuple[str, ...]] = []
     blocks: list[tuple[tuple[str, ...], ...]] = []
-    for rows in db._blocks[atom.name].values():
+    match = step.match
+    for rows in db._blocks[step.atom.name].values():
         got = [m for row in rows if (m := match(row)) is not None]
         matches += got
         if len(got) == len(rows):
@@ -142,51 +144,56 @@ def _scan(atom: Atom, match: Callable, db: DatabaseInstance) -> _Scan:
     return _Scan(matches, blocks)
 
 
-class _JoinStep(NamedTuple):
-    """One atom of a join plan.  Rows are tuples holding the variables in
-    the order the steps bind them."""
+class _Step(NamedTuple):
+    """One atom of a compiled plan.  Rows are tuples of slots: the variables
+    bound up front, then the variables each step binds first, in step order."""
 
     atom: Atom
-    match: Callable[[tuple[str, ...]], tuple[str, ...] | None]
+    match: Callable[[tuple[str, ...]], tuple[str, ...] | None]  # see `_matcher`
     probe: Callable[[tuple], tuple]  # row -> the atom's variables bound earlier
     own: Callable[[tuple], tuple]  # match -> the same variables
     new: Callable[[tuple], tuple]  # match -> the variables first bound here
+    reads: Callable[[tuple], tuple]  # row -> what this step and later ones read
+
+
+def _compile_steps(order: Sequence[Atom], slots: dict[str, int]) -> tuple[_Step, ...]:
+    """One step per atom of `order`; `slots` maps the variables bound up front
+    to their slots, and each step appends the variables it binds first."""
+    later = list(accumulate((a.variables for a in reversed(order)), frozenset.union))
+    steps = []
+    for atom, read in zip(order, reversed(later)):
+        names = _atom_vars(atom)
+        bound = [i for i, v in enumerate(names) if v in slots]
+        fresh = [i for i, v in enumerate(names) if v not in slots]
+        reads = _getter(sorted(slots[v] for v in read if v in slots))
+        probe = _getter([slots[names[i]] for i in bound])
+        for i in fresh:
+            slots[names[i]] = len(slots)
+        steps.append(_Step(atom, _matcher(atom), probe, _getter(bound), _getter(fresh), reads))
+    return tuple(steps)
 
 
 class _Join(NamedTuple):
-    steps: tuple[_JoinStep, ...]
+    steps: tuple[_Step, ...]
     head: Callable[[tuple], tuple]  # row -> answer tuple
-
-
-def _bind(atom: Atom, slots: dict[str, int]) -> tuple[Callable, Callable, Callable]:
-    """Getters for the next step over `atom`: row -> its variables already in
-    `slots`, match -> the same variables, match -> the others, which this
-    appends to `slots`."""
-    names = _atom_vars(atom)
-    bound = [i for i, v in enumerate(names) if v in slots]
-    fresh = [i for i, v in enumerate(names) if v not in slots]
-    probe = _getter([slots[names[i]] for i in bound])
-    for i in fresh:
-        slots[names[i]] = len(slots)
-    return probe, _getter(bound), _getter(fresh)
 
 
 def _compile_join(atoms: Sequence[Atom], head: Sequence[str]) -> _Join:
     """A join order chosen once per query: atoms whose key is bound first,
     then the atom with the most bound variables, ties in query order."""
-    slots: dict[str, int] = {}
-    todo = list(atoms)
-    steps = []
+    bound: set[str] = set()
+    order, todo = [], list(atoms)
     while todo:
-        atom = min(todo, key=lambda a: (
-            not a.key_vars <= slots.keys(), -len(a.variables & slots.keys())))
+        atom = min(todo, key=lambda a: (not a.key_vars <= bound, -len(a.variables & bound)))
         todo.remove(atom)
-        steps.append(_JoinStep(atom, _matcher(atom), *_bind(atom, slots)))
-    return _Join(tuple(steps), _getter([slots[v] for v in head]))
+        order.append(atom)
+        bound |= atom.variables
+    slots: dict[str, int] = {}
+    return _Join(_compile_steps(order, slots), _getter([slots[v] for v in head]))
 
 
 def _scans(plan: _Join, db: DatabaseInstance) -> dict[str, _Scan]:
-    return {step.atom.name: _scan(step.atom, step.match, db) for step in plan.steps}
+    return {step.atom.name: _scan(step, db) for step in plan.steps}
 
 
 def _matches(plan: _Join, db: DatabaseInstance) -> list[Iterator[tuple[str, ...]]]:
@@ -251,17 +258,6 @@ def count_by(
 
 # --- certain answers --------------------------------------------------------
 
-class _Step(NamedTuple):
-    """One atom of the elimination order.  A binding is a tuple of slots:
-    the head, then the new variables of each earlier step."""
-
-    atom: Atom
-    probe: Callable[[tuple], tuple]  # slots -> the atom's variables bound earlier
-    reads: Callable[[tuple], tuple]  # slots -> what this step and later ones read
-    own: Callable[[tuple], tuple]  # match -> the probe variables
-    new: Callable[[tuple], tuple]  # match -> the variables first bound here
-
-
 def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, ...]:
     """A topological order of `graph`, the attack graph of `q` or of the query
     `q` widens, computed once per query.
@@ -275,15 +271,7 @@ def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, .
         raise CyclicAttackGraphError(
             "attack graph is cyclic: no first-order certainty check; use the repair oracle"
         )
-    order = [q.atom(name) for name in names]
-    slots = {v: i for i, v in enumerate(q.free_vars)}
-    steps = []
-    for i, atom in enumerate(order):
-        later = frozenset().union(*(a.variables for a in order[i:]))
-        reads = _getter(sorted(slots[v] for v in later if v in slots))
-        probe, own, new = _bind(atom, slots)
-        steps.append(_Step(atom, probe, reads, own, new))
-    return tuple(steps)
+    return _compile_steps([q.atom(n) for n in names], {v: i for i, v in enumerate(q.free_vars)})
 
 
 def _block_index(step: _Step, scan: _Scan) -> dict[tuple, list[tuple[tuple, ...]]]:
@@ -419,7 +407,7 @@ def cqacount_parsimonious(
     graph = attack_graph(q)
     report = _report(q, graph)
     if not report.in_cparsimony:
-        raise NotInCparsimonyError(report)
+        raise NotInCparsimonyError(in_cparsimony(q))
     width = len(q.free_vars)
     plain, certain = _plain_and_certain(make_free(q, report.id_set or ()), db, graph)
     upper = _group_counts(plain, width)

@@ -7,7 +7,7 @@ import pytest
 
 import support
 from generators import DOMAIN, cparsimony_corpus, random_instance, random_query
-from cqa.classify import CyclicAttackGraphError
+from cqa.classify import CyclicAttackGraphError, in_cparsimony
 from cqa.evaluate import (
     CountAnswer,
     EvaluationError,
@@ -318,6 +318,24 @@ def test_parsimonious_refuses_lookup_pair_with_certificate():
 def test_parsimonious_refuses_twin_lookup():
     with pytest.raises(NotInCparsimonyError):
         cqacount_parsimonious(support.twin_lookup_query(), support.twin_lookup_dbs()[0])
+
+
+def test_parsimonious_route_skips_cforest_and_refuses_with_full_report(monkeypatch):
+    # a refusal carries the full classification report, Cforest included
+    for q in (support.lookup_pair_query(), support.twin_lookup_query(),
+              support.mutual_attack_query()):
+        db = DatabaseInstance((a.relation for a in q.atoms), [])
+        with pytest.raises(NotInCparsimonyError) as err:
+            cqacount_parsimonious(q, db)
+        assert err.value.report == in_cparsimony(q), serialize_query(q)
+
+    # an accepted query never runs the Cforest test
+    def no_cforest(q):
+        raise AssertionError("in_cforest called")
+
+    monkeypatch.setattr("cqa.classify.in_cforest", no_cforest)
+    got = cqacount_parsimonious(support.employee_query(), support.employee_db())
+    assert got == {RangeAnswer(("A",), 1, 3), RangeAnswer(("B",), 1, 3)}
 
 
 def test_boolean_grouping_yields_single_answer():
