@@ -1,7 +1,7 @@
 """Golden queries/instances from worked examples, plus independent oracles
 (naive join, two-row FD tableau, repair-intersection certainty, exhaustive
-id-set search, the Fact-sorting instance store) that the fast
-implementations are checked against."""
+id-set search, the Fact-sorting instance store, the repair-instance oracle)
+that the fast implementations are checked against."""
 
 import itertools
 import math
@@ -10,7 +10,16 @@ from typing import Iterable, Iterator
 
 from cqa.attacks import AttackWitness, attack_graph, keycl
 from cqa.classify import is_id_set
-from cqa.evaluate import AnswerSet, RangeAnswer, _check_schema, evaluate
+from cqa.evaluate import (
+    AnswerSet,
+    RangeAnswer,
+    _check_schema,
+    _counting_join,
+    _group_counts,
+    _join,
+    _matches,
+    evaluate,
+)
 from cqa.fds import FunctionalDependencySet
 from cqa.instances import (
     DEFAULT_REPAIR_CAP,
@@ -360,4 +369,55 @@ def fact_oracle(q_full: ConjunctiveQuery, group_vars, db: FactDatabaseInstance):
         RangeAnswer(group, min(counts), max(counts))
         for group, counts in stats.items()
         if len(counts) == repairs
+    )
+
+
+# --- the repair-instance oracle the block-pick oracle replaced ----------------
+# Kept verbatim (renamed) as the slow path `cqacount_oracle` is checked against:
+# one instance per repair of the query's relations, each joined from scratch.
+
+def _visible(q: ConjunctiveQuery, db: DatabaseInstance) -> DatabaseInstance:
+    """`db` cut down to the relations of `q`, whose schema has been checked
+    against it; the blocks of any other relation cannot change its answers."""
+    names = sorted(atom.name for atom in q.atoms)
+    if len(names) == len(db.schema):
+        return db
+    return DatabaseInstance._from_rows(
+        {name: db.schema[name] for name in names},
+        {name: db._rows[name] for name in names},
+    )
+
+
+def reference_oracle(
+    q_full: ConjunctiveQuery,
+    group_vars: Iterable[str],
+    db: DatabaseInstance,
+    cap: int = DEFAULT_REPAIR_CAP,
+) -> frozenset[RangeAnswer]:
+    """Tight [min, max] counts per group over every repair.
+
+    Only the relations of the query are enumerated, so `cap` bounds the
+    repairs of those relations.  A group qualifies only when every repair
+    produces it; the bounds are attained by actual repairs by construction.
+    """
+    group_vars = tuple(group_vars)
+    plan = _counting_join(q_full, group_vars)
+    _check_schema(q_full, db)
+    stats: dict[tuple[str, ...], list[int]] = {}
+    repairs = 0
+    for repair in enumerate_repairs(_visible(q_full, db), cap):
+        repairs += 1
+        counts = _group_counts(_join(plan, _matches(plan, repair)), len(group_vars))
+        for group, count in counts.items():
+            rec = stats.get(group)
+            if rec is None:
+                stats[group] = [1, count, count]
+            else:
+                rec[0] += 1
+                rec[1] = min(rec[1], count)
+                rec[2] = max(rec[2], count)
+    return frozenset(
+        RangeAnswer(group, low, high)
+        for group, (hits, low, high) in stats.items()
+        if hits == repairs
     )

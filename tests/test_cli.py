@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqa
 import support
 from cqa.cli import main
 from cqa.instances import build_3dm_instance, load_bundle, save_bundle
@@ -256,21 +258,21 @@ def test_gen3dm_bad_triples(tmp_path, capsys):
     assert main(["gen3dm", str(overlapping), "--out", str(tmp_path / "out2")]) == 2
 
 
+def _run_cli(*args):
+    """`python -m cqa.cli` in a subprocess that imports the `cqa` these tests
+    import: its source directory goes first on PYTHONPATH."""
+    path = [str(Path(cqa.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "cqa.cli", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+
+
 def test_module_invocation(tmp_path):
     path = write_query(tmp_path, support.employee_query())
-    proc = subprocess.run(
-        [sys.executable, "-m", "cqa.cli", "classify", str(path), "--json"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_cli("classify", str(path), "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cparsimony"] is True
-
-
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "cqa.cli", *args], capture_output=True, text=True
-    )
 
 
 def test_count_non_utf8_csv_is_exit_2(tmp_path):

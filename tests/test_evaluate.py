@@ -27,10 +27,17 @@ from cqa.instances import (
     DEFAULT_REPAIR_CAP,
     DatabaseInstance,
     Fact,
+    RepairSpaceOverflow,
     enumerate_repairs,
     repair_count,
 )
-from cqa.queries import RelationSignature, make_free, parse_query, serialize_query
+from cqa.queries import (
+    ConjunctiveQuery,
+    RelationSignature,
+    make_free,
+    parse_query,
+    serialize_query,
+)
 
 
 def chain_full_query():
@@ -274,6 +281,75 @@ def test_oracle_respects_cap():
 
     with pytest.raises(RepairSpaceOverflow):
         cqacount_oracle(full, ("z",), support.employee_db(), cap=2)
+
+
+def _oracle_instance(rng, q, max_space, dense=False):
+    """One to three blocks per query relation (none for one relation in ten)
+    of one to four members each, over a domain of one to four values, with
+    at most `max_space` repairs of the query's relations; `dense` asks for
+    the whole domain, three keys per relation and four members per block
+    where they fit.  About a third also carry a relation N the query does
+    not use, whose conflicting blocks alone make up to 2**13 repairs."""
+    domain = DOMAIN if dense else DOMAIN[: rng.randint(1, 4)]
+    sigs = [atom.relation for atom in q.atoms]
+    facts, space = [], 1
+    for sig in sigs:
+        width = sig.arity - sig.key_width
+        tries = 3 if dense else rng.randint(1, 3) if rng.random() < 0.9 else 0
+        keys = {tuple(rng.choice(domain) for _ in range(sig.key_width)) for _ in range(tries)}
+        for key in sorted(keys):
+            most = min(4, len(domain) ** width, max_space // space)
+            rest = rng.sample(list(itertools.product(domain, repeat=width)),
+                              most if dense else rng.randint(1, most))
+            space *= len(rest)
+            facts += [Fact(sig.name, key + r) for r in rest]
+    if rng.random() < 1 / 3:
+        sigs.append(RelationSignature("N", 2, 1))
+        facts += [Fact("N", (f"k{i}", v)) for i in range(rng.randint(1, 13)) for v in "uv"]
+    return DatabaseInstance(sigs, facts), space
+
+
+def test_oracle_equals_reference_on_random_pairs():
+    # the oracle against the one it replaced, which builds an instance per
+    # repair of the query's relations: answers, and the refusal at one
+    # repair over the cap
+    rng = random.Random(2029)
+    seen = dict.fromkeys(
+        ("empty body", "key width 0", "constant", "all-constant atom matches",
+         "empty relation", "unused conflicts", "unused conflicts over the cap",
+         "space over 1,000", "answered"), 0)
+    for i in range(3000):
+        big = i % 300 == 150  # redrawn until its space passes 1,000
+        while True:
+            if i % 100 == 0:
+                q = ConjunctiveQuery(())
+            else:
+                q = random_query(rng, max_atoms=4, max_vars=5, const_prob=0.15)
+            db, space = _oracle_instance(
+                rng, q, 4096 if big else rng.choice((4, 16, 64, 256)), dense=big)
+            if space > 1000 or not big:
+                break
+        full = make_free(q, q.bound_vars)
+        want = support.reference_oracle(full, q.free_vars, db)
+        assert cqacount_oracle(full, q.free_vars, db) == want, (serialize_query(q), db.facts)
+        refusals = []
+        for oracle in (cqacount_oracle, support.reference_oracle):
+            with pytest.raises(RepairSpaceOverflow) as err:
+                oracle(full, q.free_vars, db, cap=space - 1)
+            refusals.append(str(err.value))
+        assert refusals == [f"{space} repairs exceed the cap of {space - 1}"] * 2
+        seen["empty body"] += not q.atoms
+        seen["key width 0"] += any(a.relation.key_width == 0 for a in q.atoms)
+        seen["constant"] += any(not t.is_var for a in q.atoms for t in a.args)
+        seen["all-constant atom matches"] += any(
+            not a.variables and Fact(a.name, tuple(t.symbol for t in a.args)) in db.facts
+            for a in q.atoms)
+        seen["empty relation"] += any(not db.relation_facts(a.name) for a in q.atoms)
+        seen["unused conflicts"] += "N" in db.schema
+        seen["unused conflicts over the cap"] += repair_count(db) > 4096
+        seen["space over 1,000"] += space > 1000
+        seen["answered"] += bool(want)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_parsimonious_employee():
