@@ -3,18 +3,19 @@
 Two routes compute the same answers on purpose: `cqacount_parsimonious`
 counts distinct id-set tuples over the answers of the widened query and
 the certain ones among them (one join and one certainty filter, no
-repairs), while `cqacount_oracle` enumerates every repair of the query's
-relations and aggregates min/max counts per group.  The oracle is the
-ground truth the fast route is checked against.
+repairs), while `cqacount_oracle` joins every repair of the query's
+relations, one matched fact per key block, and aggregates min/max counts
+per group.  The oracle is the ground truth the fast route is checked against.
 
 Both first-order passes run steps compiled once per query by one builder
-from an atom order and the variables bound up front: per atom a matcher
-from fact values to its variables, and getters over rows, the tuples of
-variable values in binding order.  The join binds key-bound atoms first,
-then those with the most bound variables, and reads a hash index per step;
-the certainty check binds the head, then follows the attack graph's
-topological order over key blocks.  The parsimonious route feeds one
-matcher pass over each relation to both.
+from an atom order and the variables bound up front: per atom getters
+over rows, the tuples of variable values in binding order, fed by a
+matcher from fact values to the atom's variables.  The join binds
+key-bound atoms first, then those with the most bound variables, and
+reads a hash index per step; the certainty check binds the head, then
+follows the attack graph's topological order over key blocks and decides
+from the last step back.  The parsimonious route feeds one matcher pass
+over each relation to both.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .attacks import AttackGraph, attack_graph
 from .classify import ClassificationReport, CyclicAttackGraphError, _report, in_cparsimony
 from .errors import AnalysisRefusal, InputError, InternalError
-from .instances import (
-    DEFAULT_REPAIR_CAP,
-    DatabaseInstance,
-    enumerate_repairs,
-    is_repair_of,
-)
+from .instances import DEFAULT_REPAIR_CAP, DatabaseInstance, _picks, is_repair_of
 from .queries import Atom, ConjunctiveQuery, make_free, substitute
 
 
@@ -135,7 +131,7 @@ class _Scan(NamedTuple):
 def _scan(step: _Step, db: DatabaseInstance) -> _Scan:
     matches: list[tuple[str, ...]] = []
     blocks: list[tuple[tuple[str, ...], ...]] = []
-    match = step.match
+    match = _matcher(step.atom)
     for rows in db._blocks[step.atom.name].values():
         got = [m for row in rows if (m := match(row)) is not None]
         matches += got
@@ -149,7 +145,6 @@ class _Step(NamedTuple):
     bound up front, then the variables each step binds first, in step order."""
 
     atom: Atom
-    match: Callable[[tuple[str, ...]], tuple[str, ...] | None]  # see `_matcher`
     probe: Callable[[tuple], tuple]  # row -> the atom's variables bound earlier
     own: Callable[[tuple], tuple]  # match -> the same variables
     new: Callable[[tuple], tuple]  # match -> the variables first bound here
@@ -169,7 +164,7 @@ def _compile_steps(order: Sequence[Atom], slots: dict[str, int]) -> tuple[_Step,
         probe = _getter([slots[names[i]] for i in bound])
         for i in fresh:
             slots[names[i]] = len(slots)
-        steps.append(_Step(atom, _matcher(atom), probe, _getter(bound), _getter(fresh), reads))
+        steps.append(_Step(atom, probe, _getter(bound), _getter(fresh), reads))
     return tuple(steps)
 
 
@@ -200,7 +195,7 @@ def _matches(plan: _Join, db: DatabaseInstance) -> list[Iterator[tuple[str, ...]
     """Per step, a lazy matcher pass over its relation: a join that dies
     early never matches the relations of its later steps."""
     return [
-        (m for m in map(step.match, db._rows[step.atom.name]) if m is not None)
+        (m for m in map(_matcher(step.atom), db._rows[step.atom.name]) if m is not None)
         for step in plan.steps
     ]
 
@@ -297,29 +292,39 @@ def _certain_among(
 
     A binding is certain at step i when some block under its probe values
     has every fact certain at step i + 1; at the last step that is a block
-    under the probe values at all.
+    under the probe values at all.  Bindings that agree on what step i and
+    later ones read agree on that, so a forward pass keeps one binding per
+    distinct read at each step (a candidate at the first), and certainty is
+    decided from the last step back, without recursion.
     """
     if not plan:
         return frozenset(candidates)
     indexes = [_block_index(step, scans[step.atom.name]) for step in plan]
-    memo: list[dict[tuple, bool]] = [{} for _ in plan]
-    last = len(plan) - 1
-
-    def certain(i: int, slots: tuple) -> bool:
-        step = plan[i]
-        if i == last:
-            return step.probe(slots) in indexes[i]
-        key = step.reads(slots)
-        hit = memo[i].get(key)
-        if hit is None:
-            hit = any(
-                all(certain(i + 1, slots + values) for values in entry)
-                for entry in indexes[i].get(step.probe(slots), ())
-            )
-            memo[i][key] = hit
-        return hit
-
-    return frozenset(c for c in candidates if certain(0, c))
+    reads = [step.reads for step in plan[1:]]  # what the next step reads
+    levels: list[dict[tuple, tuple]] = [{c: c for c in candidates}]
+    for step, index, read in zip(plan[:-1], indexes, reads):
+        reach: dict[tuple, tuple] = {}
+        for slots in levels[-1].values():
+            for entry in index.get(step.probe(slots), ()):
+                for values in entry:
+                    row = slots + values
+                    reach.setdefault(read(row), row)
+        levels.append(reach)
+    step, index = plan[-1], indexes[-1]
+    certain = {key: step.probe(slots) in index for key, slots in levels[-1].items()}
+    for step, index, read, level in reversed(list(zip(plan[:-1], indexes, reads, levels))):
+        known, certain = certain, {}
+        for key, slots in level.items():
+            ok = False  # plain loops: any/all generators here cost about 10% on employee
+            for entry in index.get(step.probe(slots), ()):
+                for values in entry:
+                    if not known[read(slots + values)]:
+                        break
+                else:
+                    ok = True
+                    break
+            certain[key] = ok
+    return frozenset(c for c, ok in certain.items() if ok)
 
 
 def _plain_and_certain(
@@ -346,18 +351,6 @@ def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
 
 # --- range-consistent counting ----------------------------------------------
 
-def _visible(q: ConjunctiveQuery, db: DatabaseInstance) -> DatabaseInstance:
-    """`db` cut down to the relations of `q`, whose schema has been checked
-    against it; the blocks of any other relation cannot change its answers."""
-    names = sorted(atom.name for atom in q.atoms)
-    if len(names) == len(db.schema):
-        return db
-    return DatabaseInstance._from_rows(
-        {name: db.schema[name] for name in names},
-        {name: db._rows[name] for name in names},
-    )
-
-
 def cqacount_oracle(
     q_full: ConjunctiveQuery,
     group_vars: Iterable[str],
@@ -366,26 +359,26 @@ def cqacount_oracle(
 ) -> frozenset[RangeAnswer]:
     """Tight [min, max] counts per group over every repair.
 
-    Only the relations of the query are enumerated, so `cap` bounds the
-    repairs of those relations.  A group qualifies only when every repair
-    produces it; the bounds are attained by actual repairs by construction.
+    Each atom's matcher runs once over the blocks of its relation; every
+    pick of one member per block of the query's relations (a repair of
+    those relations, so `cap` bounds their repairs) is joined from those
+    matches.  A group qualifies only when every repair produces it; the
+    bounds are attained by actual repairs by construction.
     """
     group_vars = tuple(group_vars)
     plan = _counting_join(q_full, group_vars)
     _check_schema(q_full, db)
-    stats: dict[tuple[str, ...], list[int]] = {}
+    relations = [(_matcher(step.atom), db._blocks[step.atom.name].values()) for step in plan.steps]
+    blocks = [[tuple(map(match, rows)) for rows in by_key] for match, by_key in relations]
+    stats: dict[tuple[str, ...], tuple[int, int, int]] = {}
     repairs = 0
-    for repair in enumerate_repairs(_visible(q_full, db), cap):
+    for picks in _picks(blocks, cap):
         repairs += 1
-        counts = _group_counts(_join(plan, _matches(plan, repair)), len(group_vars))
+        matches = [[m for m in got if m is not None] for got in picks]
+        counts = _group_counts(_join(plan, matches), len(group_vars))
         for group, count in counts.items():
-            rec = stats.get(group)
-            if rec is None:
-                stats[group] = [1, count, count]
-            else:
-                rec[0] += 1
-                rec[1] = min(rec[1], count)
-                rec[2] = max(rec[2], count)
+            hits, low, high = stats.get(group, (0, count, count))
+            stats[group] = (hits + 1, min(low, count), max(high, count))
     return frozenset(
         RangeAnswer(group, low, high)
         for group, (hits, low, high) in stats.items()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import AnalysisRefusal, InputError
 from .queries import ConjunctiveQuery, RelationSignature, parse_query
@@ -160,6 +160,20 @@ def repair_count(db: DatabaseInstance) -> int:
     return math.prod(len(rows) for by_key in db._blocks.values() for rows in by_key.values())
 
 
+def _picks(blocks: Sequence[Collection[Sequence]], cap: int) -> Iterator[list[tuple]]:
+    """Every pick of one member per block, lexicographically by block order and
+    member index, as one tuple of picks per group of `blocks` (its blocks in
+    order).  Refuses more than `cap` picks outright."""
+    members = [block for group in blocks for block in group]
+    count = math.prod(map(len, members))
+    if count > cap:
+        raise RepairSpaceOverflow(count, cap)
+    ends = itertools.accumulate(map(len, blocks), initial=0)
+    cuts = [slice(*span) for span in itertools.pairwise(ends)]
+    for choice in itertools.product(*members):
+        yield [choice[cut] for cut in cuts]
+
+
 def enumerate_repairs(
     db: DatabaseInstance, cap: int = DEFAULT_REPAIR_CAP
 ) -> Iterator[DatabaseInstance]:
@@ -169,16 +183,8 @@ def enumerate_repairs(
     tight-bound guarantee the enumeration exists to provide.  Each repair
     keeps rows only, one per block; rows chosen in block order are already sorted.
     """
-    members = [rows for by_key in db._blocks.values() for rows in by_key.values()]
-    count = math.prod(map(len, members))
-    if count > cap:
-        raise RepairSpaceOverflow(count, cap)
-    ends = itertools.accumulate(map(len, db._blocks.values()), initial=0)
-    # relation -> the slice of a choice that holds its blocks' rows
-    cuts = {name: slice(*span) for name, span in zip(db._blocks, itertools.pairwise(ends))}
-    for choice in itertools.product(*members):
-        yield DatabaseInstance._from_rows(
-            db.schema, {name: choice[cut] for name, cut in cuts.items()})
+    for rows in _picks([by_key.values() for by_key in db._blocks.values()], cap):
+        yield DatabaseInstance._from_rows(db.schema, dict(zip(db.schema, rows)))
 
 
 def is_repair_of(candidate: DatabaseInstance, db: DatabaseInstance) -> bool:

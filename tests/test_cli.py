@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import cqa
 import support
 from cqa.cli import main
-from cqa.instances import build_3dm_instance, load_bundle, save_bundle
-from cqa.queries import serialize_query
+from cqa.evaluate import certain_answers
+from cqa.instances import DatabaseInstance, Fact, build_3dm_instance, load_bundle, save_bundle
+from cqa.queries import parse_query, serialize_query
 
 
 def write_query(tmp_path, q, name="query.cq"):
@@ -878,3 +879,16 @@ def test_count_refusal_golden(tmp_path, capsys, as_json):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "refused: query not in Cparsimony: strong attack R -> S\n"
+
+
+def test_count_answers_a_400_atom_query(tmp_path, capsys):
+    # the certainty check walks its 400 elimination steps without recursing per step
+    q = parse_query("q() :- " + ", ".join(f"R{i}(x{i})" for i in range(400)) + ".")
+    db = DatabaseInstance([a.relation for a in q.atoms], [Fact(a.name, ("a",)) for a in q.atoms])
+    save_bundle(db, tmp_path / "deep")
+    args = ["count", "--db", str(tmp_path / "deep"), "--query", write_query(tmp_path, q)]
+    assert main([*args, "--mode", "both"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "# parsimonious\n1\t1\n# oracle\n1\t1\n"
+    assert err == ""
+    assert certain_answers(q, db).tuples == support.intersection_certain(q, db) == {()}
