@@ -1,23 +1,29 @@
 """Golden queries/instances from worked examples, plus independent oracles
 (naive join, two-row FD tableau, repair-intersection certainty, exhaustive
-id-set search, the Fact-sorting instance store, the repair-instance oracle)
-that the fast implementations are checked against."""
+id-set search, the Fact-sorting instance store, the repair-instance oracle,
+the shared-scan certainty check) that the fast implementations are checked
+against."""
 
 import itertools
 import math
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from cqa.attacks import AttackWitness, attack_graph, keycl
+from cqa.attacks import AttackGraph, AttackWitness, attack_graph, keycl
 from cqa.classify import is_id_set
 from cqa.evaluate import (
     AnswerSet,
     RangeAnswer,
     _check_schema,
+    _compile_join,
     _counting_join,
+    _elimination_plan,
     _group_counts,
+    _Join,
     _join,
+    _matcher,
     _matches,
+    _Step,
     evaluate,
 )
 from cqa.fds import FunctionalDependencySet
@@ -421,3 +427,102 @@ def reference_oracle(
         for group, (hits, low, high) in stats.items()
         if hits == repairs
     )
+
+
+# --- the shared-scan certainty check the key-block lookup replaced ------------
+# Kept verbatim (renamed) as the slow path `_plain_and_certain` is checked
+# against: one matcher pass per relation feeds the join and, for every step,
+# an index of every usable block by its probe values.
+
+class _Scan(NamedTuple):
+    """One pass of a step's matcher over its relation."""
+
+    matches: list[tuple[str, ...]]  # the variable values of every matching fact
+    blocks: list[tuple[tuple[str, ...], ...]]  # the same, per block whose facts all match
+
+
+def _scan(step: _Step, db: DatabaseInstance) -> _Scan:
+    matches: list[tuple[str, ...]] = []
+    blocks: list[tuple[tuple[str, ...], ...]] = []
+    match = _matcher(step.atom)
+    for rows in db._blocks[step.atom.name].values():
+        got = [m for row in rows if (m := match(row)) is not None]
+        matches += got
+        if len(got) == len(rows):
+            blocks.append(tuple(got))
+    return _Scan(matches, blocks)
+
+
+def _scans(plan: _Join, db: DatabaseInstance) -> dict[str, _Scan]:
+    return {step.atom.name: _scan(step, db) for step in plan.steps}
+
+
+def _block_index(step: _Step, scan: _Scan) -> dict[tuple, list[tuple[tuple, ...]]]:
+    """Probe values -> one entry per usable block: the new-variable values of its facts.
+
+    A block is usable when every fact matches the atom and all facts agree
+    on the probe variables; any other block fails for every binding.
+    """
+    index: dict[tuple, list[tuple[tuple, ...]]] = {}
+    for block in scan.blocks:
+        probes = {step.own(m) for m in block}
+        if len(probes) == 1:
+            index.setdefault(probes.pop(), []).append(tuple(step.new(m) for m in block))
+    return index
+
+
+def _certain_among(
+    plan: tuple[_Step, ...],
+    candidates: Iterable[tuple[str, ...]],
+    scans: Mapping[str, _Scan],
+) -> frozenset[tuple[str, ...]]:
+    """The candidate head tuples that hold in every repair.
+
+    A binding is certain at step i when some block under its probe values
+    has every fact certain at step i + 1; at the last step that is a block
+    under the probe values at all.  Bindings that agree on what step i and
+    later ones read agree on that, so a forward pass keeps one binding per
+    distinct read at each step (a candidate at the first), and certainty is
+    decided from the last step back, without recursion.
+    """
+    if not plan:
+        return frozenset(candidates)
+    indexes = [_block_index(step, scans[step.atom.name]) for step in plan]
+    reads = [step.reads for step in plan[1:]]  # what the next step reads
+    levels: list[dict[tuple, tuple]] = [{c: c for c in candidates}]
+    for step, index, read in zip(plan[:-1], indexes, reads):
+        reach: dict[tuple, tuple] = {}
+        for slots in levels[-1].values():
+            for entry in index.get(step.probe(slots), ()):
+                for values in entry:
+                    row = slots + values
+                    reach.setdefault(read(row), row)
+        levels.append(reach)
+    step, index = plan[-1], indexes[-1]
+    certain = {key: step.probe(slots) in index for key, slots in levels[-1].items()}
+    for step, index, read, level in reversed(list(zip(plan[:-1], indexes, reads, levels))):
+        known, certain = certain, {}
+        for key, slots in level.items():
+            ok = False  # plain loops: any/all generators here cost about 10% on employee
+            for entry in index.get(step.probe(slots), ()):
+                for values in entry:
+                    if not known[read(slots + values)]:
+                        break
+                else:
+                    ok = True
+                    break
+            certain[key] = ok
+    return frozenset(c for c, ok in certain.items() if ok)
+
+
+def reference_plain_and_certain(
+    q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph
+) -> tuple[set[tuple[str, ...]], frozenset[tuple[str, ...]]]:
+    """The plain answers of `q` and the certain ones among them, from one scan
+    of each relation shared by the join and the certainty check."""
+    plan = _elimination_plan(q, graph)
+    _check_schema(q, db)
+    join = _compile_join(q.atoms, q.free_vars)
+    scans = _scans(join, db)
+    plain = _join(join, [scans[step.atom.name].matches for step in join.steps])
+    return plain, _certain_among(plan, plain, scans)

@@ -32,6 +32,7 @@ from cqa.instances import (
     repair_count,
 )
 from cqa.queries import (
+    Atom,
     ConjunctiveQuery,
     RelationSignature,
     make_free,
@@ -535,4 +536,113 @@ def test_evaluate_equals_naive_join_on_random_pairs():
         seen["disjoint atoms"] += any(
             not a.variables & b.variables for a, b in itertools.combinations(q.atoms, 2))
         seen["join dies"] += not want.tuples and not empty
+    assert min(seen.values()) >= 50, seen
+
+
+def _certainty_cases(q, db, graph, candidates):
+    """The edge cases the certainty check meets on this pair, found by walking
+    every binding it can reach with binding dicts, apart from the code under
+    test: per elimination step, the shape of its key when some binding
+    reaches it, and at steps whose key is bound, what the block under the
+    binding's key holds."""
+    cases = set()
+    order = [q.atom(name) for name in graph.topological_order()]
+    if not order:
+        cases.add("empty plan")
+    todo = [(0, dict(zip(q.free_vars, c))) for c in candidates]
+    done = set()
+    while todo:
+        i, binding = todo.pop()
+        if i == len(order) or (i, tuple(sorted(binding.items()))) in done:
+            continue
+        done.add((i, tuple(sorted(binding.items()))))
+        atom = order[i]
+        if not all(not t.is_var or t.symbol in binding for t in atom.key_args):
+            cases.add("unbound key")
+            blocks = [b.members for b in db.blocks() if b.relation == atom.name]
+        else:
+            key_vars = [t.symbol for t in atom.key_args if t.is_var]
+            cases.add("key width 0" if not atom.key_args else "bound key")
+            if len(key_vars) < len(atom.key_args):
+                cases.add("constant in a bound key")
+            if len(set(key_vars)) < len(key_vars):
+                cases.add("repeated key variable")
+            key = tuple(binding[t.symbol] if t.is_var else t.symbol for t in atom.key_args)
+            blocks = [db.block(atom.name, key)]
+            if not blocks[0]:
+                cases.add("no block under the key")
+            elif any(support._unify(atom, f, {}) is None for f in blocks[0]):
+                cases.add("fact fails the atom")
+            elif any(support._unify(atom, f, binding) is None for f in blocks[0]):
+                cases.add("bound non-key variable disagrees")
+        for members in blocks:
+            bindings = [support._unify(atom, f, binding) for f in members]
+            if members and None not in bindings:
+                todo += [(i + 1, b) for b in bindings]
+    return cases
+
+
+def _certainty_instance(rng, q):
+    """The facts of one to three random valuations of the query, so that it
+    has plain answers, plus a random fact or two per relation and, in about
+    half the blocks with a non-key position, one more member; both draw
+    over a domain of two to four values and a value that no valuation
+    gives, so that later steps meet keys with no block."""
+    domain = DOMAIN[: rng.randint(2, 4)]
+    facts = set()
+    for _ in range(rng.randint(1, 3)):
+        value = {v: rng.choice(domain) for v in q.variables}
+        facts |= {Fact(a.name, tuple(value.get(t.symbol, t.symbol) for t in a.args))
+                  for a in q.atoms}
+    noise = domain + ("e",)
+    for atom in q.atoms:
+        facts |= {Fact(atom.name, tuple(rng.choice(noise) for _ in range(atom.relation.arity)))
+                  for _ in range(rng.randint(0, 2))}
+    db = DatabaseInstance((a.relation for a in q.atoms), facts)
+    for block in db.blocks():
+        sig = db.schema[block.relation]
+        if sig.arity > sig.key_width and rng.random() < 0.5:
+            rest = tuple(rng.choice(noise) for _ in range(sig.arity - sig.key_width))
+            facts.add(Fact(block.relation, block.key_values + rest))
+    return DatabaseInstance(db.schema.values(), facts)
+
+
+def test_plain_and_certain_equals_reference_on_random_pairs():
+    # the certainty check against the shared-scan one it replaced, on queries
+    # with acyclic attack graphs as they are, widened by their id-set when in
+    # Cparsimony, and with random bound variables made free
+    rng = random.Random(2031)
+    seen = dict.fromkeys(
+        ("bound key", "constant in a bound key", "repeated key variable", "key width 0",
+         "unbound key", "no block under the key", "fact fails the atom",
+         "bound non-key variable disagrees", "empty plan", "widened", "made free", "certain",
+         "not certain"), 0)
+    for i in range(3000):
+        while True:
+            if i % 50 == 0:
+                q = ConjunctiveQuery(())
+            else:
+                q = random_query(rng, max_atoms=5, max_vars=5, const_prob=0.15)
+            if q.atoms and rng.random() < 0.1:  # one more atom with key width 0
+                k = rng.randrange(len(q.atoms))
+                atom = q.atoms[k]
+                keyless = Atom(RelationSignature(atom.name, atom.relation.arity, 0), atom.args)
+                q = ConjunctiveQuery(q.atoms[:k] + (keyless,) + q.atoms[k + 1:], q.free_vars)
+            graph = support.attack_graph(q)
+            if graph.is_acyclic():
+                break
+        if i % 3 == 1 and (report := in_cparsimony(q)).in_cparsimony:
+            q = make_free(q, report.id_set or ())
+            seen["widened"] += 1
+        elif i % 3 == 2 and q.bound_vars:
+            q = make_free(q, rng.sample(q.bound_vars, rng.randint(1, len(q.bound_vars))))
+            seen["made free"] += 1
+        db = _oracle_instance(rng, q, 64)[0] if i % 4 == 3 else _certainty_instance(rng, q)
+        want = support.reference_plain_and_certain(q, db, graph)
+        assert evaluate_module._plain_and_certain(q, db, graph) == want, (
+            serialize_query(q), db.facts)
+        for case in _certainty_cases(q, db, graph, want[0]):
+            seen[case] += 1
+        seen["certain"] += bool(want[1])
+        seen["not certain"] += bool(want[0] - want[1])
     assert min(seen.values()) >= 50, seen
