@@ -12,17 +12,19 @@ from an atom order and the variables bound up front: per atom getters
 over rows, the tuples of variable values in binding order, fed by a
 matcher from fact values to the atom's variables.  The join binds
 key-bound atoms first, then those with the most bound variables, and
-reads a hash index per step; the certainty check binds the head, then
-follows the attack graph's topological order over key blocks and decides
-from the last step back.  The parsimonious route feeds one matcher pass
-over each relation to both.
+reads a hash index per step over its relation's matches.  The certainty
+check binds the head, then follows the attack graph's topological order
+over key blocks and decides from the last step back: a step whose key
+positions hold constants and variables bound before it reads the one
+block under that key, and any other step indexes its relation's blocks
+on each call.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .attacks import AttackGraph, attack_graph
 from .classify import ClassificationReport, CyclicAttackGraphError, _report, in_cparsimony
@@ -121,25 +123,6 @@ def _matcher(atom: Atom) -> Callable[[tuple[str, ...]], tuple[str, ...] | None]:
     return match
 
 
-class _Scan(NamedTuple):
-    """One pass of a step's matcher over its relation."""
-
-    matches: list[tuple[str, ...]]  # the variable values of every matching fact
-    blocks: list[tuple[tuple[str, ...], ...]]  # the same, per block whose facts all match
-
-
-def _scan(step: _Step, db: DatabaseInstance) -> _Scan:
-    matches: list[tuple[str, ...]] = []
-    blocks: list[tuple[tuple[str, ...], ...]] = []
-    match = _matcher(step.atom)
-    for rows in db._blocks[step.atom.name].values():
-        got = [m for row in rows if (m := match(row)) is not None]
-        matches += got
-        if len(got) == len(rows):
-            blocks.append(tuple(got))
-    return _Scan(matches, blocks)
-
-
 class _Step(NamedTuple):
     """One atom of a compiled plan.  Rows are tuples of slots: the variables
     bound up front, then the variables each step binds first, in step order."""
@@ -148,23 +131,44 @@ class _Step(NamedTuple):
     probe: Callable[[tuple], tuple]  # row -> the atom's variables bound earlier
     own: Callable[[tuple], tuple]  # match -> the same variables
     new: Callable[[tuple], tuple]  # match -> the variables first bound here
-    reads: Callable[[tuple], tuple]  # row -> what this step and later ones read
+    # certainty steps only: row -> what this step and later ones read
+    reads: Callable[[tuple], tuple] | None = None
+    # certainty steps whose key is fixed by constants and earlier bindings: row -> key
+    key: Callable[[tuple], tuple] | None = None
 
 
-def _compile_steps(order: Sequence[Atom], slots: dict[str, int]) -> tuple[_Step, ...]:
+def _key_getter(atom: Atom, slots: Mapping[str, int]) -> Callable[[tuple], tuple] | None:
+    """Row -> the atom's key values, when every key position holds a constant
+    or a variable in `slots` (always, for key width 0); otherwise None."""
+    args = atom.key_args
+    if any(t.is_var and t.symbol not in slots for t in args):
+        return None
+    if all(t.is_var for t in args):
+        return _getter([slots[t.symbol] for t in args])
+    parts = [(slots[t.symbol], None) if t.is_var else (None, t.symbol) for t in args]
+    return lambda row: tuple(const if i is None else row[i] for i, const in parts)
+
+
+def _compile_steps(
+    order: Sequence[Atom], slots: dict[str, int], certainty: bool = False
+) -> tuple[_Step, ...]:
     """One step per atom of `order`; `slots` maps the variables bound up front
-    to their slots, and each step appends the variables it binds first."""
+    to their slots, and each step appends the variables it binds first.
+    Steps of the certainty check also get `reads` and `key`."""
     later = list(accumulate((a.variables for a in reversed(order)), frozenset.union))
     steps = []
     for atom, read in zip(order, reversed(later)):
         names = _atom_vars(atom)
         bound = [i for i, v in enumerate(names) if v in slots]
         fresh = [i for i, v in enumerate(names) if v not in slots]
-        reads = _getter(sorted(slots[v] for v in read if v in slots))
         probe = _getter([slots[names[i]] for i in bound])
+        checks = ()
+        if certainty:
+            reads = _getter(sorted(slots[v] for v in read if v in slots))
+            checks = (reads, _key_getter(atom, slots))
         for i in fresh:
             slots[names[i]] = len(slots)
-        steps.append(_Step(atom, probe, _getter(bound), _getter(fresh), reads))
+        steps.append(_Step(atom, probe, _getter(bound), _getter(fresh), *checks))
     return tuple(steps)
 
 
@@ -185,10 +189,6 @@ def _compile_join(atoms: Sequence[Atom], head: Sequence[str]) -> _Join:
         bound |= atom.variables
     slots: dict[str, int] = {}
     return _Join(_compile_steps(order, slots), _getter([slots[v] for v in head]))
-
-
-def _scans(plan: _Join, db: DatabaseInstance) -> dict[str, _Scan]:
-    return {step.atom.name: _scan(step, db) for step in plan.steps}
 
 
 def _matches(plan: _Join, db: DatabaseInstance) -> list[Iterator[tuple[str, ...]]]:
@@ -223,11 +223,14 @@ def evaluate(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     return AnswerSet(q.free_vars, frozenset(_join(plan, _matches(plan, db))))
 
 
-def _group_counts(tuples: Iterable[tuple[str, ...]], width: int) -> dict[tuple[str, ...], int]:
-    seen: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
+def _group_counts(tuples: AbstractSet[tuple[str, ...]], width: int) -> dict[tuple[str, ...], int]:
+    """Distinct tuples per group of their first `width` values; the tuples
+    come as a set, so counting them counts distinct remainders."""
+    counts: dict[tuple[str, ...], int] = {}
     for t in tuples:
-        seen.setdefault(t[:width], set()).add(t[width:])
-    return {group: len(rest) for group, rest in seen.items()}
+        group = t[:width]
+        counts[group] = counts.get(group, 0) + 1
+    return counts
 
 
 def _counting_join(q_full: ConjunctiveQuery, group_vars: tuple[str, ...]) -> _Join:
@@ -266,78 +269,112 @@ def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, .
         raise CyclicAttackGraphError(
             "attack graph is cyclic: no first-order certainty check; use the repair oracle"
         )
-    return _compile_steps([q.atom(n) for n in names], {v: i for i, v in enumerate(q.free_vars)})
+    slots = {v: i for i, v in enumerate(q.free_vars)}
+    return _compile_steps([q.atom(n) for n in names], slots, certainty=True)
 
 
-def _block_index(step: _Step, scan: _Scan) -> dict[tuple, list[tuple[tuple, ...]]]:
-    """Probe values -> one entry per usable block: the new-variable values of its facts.
+def _entries(step: _Step, db: DatabaseInstance) -> Callable[[tuple], Sequence[list[tuple]]]:
+    """Binding -> one entry per usable block under it: the new-variable values
+    of the block's facts.  A block is usable when every fact matches the
+    atom and agrees with the binding on the atom's bound variables; any
+    other block fails the binding.
 
-    A block is usable when every fact matches the atom and all facts agree
-    on the probe variables; any other block fails for every binding.
+    A step whose key is fixed reads the one block under its key.  Any other
+    step probes an index of its relation's usable blocks by their bound
+    values, built from one matcher pass over the relation on each call.
     """
-    index: dict[tuple, list[tuple[tuple, ...]]] = {}
-    for block in scan.blocks:
-        probes = {step.own(m) for m in block}
-        if len(probes) == 1:
-            index.setdefault(probes.pop(), []).append(tuple(step.new(m) for m in block))
-    return index
+    blocks, match = db._blocks[step.atom.name], _matcher(step.atom)
+    key, probe, own, new = step.key, step.probe, step.own, step.new
+    if key is None:
+        index: dict[tuple, list[list[tuple]]] = {}
+        for rows in blocks.values():
+            got = [m for row in rows if (m := match(row)) is not None]
+            if len(got) == len(rows):
+                probes = {own(m) for m in got}
+                if len(probes) == 1:
+                    index.setdefault(probes.pop(), []).append([new(m) for m in got])
+        return lambda slots: index.get(probe(slots), ())
+
+    def entries(slots: tuple) -> Sequence[list[tuple]]:
+        rows = blocks.get(key(slots))
+        if rows is None:
+            return ()
+        want = probe(slots)
+        got = []
+        for row in rows:
+            m = match(row)
+            if m is None or own(m) != want:
+                return ()
+            got.append(new(m))
+        return (got,)
+
+    return entries
 
 
 def _certain_among(
     plan: tuple[_Step, ...],
     candidates: Iterable[tuple[str, ...]],
-    scans: Mapping[str, _Scan],
+    db: DatabaseInstance,
 ) -> frozenset[tuple[str, ...]]:
     """The candidate head tuples that hold in every repair.
 
-    A binding is certain at step i when some block under its probe values
-    has every fact certain at step i + 1; at the last step that is a block
-    under the probe values at all.  Bindings that agree on what step i and
-    later ones read agree on that, so a forward pass keeps one binding per
-    distinct read at each step (a candidate at the first), and certainty is
-    decided from the last step back, without recursion.
+    A binding is certain at step i when some usable block under it (see
+    `_entries`) has every fact certain at step i + 1; at the last step that
+    is a usable block at all.  Bindings that agree on what step i and later
+    ones read agree on that, so a forward pass keeps one binding per
+    distinct read at each step (a candidate at the first) and, per binding,
+    the reads its blocks' facts lead to; certainty is then decided from the
+    last step back over those, without recursion or a second lookup.
     """
     if not plan:
         return frozenset(candidates)
-    indexes = [_block_index(step, scans[step.atom.name]) for step in plan]
-    reads = [step.reads for step in plan[1:]]  # what the next step reads
-    levels: list[dict[tuple, tuple]] = [{c: c for c in candidates}]
-    for step, index, read in zip(plan[:-1], indexes, reads):
+    lookups = [_entries(step, db) for step in plan]
+    level: dict[tuple, tuple] = {c: c for c in candidates}
+    # per step but the last, per binding: (its read, the reads of each usable block's facts)
+    passes: list[list[tuple[tuple, list[list[tuple]]]]] = []
+    for lookup, after in zip(lookups, plan[1:]):
+        read = after.reads  # what the next step reads
         reach: dict[tuple, tuple] = {}
-        for slots in levels[-1].values():
-            for entry in index.get(step.probe(slots), ()):
+        found = []
+        for at, slots in level.items():
+            blocks = []
+            for entry in lookup(slots):
+                reads = []
                 for values in entry:
                     row = slots + values
-                    reach.setdefault(read(row), row)
-        levels.append(reach)
-    step, index = plan[-1], indexes[-1]
-    certain = {key: step.probe(slots) in index for key, slots in levels[-1].items()}
-    for step, index, read, level in reversed(list(zip(plan[:-1], indexes, reads, levels))):
+                    r = read(row)
+                    reach.setdefault(r, row)
+                    reads.append(r)
+                blocks.append(reads)
+            found.append((at, blocks))
+        passes.append(found)
+        level = reach
+    last = lookups[-1]
+    certain = {at: bool(last(slots)) for at, slots in level.items()}
+    for found in reversed(passes):
         known, certain = certain, {}
-        for key, slots in level.items():
+        for at, blocks in found:
             ok = False  # plain loops: any/all generators here cost about 10% on employee
-            for entry in index.get(step.probe(slots), ()):
-                for values in entry:
-                    if not known[read(slots + values)]:
+            for reads in blocks:
+                for r in reads:
+                    if not known[r]:
                         break
                 else:
                     ok = True
                     break
-            certain[key] = ok
+            certain[at] = ok
     return frozenset(c for c, ok in certain.items() if ok)
 
 
 def _plain_and_certain(
     q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph
 ) -> tuple[set[tuple[str, ...]], frozenset[tuple[str, ...]]]:
-    """The plain answers of `q` and the certain ones among them, from one scan
-    of each relation shared by the join and the certainty check."""
+    """The plain answers of `q` and the certain ones among them."""
     plan = _elimination_plan(q, graph)
     _check_schema(q, db)
     join = _compile_join(q.atoms, q.free_vars)
-    scans = _scans(join, db)
-    plain = _join(join, [scans[step.atom.name].matches for step in join.steps])
-    return plain, _certain_among(plan, plain, scans)
+    plain = _join(join, _matches(join, db))
+    return plain, _certain_among(plan, plain, db)
 
 
 def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
@@ -431,7 +468,9 @@ def is_optimistic_repair(
     if not is_repair_of(repair, db):
         raise EvaluationError("candidate is not a repair of the instance")
     fixed = _fix_group(query, group)
-    return evaluate(fixed, db).tuples <= evaluate(fixed, repair).tuples
+    _check_schema(fixed, db)  # and so on `repair`, whose schema is that of `db`
+    plan = _compile_join(fixed.atoms, fixed.free_vars)
+    return _join(plan, _matches(plan, db)) <= _join(plan, _matches(plan, repair))
 
 
 def is_pessimistic_repair(

@@ -504,8 +504,7 @@ def _join_instance(rng, q):
 
 def test_evaluate_equals_naive_join_on_random_pairs():
     # the compiled join fed by one matcher pass per relation (`evaluate`,
-    # `count_by`) and by the parsimonious route's shared scan, against the
-    # query-order join
+    # `count_by`), against the query-order join
     rng = random.Random(2027)
     seen = dict.fromkeys(
         ("key constant", "non-key constant", "repeated variable", "key width 0",
@@ -515,11 +514,6 @@ def test_evaluate_equals_naive_join_on_random_pairs():
         db = _join_instance(rng, q)
         want = support.naive_evaluate(q, db)
         assert evaluate(q, db) == want, (serialize_query(q), db.facts)
-        plan = evaluate_module._compile_join(q.atoms, q.free_vars)
-        scans = evaluate_module._scans(plan, db)
-        matches = [scans[step.atom.name].matches for step in plan.steps]
-        shared = evaluate_module._join(plan, matches)
-        assert shared == want.tuples, (serialize_query(q), db.facts)
         full = make_free(q, q.bound_vars)
         naive = collections.Counter(
             t[: len(q.free_vars)] for t in support.naive_evaluate(full, db).tuples)
