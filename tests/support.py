@@ -1,16 +1,19 @@
 """Golden queries/instances from worked examples, plus independent oracles
 (naive join, two-row FD tableau, repair-intersection certainty, exhaustive
 id-set search, the Fact-sorting instance store, the repair-instance oracle,
-the shared-scan certainty check) that the fast implementations are checked
-against."""
+the shared-scan certainty check, the per-pair query analysis) that the
+fast implementations are checked against."""
+
+from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from cqa.attacks import AttackGraph, AttackWitness, attack_graph, keycl
-from cqa.classify import is_id_set
+from cqa.attacks import AttackGraph, AttackWitness, FrozenVariables, attack_graph, keycl
+from cqa.classify import FuxmanGraph, is_id_set
 from cqa.evaluate import (
     AnswerSet,
     RangeAnswer,
@@ -26,7 +29,8 @@ from cqa.evaluate import (
     _Step,
     evaluate,
 )
-from cqa.fds import FunctionalDependencySet
+from cqa.fds import FunctionalDependencySet, SequentialProof, fdset
+from cqa.graphs import Digraph, path_to
 from cqa.instances import (
     DEFAULT_REPAIR_CAP,
     Block,
@@ -36,7 +40,15 @@ from cqa.instances import (
     SchemaError,
     enumerate_repairs,
 )
-from cqa.queries import Atom, ConjunctiveQuery, RelationSignature, parse_query
+from cqa.queries import (
+    Atom,
+    ConjunctiveQuery,
+    QueryError,
+    QueryGraph,
+    RelationSignature,
+    parse_query,
+    query_graph,
+)
 
 
 def mkdb(schema: dict[str, tuple[int, int]], rows: dict[str, list[tuple]]) -> DatabaseInstance:
@@ -526,3 +538,172 @@ def reference_plain_and_certain(
     scans = _scans(join, db)
     plain = _join(join, [scans[step.atom.name].matches for step in join.steps])
     return plain, _certain_among(plan, plain, scans)
+
+
+# --- the query analysis that one closure and one BFS per atom replaced --------
+# Kept verbatim (renamed) as the slow path `attack_graph`, `frozen_vars`,
+# `keycl`, `sequential_proof` and `fuxman_graph` are checked against: one
+# closure per pair of atoms, one walk per reached variable, and sequential
+# proofs that rescan from the first atom after every atom they add.
+
+class ReferenceAttackGraph(Digraph):
+    """Digraph over the atom names of one query; `edges` maps each edge to
+    its AttackEdge, which carries the witness.  It keeps the query's FD set
+    and query graph it was built from, for later analysis of the same query."""
+
+    def __init__(
+        self,
+        query: ConjunctiveQuery,
+        edges: Mapping[tuple[str, str], ReferenceAttackEdge],
+        variable_paths: Mapping[str, Mapping[str, tuple[str, ...]]],
+        fds: FunctionalDependencySet,
+        qg: QueryGraph,
+    ):
+        super().__init__((a.name for a in query.atoms), dict(edges))
+        self.query = query
+        self.fds = fds
+        self.query_graph = qg
+        self._variable_paths = {k: dict(v) for k, v in variable_paths.items()}
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        return self.query.atoms
+
+    def attacks(self, source: str, target: str) -> bool:
+        return (source, target) in self.edges
+
+    def attacked_variables(self, source: str) -> frozenset[str]:
+        return frozenset(self._variable_paths[source])
+
+    def attackers_of_variable(self, x: str) -> tuple[str, ...]:
+        return tuple(
+            sorted(name for name, paths in self._variable_paths.items() if x in paths)
+        )
+
+    def strong_edges(self) -> tuple[ReferenceAttackEdge, ...]:
+        return tuple(
+            e for _, e in sorted(self.edges.items()) if e.strong
+        )
+
+    def is_acyclic(self) -> bool:
+        return self.topological_order() is not None
+
+    def unattacked_atoms(self) -> tuple[Atom, ...]:
+        return tuple(self.query.atom(n) for n in sorted(self.vertices) if not self.in_degree(n))
+
+    def components(self) -> tuple[tuple[Atom, ...], ...]:
+        """Maximal weakly connected components, each sorted by relation name."""
+        return tuple(tuple(self.query.atom(n) for n in comp) for comp in super().components())
+
+
+@dataclass(frozen=True)
+class ReferenceAttackEdge:
+    source: Atom
+    target: Atom
+    strong: bool
+    witness: AttackWitness
+
+
+def reference_attack_graph(q: ConjunctiveQuery) -> ReferenceAttackGraph:
+    qg = query_graph(q)
+    fds = fdset(q)
+    edges: dict[tuple[str, str], ReferenceAttackEdge] = {}
+    variable_paths: dict[str, dict[str, tuple[str, ...]]] = {}
+    for atom in q.atoms:
+        parent = qg.reach(atom.nonkey_vars, qg.vertices - reference_keycl(atom, q, fds))
+        paths = {v: path_to(parent, v) for v in parent}
+        variable_paths[atom.name] = paths
+        for other in q.atoms:
+            if other.name == atom.name:
+                continue
+            hit = sorted(other.variables & paths.keys(), key=lambda v: (len(paths[v]), v))
+            if not hit:
+                continue
+            witness = AttackWitness(atom, hit[0], paths[hit[0]])
+            strong = not fds.determines(atom.key_vars, other.key_vars)
+            edges[(atom.name, other.name)] = ReferenceAttackEdge(atom, other, strong, witness)
+    return ReferenceAttackGraph(q, edges, variable_paths, fds, qg)
+
+
+def reference_frozen_vars(
+    q: ConjunctiveQuery, graph: ReferenceAttackGraph | None = None
+) -> FrozenVariables:
+    """A bound x is frozen when fdset over the atoms not attacking x yields {} -> x.
+
+    The proof runs over those atoms and every head variable of q: a head
+    variable that occurs in none of them is in no key and is not x, so it
+    cannot change the proof.
+    """
+    g = graph if graph is not None else reference_attack_graph(q)
+    certs: dict[str, SequentialProof] = {}
+    for x in q.bound_vars:
+        attackers = g.attackers_of_variable(x)
+        rest = [a for a in q.atoms if a.name not in attackers]
+        proof = reference_sequential_proof(rest, q.free_vars, (), x)
+        if proof is not None:
+            certs[x] = proof
+    return FrozenVariables(frozenset(certs), certs)
+
+
+def reference_keycl(
+    atom: Atom, q: ConjunctiveQuery, fds: FunctionalDependencySet
+) -> frozenset[str]:
+    """keycl(atom, q) read off fds = fdset(q), where atom i owns dependency i + 1."""
+    i = next((i for i, a in enumerate(q.atoms) if a.name == atom.name), None)
+    if i is None:
+        raise QueryError(f"atom {atom.name} is not part of {q.name}")
+    rest = fds.deps[: i + 1] + fds.deps[i + 2 :]
+    return FunctionalDependencySet(rest, fds.universe, fds.free).closure(atom.key_vars)
+
+
+def reference_sequential_proof(
+    atoms: Sequence[Atom], free: Iterable[str], base: Iterable[str], target: str
+) -> SequentialProof | None:
+    """`sequential_proof` over the given atoms with the head variables `free`."""
+    base = frozenset(base)
+    given = set(free) | base
+    known = set(given)
+    proof: list[Atom] = []
+    used: set[str] = set()
+    while target not in known:
+        for atom in atoms:
+            if atom.name not in used and atom.key_vars <= known:
+                proof.append(atom)
+                used.add(atom.name)
+                known |= atom.variables
+                break
+        else:
+            return None
+
+    def covers(prefix: list[Atom]) -> bool:
+        have = set(given)
+        for a in prefix:
+            have |= a.variables
+        return target in have
+
+    while proof and covers(proof[:-1]):
+        proof.pop()
+    return SequentialProof(tuple(proof), target, base)
+
+
+def reference_fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
+    """Edge R -> S whenever a bound non-key variable of R occurs in S."""
+    bound = set(q.bound_vars)
+    edges: set[tuple[str, str]] = set()
+    for r in q.atoms:
+        carried = r.nonkey_vars & bound
+        for s in q.atoms:
+            if s.name != r.name and carried & s.variables:
+                edges.add((r.name, s.name))
+    return FuxmanGraph(q.atoms, frozenset(edges))
+
+
+def reference_in_cforest(q: ConjunctiveQuery) -> bool:
+    fg = reference_fuxman_graph(q)
+    if not fg.is_forest():
+        return False
+    free = set(q.free_vars)
+    byname = {a.name: a for a in q.atoms}
+    return all(
+        (byname[t].key_vars - free) <= byname[s].nonkey_vars for (s, t) in fg.edges
+    )

@@ -11,8 +11,17 @@ from cqa.attacks import (
     frozen_vars,
     keycl,
 )
-from cqa.fds import fdset
-from cqa.queries import QueryError, parse_query
+from cqa.classify import _report, fuxman_graph, fuxman_graph_dot, in_cforest, in_cparsimony
+from cqa.fds import fdset, sequential_proof
+from cqa.queries import (
+    Atom,
+    ConjunctiveQuery,
+    QueryError,
+    RelationSignature,
+    Term,
+    parse_query,
+    serialize_query,
+)
 
 
 def test_keycl_four_atom_example():
@@ -186,3 +195,63 @@ def test_attack_graph_dot_two_component():
 def test_attack_graph_dot_marks_strong_edges():
     dot = attack_graph_dot(attack_graph(support.lookup_pair_query()))
     assert '  "R" -> "S" [style=bold];' in dot
+
+
+def _long_query(rng: random.Random, n: int) -> ConjunctiveQuery:
+    """A chain R0(x0 | x1), ..., or a star S0(y | x0), ... of n atoms, with
+    some atoms turned round, some shared variables, shuffled atom order and
+    a random head, so that depth, name and query order all decide something."""
+    def atom(name: str, key: str, rest: str) -> Atom:
+        if rng.random() < 0.1:
+            key, rest = rest, key
+        args = [Term.var(key), Term.var(rest)]
+        if rng.random() < 0.1:
+            args.append(Term.var(f"x{rng.randrange(n)}"))
+        return Atom(RelationSignature(name, len(args), 1), tuple(args))
+
+    if rng.random() < 0.5:
+        atoms = [atom(f"R{i}", f"x{i}", f"x{i + 1}") for i in range(n)]
+    else:
+        atoms = [atom(f"S{i}", "y", f"x{i}") for i in range(n)]
+    if rng.random() < 0.5:
+        rng.shuffle(atoms)
+    used = sorted({t.symbol for a in atoms for t in a.args})
+    free = tuple(v for v in used if rng.random() < 2 / len(used))
+    return ConjunctiveQuery(tuple(atoms), free)
+
+
+def test_analysis_equals_reference_on_random_and_long_queries():
+    # the one-closure-one-BFS analysis against the per-pair one it replaced
+    rng = random.Random(2032)
+    for i in range(2150):
+        if i < 2000:
+            q = random_query(rng, max_atoms=8, max_vars=8, const_prob=0.1)
+        else:  # 20-60 atoms, mostly near 20: the reference costs n^3 on a chain
+            q = _long_query(rng, 20 + int(40 * rng.random() ** 2))
+        g, want = attack_graph(q), support.reference_attack_graph(q)
+        where = serialize_query(q)
+        assert attack_graph_dot(g) == attack_graph_dot(want), where
+        assert fuxman_graph_dot(fuxman_graph(q)) == fuxman_graph_dot(
+            support.reference_fuxman_graph(q)), where
+        forest = support.reference_in_cforest(q)
+        assert in_cforest(q) == forest, where
+        assert in_cparsimony(q).to_json_dict() == _report(q, want, forest).to_json_dict(), where
+        assert {k: (e.strong, e.witness) for k, e in g.edges.items()} == {
+            k: (e.strong, e.witness) for k, e in want.edges.items()}, where
+        assert frozen_vars(q, g) == support.reference_frozen_vars(q, want), where
+        for atom in q.atoms:
+            assert g.attacked_variables(atom.name) == want.attacked_variables(atom.name), where
+            assert keycl(atom, q) == support.reference_keycl(atom, q, fdset(q)), where
+        for x in q.variables:
+            assert g.attackers_of_variable(x) == want.attackers_of_variable(x), where
+        if i % 4 == 0:
+            base = rng.sample(sorted(q.variables), min(len(q.variables), rng.randint(0, 2)))
+            for x in q.variables:
+                assert sequential_proof(q, base, x) == support.reference_sequential_proof(
+                    q.atoms, q.free_vars, base, x), where
+        if i % 4 == 1 or i % 50 == 2:
+            atom = rng.choice(q.atoms)
+            paths = want._variable_paths[atom.name]
+            for x in q.variables:
+                witness = attacks_variable(atom, x, q)
+                assert (witness and witness.path) == paths.get(x), where
