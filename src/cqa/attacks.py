@@ -3,10 +3,11 @@ components, and frozen variables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Collection, Mapping
 
-from .fds import FunctionalDependencySet, SequentialProof, _keycl, _sequential_proof, fdset, keycl
+from .fds import FunctionalDependencySet, SequentialProof, _sequential_proof, fdset, keycl
 from .graphs import Digraph, path_to
 from .queries import Atom, ConjunctiveQuery, QueryGraph, query_graph
 
@@ -21,12 +22,31 @@ class AttackWitness:
     path: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackEdge:
+    """`source` attacks `target`, strongly when key(source) does not
+    determine key(target).  The witness, to the target variable `_hit`, is
+    walked along the source's BFS parent links on first read, so a query
+    with n^2 attacks never builds n^3 walk steps."""
+
     source: Atom
     target: Atom
     strong: bool
-    witness: AttackWitness
+    _hit: str = field(repr=False)
+    _parent: Mapping[str, str | None] = field(repr=False)
+
+    @cached_property
+    def witness(self) -> AttackWitness:
+        return AttackWitness(self.source, self._hit, path_to(self._parent, self._hit))
+
+    def _fields(self) -> tuple:
+        return self.source, self.target, self.strong, self.witness
+
+    def __eq__(self, other):
+        return isinstance(other, AttackEdge) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def attacks_variable(atom: Atom, x: str, q: ConjunctiveQuery) -> AttackWitness | None:
@@ -39,13 +59,15 @@ def attacks_variable(atom: Atom, x: str, q: ConjunctiveQuery) -> AttackWitness |
 class AttackGraph(Digraph):
     """Digraph over the atom names of one query; `edges` maps each edge to
     its AttackEdge, which carries the witness.  It keeps the query's FD set
-    and query graph it was built from, for later analysis of the same query."""
+    and query graph it was built from, for later analysis of the same query.
+    `reached` maps each atom name to the variables it attacks (the BFS
+    parent links of `attack_graph`)."""
 
     def __init__(
         self,
         query: ConjunctiveQuery,
         edges: Mapping[tuple[str, str], AttackEdge],
-        variable_paths: Mapping[str, Mapping[str, tuple[str, ...]]],
+        reached: Mapping[str, Collection[str]],
         fds: FunctionalDependencySet,
         qg: QueryGraph,
     ):
@@ -53,7 +75,12 @@ class AttackGraph(Digraph):
         self.query = query
         self.fds = fds
         self.query_graph = qg
-        self._variable_paths = {k: dict(v) for k, v in variable_paths.items()}
+        self._reached = reached
+        attackers: dict[str, list[str]] = {}
+        for name in sorted(reached):
+            for v in reached[name]:
+                attackers.setdefault(v, []).append(name)
+        self._attackers = {v: tuple(names) for v, names in attackers.items()}
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
@@ -63,12 +90,10 @@ class AttackGraph(Digraph):
         return (source, target) in self.edges
 
     def attacked_variables(self, source: str) -> frozenset[str]:
-        return frozenset(self._variable_paths[source])
+        return frozenset(self._reached[source])
 
     def attackers_of_variable(self, x: str) -> tuple[str, ...]:
-        return tuple(
-            sorted(name for name, paths in self._variable_paths.items() if x in paths)
-        )
+        return self._attackers.get(x, ())
 
     def strong_edges(self) -> tuple[AttackEdge, ...]:
         return tuple(
@@ -87,24 +112,35 @@ class AttackGraph(Digraph):
 
 
 def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
+    """One keycl closure, one BFS and one key closure per atom.  An edge's
+    hit is the nearest variable of the target, ties broken by name."""
     qg = query_graph(q)
     fds = fdset(q)
+    holders: dict[str, list[int]] = {}  # variable -> positions of its atoms
+    for j, other in enumerate(q.atoms):
+        for v in other.variables:
+            holders.setdefault(v, []).append(j)
     edges: dict[tuple[str, str], AttackEdge] = {}
-    variable_paths: dict[str, dict[str, tuple[str, ...]]] = {}
-    for atom in q.atoms:
-        parent = qg.reach(atom.nonkey_vars, qg.vertices - _keycl(atom, q, fds))
-        paths = {v: path_to(parent, v) for v in parent}
-        variable_paths[atom.name] = paths
-        for other in q.atoms:
-            if other.name == atom.name:
-                continue
-            hit = sorted(other.variables & paths.keys(), key=lambda v: (len(paths[v]), v))
-            if not hit:
-                continue
-            witness = AttackWitness(atom, hit[0], paths[hit[0]])
-            strong = not fds.determines(atom.key_vars, other.key_vars)
-            edges[(atom.name, other.name)] = AttackEdge(atom, other, strong, witness)
-    return AttackGraph(q, edges, variable_paths, fds, qg)
+    reached: dict[str, dict[str, str | None]] = {}
+    for i, atom in enumerate(q.atoms):
+        avoid = fds.closure(atom.key_vars, fds.deps[i + 1])  # keycl: atom i owns dep i + 1
+        parent = qg.reach(atom.nonkey_vars, qg.vertices - avoid)
+        reached[atom.name] = parent
+        depth: dict[str | None, int] = {None: -1}
+        hits: dict[int, tuple[int, str]] = {}
+        for v, p in parent.items():  # discovery order: a parent comes first
+            d = depth[v] = depth[p] + 1
+            for j in holders[v]:
+                if j != i and (j not in hits or (d, v) < hits[j]):
+                    hits[j] = (d, v)
+        if not hits:
+            continue
+        determined = fds.closure(atom.key_vars)
+        for j in sorted(hits):
+            other = q.atoms[j]
+            strong = not other.key_vars <= determined
+            edges[(atom.name, other.name)] = AttackEdge(atom, other, strong, hits[j][1], parent)
+    return AttackGraph(q, edges, reached, fds, qg)
 
 
 @dataclass(frozen=True)
@@ -125,7 +161,7 @@ def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> Frozen
     g = graph if graph is not None else attack_graph(q)
     certs: dict[str, SequentialProof] = {}
     for x in q.bound_vars:
-        attackers = g.attackers_of_variable(x)
+        attackers = set(g.attackers_of_variable(x))
         rest = [a for a in q.atoms if a.name not in attackers]
         proof = _sequential_proof(rest, q.free_vars, (), x)
         if proof is not None:

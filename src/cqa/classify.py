@@ -158,8 +158,10 @@ def fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
     edges: set[tuple[str, str]] = set()
     for r in q.atoms:
         carried = r.nonkey_vars & bound
+        if not carried:
+            continue
         for s in q.atoms:
-            if s.name != r.name and carried & s.variables:
+            if s is not r and not carried.isdisjoint(s.variables):
                 edges.add((r.name, s.name))
     return FuxmanGraph(q.atoms, frozenset(edges))
 
@@ -169,9 +171,8 @@ def in_cforest(q: ConjunctiveQuery) -> bool:
     if not fg.is_forest():
         return False
     free = set(q.free_vars)
-    byname = {a.name: a for a in q.atoms}
     return all(
-        (byname[t].key_vars - free) <= byname[s].nonkey_vars for (s, t) in fg.edges
+        (q.atom(t).key_vars - free) <= q.atom(s).nonkey_vars for (s, t) in fg.edges
     )
 
 

@@ -7,6 +7,7 @@ constants in all downstream closure tests.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,14 +39,17 @@ class FunctionalDependencySet:
     def __repr__(self) -> str:
         return f"FunctionalDependencySet({', '.join(map(str, self.deps))})"
 
-    def closure(self, seed: Iterable[str]) -> frozenset[str]:
-        """Every variable determined by `seed`; always contains seed and free."""
+    def closure(
+        self, seed: Iterable[str], _skip: FunctionalDependency | None = None
+    ) -> frozenset[str]:
+        """Every variable determined by `seed`; always contains seed and free.
+        `_skip`, one of `deps`, is left out (`keycl` leaves out the atom's own)."""
         closed = set(seed)
         grew = True
         while grew:
             grew = False
             for dep in self.deps:
-                if dep.lhs <= closed and not dep.rhs <= closed:
+                if dep is not _skip and dep.lhs <= closed and not dep.rhs <= closed:
                     closed |= dep.rhs
                     grew = True
         return frozenset(closed)
@@ -67,16 +71,11 @@ def fdset(q: ConjunctiveQuery) -> FunctionalDependencySet:
 def keycl(atom: Atom, q: ConjunctiveQuery) -> frozenset[str]:
     """free(q) plus everything key(atom) determines under the dependencies
     of q other than the atom's own; free variables of q always stay in."""
-    return _keycl(atom, q, fdset(q))
-
-
-def _keycl(atom: Atom, q: ConjunctiveQuery, fds: FunctionalDependencySet) -> frozenset[str]:
-    """keycl(atom, q) read off fds = fdset(q), where atom i owns dependency i + 1."""
     i = next((i for i, a in enumerate(q.atoms) if a.name == atom.name), None)
     if i is None:
         raise QueryError(f"atom {atom.name} is not part of {q.name}")
-    rest = fds.deps[: i + 1] + fds.deps[i + 2 :]
-    return FunctionalDependencySet(rest, fds.universe, fds.free).closure(atom.key_vars)
+    fds = fdset(q)
+    return fds.closure(atom.key_vars, fds.deps[i + 1])
 
 
 @dataclass(frozen=True)
@@ -107,28 +106,35 @@ def sequential_proof(
 def _sequential_proof(
     atoms: Sequence[Atom], free: Iterable[str], base: Iterable[str], target: str
 ) -> SequentialProof | None:
-    """`sequential_proof` over the given atoms with the head variables `free`."""
+    """`sequential_proof` over the given atoms with the head variables `free`.
+
+    Each atom counts its key variables not yet known, and the atoms whose
+    count is zero wait on a heap by position, so the proof takes the first
+    usable atom each time without rescanning.  It stops at the first atom
+    that yields the target, so no shorter prefix proves it.
+    """
     base = frozenset(base)
-    given = set(free) | base
-    known = set(given)
+    known = set(free) | base
+    missing: list[int] = []
+    waiting: dict[str, list[int]] = {}
+    ready: list[int] = []  # ascending, so a heap
+    for i, atom in enumerate(atoms):
+        need = atom.key_vars - known
+        missing.append(len(need))
+        for v in need:
+            waiting.setdefault(v, []).append(i)
+        if not need:
+            ready.append(i)
     proof: list[Atom] = []
-    used: set[str] = set()
     while target not in known:
-        for atom in atoms:
-            if atom.name not in used and atom.key_vars <= known:
-                proof.append(atom)
-                used.add(atom.name)
-                known |= atom.variables
-                break
-        else:
+        if not ready:
             return None
-
-    def covers(prefix: list[Atom]) -> bool:
-        have = set(given)
-        for a in prefix:
-            have |= a.variables
-        return target in have
-
-    while proof and covers(proof[:-1]):
-        proof.pop()
+        atom = atoms[heapq.heappop(ready)]
+        proof.append(atom)
+        for v in atom.variables - known:
+            known.add(v)
+            for i in waiting.pop(v, ()):
+                missing[i] -= 1
+                if not missing[i]:
+                    heapq.heappush(ready, i)
     return SequentialProof(tuple(proof), target, base)

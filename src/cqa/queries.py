@@ -144,18 +144,19 @@ class ConjunctiveQuery:
     def bound_vars(self) -> tuple[str, ...]:
         """Non-head variables, in first-occurrence order."""
         free = set(self.free_vars)
-        out: list[str] = []
-        for atom in self.atoms:
-            for term in atom.args:
-                if term.is_var and term.symbol not in free and term.symbol not in out:
-                    out.append(term.symbol)
-        return tuple(out)
+        return tuple(dict.fromkeys(
+            t.symbol for a in self.atoms for t in a.args if t.is_var and t.symbol not in free
+        ))
+
+    @cached_property
+    def _by_name(self) -> dict[str, Atom]:
+        return {a.name: a for a in self.atoms}
 
     def atom(self, relation_name: str) -> Atom:
-        for a in self.atoms:
-            if a.name == relation_name:
-                return a
-        raise QueryError(f"no atom for relation {relation_name}")
+        a = self._by_name.get(relation_name)
+        if a is None:
+            raise QueryError(f"no atom for relation {relation_name}")
+        return a
 
     def without(self, atoms: Iterable[Atom | str]) -> "ConjunctiveQuery":
         """Drop the given atoms; free variables no longer occurring are dropped too."""

@@ -892,3 +892,27 @@ def test_count_answers_a_400_atom_query(tmp_path, capsys):
     assert out == "# parsimonious\n1\t1\n# oracle\n1\t1\n"
     assert err == ""
     assert certain_answers(q, db).tuples == support.intersection_certain(q, db) == {()}
+
+
+@pytest.mark.parametrize("body, head", [
+    ("R{i}(x{i} | x{j})", "x0"),  # a chain: every atom attacks every later one
+    ("S{i}(y | x{i})", "y"),  # a star: no attacks, one bound variable per atom
+])
+def test_count_and_classify_answer_400_atom_chain_and_star(tmp_path, capsys, body, head):
+    # the query analysis costs one closure and one BFS per atom, not one per pair
+    atoms = ", ".join(body.format(i=i, j=i + 1) for i in range(400))
+    q = parse_query(f"q({head}) :- {atoms}.")
+    facts = [Fact(a.name, ("a", "a")) for a in q.atoms]
+    save_bundle(DatabaseInstance([a.relation for a in q.atoms], facts), tmp_path / "long")
+    qpath = write_query(tmp_path, q)
+    assert main(["count", "--db", str(tmp_path / "long"), "--query", qpath, "--mode", "both"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "# parsimonious\na\t1\t1\n# oracle\na\t1\t1\n"
+    assert err == ""
+    assert main(["classify", qpath]) == 0
+    out, err = capsys.readouterr()
+    assert out == (
+        "acyclic: yes\nstrong attacks: none\nid-set: \ncparsimony: yes\ncforest: yes\n"
+        "violation: none\n"
+    )
+    assert err == ""
