@@ -4,7 +4,6 @@ components, and frozen variables."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Collection, Mapping
 
 from .fds import FunctionalDependencySet, SequentialProof, _sequential_proof, fdset, keycl
@@ -22,12 +21,12 @@ class AttackWitness:
     path: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AttackEdge:
     """`source` attacks `target`, strongly when key(source) does not
     determine key(target).  The witness, to the target variable `_hit`, is
-    walked along the source's BFS parent links on first read, so a query
-    with n^2 attacks never builds n^3 walk steps."""
+    walked along the source's BFS parent links when read, so a query with
+    n^2 attacks never builds n^3 walk steps."""
 
     source: Atom
     target: Atom
@@ -35,7 +34,7 @@ class AttackEdge:
     _hit: str = field(repr=False)
     _parent: Mapping[str, str | None] = field(repr=False)
 
-    @cached_property
+    @property
     def witness(self) -> AttackWitness:
         return AttackWitness(self.source, self._hit, path_to(self._parent, self._hit))
 
