@@ -13,7 +13,12 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from cqa.attacks import AttackGraph, AttackWitness, FrozenVariables, attack_graph, keycl
-from cqa.classify import FuxmanGraph, is_id_set
+from cqa.classify import (
+    ClassificationReport,
+    FuxmanGraph,
+    candidate_id_set,
+    is_id_set,
+)
 from cqa.evaluate import (
     AnswerSet,
     RangeAnswer,
@@ -545,6 +550,8 @@ def reference_plain_and_certain(
 # `keycl`, `sequential_proof` and `fuxman_graph` are checked against: one
 # closure per pair of atoms, one walk per reached variable, and sequential
 # proofs that rescan from the first atom after every atom they add.
+# `reference_report` and `reference_attack_graph_dot` are the report and DOT
+# helpers as they read these per-attack edge objects.
 
 class ReferenceAttackGraph(Digraph):
     """Digraph over the atom names of one query; `edges` maps each edge to
@@ -707,3 +714,29 @@ def reference_in_cforest(q: ConjunctiveQuery) -> bool:
     return all(
         (byname[t].key_vars - free) <= byname[s].nonkey_vars for (s, t) in fg.edges
     )
+
+
+def reference_report(
+    q: ConjunctiveQuery, g: ReferenceAttackGraph, cforest: bool = False
+) -> ClassificationReport:
+    """`in_cparsimony` for a caller that keeps the attack graph `g` of `q` and
+    needs only the Cparsimony fields; `in_cforest` is `cforest` as given."""
+    acyclic = g.is_acyclic()
+    strong = tuple((e.source.name, e.target.name) for e in g.strong_edges())
+    if not acyclic or strong:
+        return ClassificationReport(acyclic, strong, None, None, False, cforest)
+    candidate = tuple(sorted(candidate_id_set(q, g)))
+    ok, violation = is_id_set(q, candidate, g)
+    return ClassificationReport(
+        acyclic=acyclic,
+        strong_attacks=strong,
+        id_set=candidate if ok else None,
+        violation=violation,
+        in_cparsimony=ok,
+        in_cforest=cforest,
+    )
+
+
+def reference_attack_graph_dot(g: ReferenceAttackGraph) -> str:
+    """DOT rendering: solid edges are weak attacks, bold edges strong."""
+    return g.dot("attack_graph", {k for k, e in g.edges.items() if e.strong})

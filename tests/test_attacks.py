@@ -11,7 +11,7 @@ from cqa.attacks import (
     frozen_vars,
     keycl,
 )
-from cqa.classify import _report, fuxman_graph, fuxman_graph_dot, in_cparsimony
+from cqa.classify import fuxman_graph, fuxman_graph_dot, in_cparsimony
 from cqa.fds import FunctionalDependencySet, fdset, sequential_proof
 from cqa.queries import (
     Atom,
@@ -243,10 +243,10 @@ def test_analysis_equals_reference_on_random_and_long_queries():
             q = _long_query(rng, 20 + int(40 * rng.random() ** 2))
         g, want = attack_graph(q), support.reference_attack_graph(q)
         where = serialize_query(q)
-        assert attack_graph_dot(g) == attack_graph_dot(want), where
+        assert attack_graph_dot(g) == support.reference_attack_graph_dot(want), where
         assert fuxman_graph_dot(fuxman_graph(q)) == fuxman_graph_dot(
             support.reference_fuxman_graph(q)), where
-        report = _report(q, want, support.reference_in_cforest(q))
+        report = support.reference_report(q, want, support.reference_in_cforest(q))
         assert in_cparsimony(q).to_json_dict() == report.to_json_dict(), where  # with cforest
         assert {k: (e.strong, e.witness) for k, e in g.edges.items()} == {
             k: (e.strong, e.witness) for k, e in want.edges.items()}, where
