@@ -3,8 +3,8 @@ components, and frozen variables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from .fds import FunctionalDependencySet, SequentialProof, _sequential_proof, fdset, keycl
 from .graphs import Digraph, path_to
@@ -21,33 +21,6 @@ class AttackWitness:
     path: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class AttackEdge:
-    """`source` attacks `target`, strongly when key(source) does not
-    determine key(target).  The witness, to the target variable `_hit`, is
-    walked along the source's BFS parent links when read, so a query with
-    n^2 attacks never builds n^3 walk steps."""
-
-    source: Atom
-    target: Atom
-    strong: bool
-    _hit: str = field(repr=False)
-    _parent: Mapping[str, str | None] = field(repr=False)
-
-    @property
-    def witness(self) -> AttackWitness:
-        return AttackWitness(self.source, self._hit, path_to(self._parent, self._hit))
-
-    def _fields(self) -> tuple:
-        return self.source, self.target, self.strong, self.witness
-
-    def __eq__(self, other):
-        return isinstance(other, AttackEdge) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-
 def attacks_variable(atom: Atom, x: str, q: ConjunctiveQuery) -> AttackWitness | None:
     """Shortest witness that `atom` attacks variable `x`, or None."""
     qg = query_graph(q)
@@ -56,21 +29,22 @@ def attacks_variable(atom: Atom, x: str, q: ConjunctiveQuery) -> AttackWitness |
 
 
 class AttackGraph(Digraph):
-    """Digraph over the atom names of one query; `edges` maps each edge to
-    its AttackEdge, which carries the witness.  It keeps the query's FD set
-    and query graph it was built from, for later analysis of the same query.
-    `reached` maps each atom name to the variables it attacks (the BFS
-    parent links of `attack_graph`)."""
+    """Digraph over the atom names of one query; `edges` maps each attack
+    (source, target) to True when it is strong, that is when key(source)
+    does not determine key(target).  It keeps the query's FD set and query
+    graph it was built from, for later analysis of the same query.
+    `reached` maps each atom name to the BFS parent links of `attack_graph`
+    over the variables it attacks."""
 
     def __init__(
         self,
         query: ConjunctiveQuery,
-        edges: Mapping[tuple[str, str], AttackEdge],
-        reached: Mapping[str, Collection[str]],
+        edges: Mapping[tuple[str, str], bool],
+        reached: Mapping[str, Mapping[str, str | None]],
         fds: FunctionalDependencySet,
         qg: QueryGraph,
     ):
-        super().__init__((a.name for a in query.atoms), dict(edges))
+        super().__init__((a.name for a in query.atoms), edges)
         self.query = query
         self.fds = fds
         self.query_graph = qg
@@ -81,12 +55,19 @@ class AttackGraph(Digraph):
                 attackers.setdefault(v, []).append(name)
         self._attackers = {v: tuple(names) for v, names in attackers.items()}
 
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        return self.query.atoms
-
     def attacks(self, source: str, target: str) -> bool:
         return (source, target) in self.edges
+
+    def witness(self, source: str, target: str) -> AttackWitness:
+        """The witness of the attack source -> target, walked along the BFS
+        parent links of `source`: its target variable is the nearest one,
+        ties broken by name."""
+        if not self.attacks(source, target):
+            raise KeyError(f"{source} does not attack {target}")
+        parent = self._reached[source]
+        paths = {v: path_to(parent, v) for v in self.query.atom(target).variables if v in parent}
+        hit = min(paths, key=lambda v: (len(paths[v]), v))
+        return AttackWitness(self.query.atom(source), hit, paths[hit])
 
     def attacked_variables(self, source: str) -> frozenset[str]:
         return frozenset(self._reached[source])
@@ -94,10 +75,8 @@ class AttackGraph(Digraph):
     def attackers_of_variable(self, x: str) -> tuple[str, ...]:
         return self._attackers.get(x, ())
 
-    def strong_edges(self) -> tuple[AttackEdge, ...]:
-        return tuple(
-            e for _, e in sorted(self.edges.items()) if e.strong
-        )
+    def strong_edges(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted(k for k, strong in self.edges.items() if strong))
 
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
@@ -111,34 +90,27 @@ class AttackGraph(Digraph):
 
 
 def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
-    """One keycl closure, one BFS and one key closure per atom.  An edge's
-    hit is the nearest variable of the target, ties broken by name."""
+    """One keycl closure and one BFS per atom, and one key closure per
+    attacking atom; an atom attacks every other atom holding a variable
+    its BFS reaches."""
     qg = query_graph(q)
     fds = fdset(q)
     holders: dict[str, list[int]] = {}  # variable -> positions of its atoms
     for j, other in enumerate(q.atoms):
         for v in other.variables:
             holders.setdefault(v, []).append(j)
-    edges: dict[tuple[str, str], AttackEdge] = {}
+    edges: dict[tuple[str, str], bool] = {}
     reached: dict[str, dict[str, str | None]] = {}
     for i, atom in enumerate(q.atoms):
         avoid = fds.closure(atom.key_vars, fds.deps[i + 1])  # keycl: atom i owns dep i + 1
-        parent = qg.reach(atom.nonkey_vars, qg.vertices - avoid)
-        reached[atom.name] = parent
-        depth: dict[str | None, int] = {None: -1}
-        hits: dict[int, tuple[int, str]] = {}
-        for v, p in parent.items():  # discovery order: a parent comes first
-            d = depth[v] = depth[p] + 1
-            for j in holders[v]:
-                if j != i and (j not in hits or (d, v) < hits[j]):
-                    hits[j] = (d, v)
+        parent = reached[atom.name] = qg.reach(atom.nonkey_vars, qg.vertices - avoid)
+        hits = {j for v in parent for j in holders[v] if j != i}
         if not hits:
             continue
         determined = fds.closure(atom.key_vars)
         for j in sorted(hits):
             other = q.atoms[j]
-            strong = not other.key_vars <= determined
-            edges[(atom.name, other.name)] = AttackEdge(atom, other, strong, hits[j][1], parent)
+            edges[(atom.name, other.name)] = not other.key_vars <= determined
     return AttackGraph(q, edges, reached, fds, qg)
 
 
@@ -162,6 +134,8 @@ def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> Frozen
     for x in q.bound_vars:
         attackers = set(g.attackers_of_variable(x))
         rest = [a for a in q.atoms if a.name not in attackers]
+        if all(x not in a.variables for a in rest):
+            continue  # no atom left yields x, so there is no proof
         proof = _sequential_proof(rest, q.free_vars, (), x)
         if proof is not None:
             certs[x] = proof
@@ -170,4 +144,4 @@ def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> Frozen
 
 def attack_graph_dot(g: AttackGraph) -> str:
     """DOT rendering: solid edges are weak attacks, bold edges strong."""
-    return g.dot("attack_graph", {k for k, e in g.edges.items() if e.strong})
+    return g.dot("attack_graph", set(g.strong_edges()))

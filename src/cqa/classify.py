@@ -124,7 +124,7 @@ def _report(q: ConjunctiveQuery, g: AttackGraph, cforest: bool = False) -> Class
     """`in_cparsimony` for a caller that keeps the attack graph `g` of `q` and
     needs only the Cparsimony fields; `in_cforest` is `cforest` as given."""
     acyclic = g.is_acyclic()
-    strong = tuple((e.source.name, e.target.name) for e in g.strong_edges())
+    strong = g.strong_edges()
     if not acyclic or strong:
         return ClassificationReport(acyclic, strong, None, None, False, cforest)
     candidate = tuple(sorted(candidate_id_set(q, g)))

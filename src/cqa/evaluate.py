@@ -50,9 +50,7 @@ class NotInCparsimonyError(AnalysisRefusal):
         if self.report.strong_attacks:
             src, dst = self.report.strong_attacks[0]
             return f"strong attack {src} -> {dst}"
-        if self.report.violation is not None:
-            return self.report.violation.describe()
-        return "no id-set"
+        return self.report.violation.describe()
 
 
 class AnswerSet(NamedTuple):

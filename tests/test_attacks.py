@@ -111,7 +111,7 @@ def test_attack_graph_mutual_attack_is_cyclic():
 
 def test_strong_attack_on_lookup_pair():
     g = attack_graph(support.lookup_pair_query())
-    assert [(e.source.name, e.target.name) for e in g.strong_edges()] == [("R", "S")]
+    assert g.strong_edges() == (("R", "S"),)
 
 
 def test_strong_label_matches_fd_definition():
@@ -119,9 +119,9 @@ def test_strong_label_matches_fd_definition():
     for _ in range(120):
         q = random_query(rng)
         fds = fdset(q)
-        for edge in attack_graph(q).edges.values():
-            weak = fds.determines(edge.source.key_vars, edge.target.key_vars)
-            assert edge.strong == (not weak)
+        for (src, dst), strong in attack_graph(q).edges.items():
+            weak = fds.determines(q.atom(src).key_vars, q.atom(dst).key_vars)
+            assert strong == (not weak)
 
 
 def test_every_edge_attacks_a_key_variable():
@@ -140,8 +140,16 @@ def test_witnesses_revalidate():
     rng = random.Random(29)
     for _ in range(120):
         q = random_query(rng)
-        for edge in attack_graph(q).edges.values():
-            assert support.witness_is_valid(edge.witness, q)
+        g = attack_graph(q)
+        for k in g.edges:
+            assert support.witness_is_valid(g.witness(*k), q)
+
+
+def test_witness_of_a_non_attack_is_a_key_error():
+    g = attack_graph(support.lookup_pair_query())
+    for source, target in [("S", "R"), ("R", "R")]:
+        with pytest.raises(KeyError):
+            g.witness(source, target)
 
 
 def test_frozen_simple_pair():
@@ -248,7 +256,7 @@ def test_analysis_equals_reference_on_random_and_long_queries():
             support.reference_fuxman_graph(q)), where
         report = support.reference_report(q, want, support.reference_in_cforest(q))
         assert in_cparsimony(q).to_json_dict() == report.to_json_dict(), where  # with cforest
-        assert {k: (e.strong, e.witness) for k, e in g.edges.items()} == {
+        assert {k: (g.edges[k], g.witness(*k)) for k in g.edges} == {
             k: (e.strong, e.witness) for k, e in want.edges.items()}, where
         assert frozen_vars(q, g) == support.reference_frozen_vars(q, want), where
         fds = fdset(q)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cqa
 import support
+from cqa import cli
 from cqa.cli import main
 from cqa.evaluate import certain_answers
 from cqa.instances import DatabaseInstance, Fact, build_3dm_instance, load_bundle, save_bundle
@@ -74,6 +75,13 @@ def test_classify_parse_error_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_classify_missing_term_names_its_offset(tmp_path, capsys):
+    path = tmp_path / "broken.cq"
+    path.write_text("q() :- R(x, ).")
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: expected a term but found ')' at offset 12\n"
+
+
 def test_classify_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "nope.cq")]) == 2
 
@@ -86,6 +94,23 @@ def test_count_both_modes_agree(tmp_path, capsys):
     assert out.count("A\t1\t3") == 2
     assert out.count("B\t1\t3") == 2
     assert "# parsimonious" in out and "# oracle" in out
+
+
+def test_count_both_modes_disagree_is_exit_1(tmp_path, capsys, monkeypatch):
+    # an oracle that loses group B: both tables are still printed, then the error
+    oracle = cli.cqacount_oracle
+    monkeypatch.setattr(cli, "cqacount_oracle", lambda *args: frozenset(
+        a for a in oracle(*args) if a.group != ("B",)))
+    qpath = write_query(tmp_path, support.employee_query())
+    db = employee_bundle(tmp_path)
+    assert main(["count", "--db", db, "--query", qpath, "--mode", "both"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "# parsimonious\nA\t1\t3\nB\t1\t3\n# oracle\nA\t1\t3\n"
+    assert err == "error: parsimonious and oracle results disagree\n"
+    assert main(["count", "--db", db, "--query", qpath, "--mode", "both", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["agree"] is False
+    assert err == "error: parsimonious and oracle results disagree\n"
 
 
 def test_count_json_output(tmp_path, capsys):
@@ -296,7 +321,7 @@ def test_count_oversized_csv_field_is_exit_2(tmp_path):
     proc = _run_cli("count", "--db", db, "--query", qpath, "--mode", "parsimonious")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
     assert "D.csv:5:" in proc.stderr and "field larger than field limit" in proc.stderr
 
 

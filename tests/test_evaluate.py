@@ -23,21 +23,26 @@ from cqa.evaluate import (
     range_answers_json,
     range_answers_tsv,
 )
+from cqa.errors import InputError
 from cqa.instances import (
     DEFAULT_REPAIR_CAP,
     DatabaseInstance,
     Fact,
     RepairSpaceOverflow,
+    build_3dm_instance,
     enumerate_repairs,
     repair_count,
 )
 from cqa.queries import (
     Atom,
     ConjunctiveQuery,
+    QueryError,
     RelationSignature,
+    Term,
     make_free,
     parse_query,
     serialize_query,
+    substitute,
 )
 
 
@@ -131,6 +136,33 @@ def test_count_by_counts_are_positive():
 def test_count_by_requires_full_query():
     with pytest.raises(EvaluationError):
         count_by(support.employee_query(), ("z",), support.employee_db())
+
+
+def _employee_full():
+    return make_free(support.employee_query(), ("x", "y"))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: count_by(_employee_full(), ("z", "z"), support.employee_db()), EvaluationError,
+     "grouping variables ('z', 'z') must be distinct head variables"),
+    (lambda: cqacount_oracle(_employee_full(), ("w",), support.employee_db()), EvaluationError,
+     "grouping variables ('w',) must be distinct head variables"),
+    (lambda: is_pessimistic_repair(support.mkdb({"E": (3, 1), "D": (2, 1)}, {}),
+                                   support.employee_db(), support.employee_query(), ("A",)),
+     EvaluationError, "candidate is not a repair of the instance"),
+    (lambda: RelationSignature("R", 2, 3), QueryError, "relation R: key width 3 outside 0..2"),
+    (lambda: Atom(RelationSignature("R", 2, 1), (Term.var("x"),)), QueryError,
+     "atom R: 1 arguments for arity 2"),
+    (lambda: support.employee_query().atom("F"), QueryError, "no atom for relation F"),
+    (lambda: substitute(_employee_full(), ("z", "z"), ("A", "B")), QueryError,
+     "duplicate variable in ('z', 'z')"),
+    (lambda: build_3dm_instance([("a1", "b1")]), InputError,
+     "triple ('a1', 'b1') does not have three coordinates"),
+])
+def test_input_errors_name_their_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_certain_answers_employee():

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ from cqa.instances import (
     save_bundle,
     threedm_query,
 )
-from cqa.queries import RelationSignature, make_free
+from cqa.queries import RelationSignature, make_free, parse_query
 
 
 def test_blocks_of_employee_db():
@@ -143,6 +144,17 @@ def test_bundle_roundtrip_with_awkward_values(tmp_path):
     )
     save_bundle(db, tmp_path / "awkward")
     assert load_bundle(tmp_path / "awkward") == db
+
+
+def test_readme_library_example_runs_on_the_shipped_bundle(monkeypatch):
+    # the README's python block, verbatim, from the repository root
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    monkeypatch.chdir(root)
+    exec(readme.split("```python\n", 1)[1].split("```", 1)[0], {})
+    assert load_bundle("examples/employee") == support.employee_db()
+    query = (root / "examples" / "employee" / "query.cq").read_text(encoding="utf-8")
+    assert parse_query(query) == support.employee_query()
 
 
 def test_bundle_errors(tmp_path):
