@@ -73,10 +73,6 @@ def test_classify_parse_error_is_exit_2(tmp_path, capsys):
     path.write_text("q(z) :- R(x |  .")
     assert main(["classify", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_classify_missing_term_names_its_offset(tmp_path, capsys):
-    path = tmp_path / "broken.cq"
     path.write_text("q() :- R(x, ).")
     assert main(["classify", str(path)]) == 2
     assert capsys.readouterr().err == "error: expected a term but found ')' at offset 12\n"
