@@ -1,6 +1,7 @@
 """Seeded random query/instance generators driving the property suites."""
 
 import random
+import re
 
 from cqa.classify import in_cparsimony
 from cqa.attacks import attack_graph
@@ -89,3 +90,40 @@ def acyclic_corpus(seed: int, count: int, **query_kwargs):
         if attack_graph(q).is_acyclic():
             out.append(q)
     return out
+
+
+# Space, tab, CR, LF, comment, quote and punctuation, a backslash and a
+# non-ASCII letter, plus name characters so that edits also rename.
+EDIT_ALPHABET = " \t\r\n#'|,.:-()\\é" + "Rv12"
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def mutated_query_texts(seed: int, queries: int, mutants: int):
+    """The serialized text of each of `queries` random queries, followed by
+    `mutants` copies of it with 1-3 random edits: insert, delete or replace
+    one character from EDIT_ALPHABET, or replace one name by another name
+    of the same text (which makes self-joins and dangling head variables)."""
+    from cqa.queries import serialize_query
+
+    rng = random.Random(seed)
+    for _ in range(queries):
+        text = serialize_query(random_query(rng, const_prob=0.2))
+        yield text
+        for _ in range(mutants):
+            edited = text
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(edited) + 1)
+                op = rng.randrange(4)
+                if op == 0 or (op in (1, 2) and i == len(edited)):
+                    edited = edited[:i] + rng.choice(EDIT_ALPHABET) + edited[i:]
+                elif op == 1:
+                    edited = edited[:i] + edited[i + 1:]
+                elif op == 2:
+                    edited = edited[:i] + rng.choice(EDIT_ALPHABET) + edited[i + 1:]
+                else:
+                    names = list(_NAME.finditer(edited))
+                    if names:
+                        m = rng.choice(names)
+                        other = rng.choice(names).group()
+                        edited = edited[:m.start()] + other + edited[m.end():]
+            yield edited

@@ -1,13 +1,14 @@
 """Golden queries/instances from worked examples, plus independent oracles
 (naive join, two-row FD tableau, repair-intersection certainty, exhaustive
 id-set search, the Fact-sorting instance store, the repair-instance oracle,
-the shared-scan certainty check, the per-pair query analysis) that the
-fast implementations are checked against."""
+the shared-scan certainty check, the per-pair query analysis, the
+two-pass query parser) that the fast implementations are checked against."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -50,9 +51,12 @@ from cqa.queries import (
     ConjunctiveQuery,
     QueryError,
     QueryGraph,
+    QuerySyntaxError,
     RelationSignature,
+    Term,
     parse_query,
     query_graph,
+    serialize_query,
 )
 
 
@@ -740,3 +744,124 @@ def reference_report(
 def reference_attack_graph_dot(g: ReferenceAttackGraph) -> str:
     """DOT rendering: solid edges are weak attacks, bold edges strong."""
     return g.dot("attack_graph", {k for k, e in g.edges.items() if e.strong})
+
+
+# --- the text front end that the one-pass parser replaced --------------------
+# Kept verbatim (renamed) as the reference `parse_query` is checked against:
+# a tokenizer that runs to the end of the text before parsing starts, one
+# match per whitespace run, and a recursive-descent parser with peek/take.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""\s+
+      | \#[^\n]*
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | '(?P<const>[^'\n]*)'
+      | (?P<arrow>:-)
+      | (?P<punct>[(),|.])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise QuerySyntaxError(f"unexpected character {text[pos]!r} at offset {pos}")
+        if m.lastgroup == "ident":
+            tokens.append(("ident", m.group("ident"), pos))
+        elif m.lastgroup == "const":
+            tokens.append(("const", m.group("const"), pos))
+        elif m.lastgroup == "arrow":
+            tokens.append((":-", ":-", pos))
+        elif m.lastgroup == "punct":
+            tokens.append((m.group("punct"), m.group("punct"), pos))
+        pos = m.end()
+    tokens.append(("eof", "", pos))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
+
+    def take(self, kind: str) -> str:
+        tk, value, pos = self.tokens[self.i]
+        if tk != kind:
+            raise QuerySyntaxError(f"expected {kind!r} but found {value!r} at offset {pos}")
+        self.i += 1
+        return value
+
+    def parse(self) -> ConjunctiveQuery:
+        name = self.take("ident")
+        self.take("(")
+        head: list[str] = []
+        if self.peek() != ")":
+            head.append(self.take("ident"))
+            while self.peek() == ",":
+                self.take(",")
+                head.append(self.take("ident"))
+        self.take(")")
+        self.take(":-")
+        atoms: list[Atom] = []
+        if self.peek() == "ident":
+            atoms.append(self.atom())
+            while self.peek() == ",":
+                self.take(",")
+                atoms.append(self.atom())
+        self.take(".")
+        self.take("eof")
+        return ConjunctiveQuery(tuple(atoms), tuple(head), name=name)
+
+    def term(self) -> Term:
+        if self.peek() == "ident":
+            return Term.var(self.take("ident"))
+        if self.peek() == "const":
+            return Term.const(self.take("const"))
+        tk, value, pos = self.tokens[self.i]
+        raise QuerySyntaxError(f"expected a term but found {value!r} at offset {pos}")
+
+    def termlist(self) -> list[Term]:
+        out: list[Term] = []
+        if self.peek() in ("ident", "const"):
+            out.append(self.term())
+            while self.peek() == ",":
+                self.take(",")
+                out.append(self.term())
+        return out
+
+    def atom(self) -> Atom:
+        rel = self.take("ident")
+        self.take("(")
+        keys = self.termlist()
+        saw_pipe = self.peek() == "|"
+        rest: list[Term] = []
+        if saw_pipe:
+            self.take("|")
+            rest = self.termlist()
+        self.take(")")
+        args = keys + rest
+        width = len(keys) if saw_pipe else len(args)
+        return Atom(RelationSignature(rel, len(args), width), tuple(args))
+
+
+def reference_parse_query(text: str) -> ConjunctiveQuery:
+    return _ReferenceParser(_reference_tokenize(text)).parse()
+
+
+def parse_outcome(parse, text: str):
+    """What `parse(text)` yields, as plain data: the serialized query, its
+    name and head, and every atom's signature and terms; or the class and
+    message of the QueryError it raises."""
+    try:
+        q = parse(text)
+    except QueryError as exc:
+        return type(exc), str(exc)
+    atoms = tuple((a.relation, a.args) for a in q.atoms)
+    return serialize_query(q), q.name, q.free_vars, atoms

@@ -1,5 +1,8 @@
+import collections
+
 import pytest
 
+import generators
 import support
 from cqa.evaluate import evaluate
 from cqa.queries import (
@@ -208,3 +211,18 @@ def test_empty_body_query_roundtrip():
     q = ConjunctiveQuery((), ())
     assert serialize_query(q) == "q() :- ."
     assert parse_query("q() :- .") == q
+
+
+PARSE_ERROR_FAMILIES = (
+    "unexpected character", "expected '", "expected a term", "self-join", "occur in no atom",
+)
+
+
+def test_parse_equals_reference_on_random_and_mutated_texts():
+    families = collections.Counter()
+    for text in generators.mutated_query_texts(seed=13, queries=800, mutants=10):
+        expected = support.parse_outcome(support.reference_parse_query, text)
+        assert support.parse_outcome(parse_query, text) == expected, text
+        if len(expected) == 2:
+            families.update(f for f in PARSE_ERROR_FAMILIES if f in expected[1])
+    assert all(families[f] >= 50 for f in PARSE_ERROR_FAMILIES), families
