@@ -202,8 +202,9 @@ _SCHEMA_LINE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s+arity=(?P<arity>
 
 
 def _read_utf8(path: Path) -> str:
-    """File contents as text; a byte that is not UTF-8 is a BundleError naming its line."""
-    data = path.read_bytes()
+    """File contents as text, without one leading byte-order mark; a byte
+    that is not UTF-8 is a BundleError naming its line."""
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

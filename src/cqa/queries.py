@@ -11,8 +11,9 @@ The concrete text format is::
 
 The head lists the free variables.  Inside an atom, terms before ``|``
 occupy key positions and the rest occupy non-key positions; ``|`` may be
-omitted when every position is a key.  Constants are single-quoted.
-``#`` starts a comment line.
+omitted when every position is a key.  Constants are single-quoted and
+hold neither a quote nor a newline.  ``#`` outside a constant starts a
+comment that runs to the end of the line.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ class Term:
 
 @dataclass(frozen=True)
 class Atom:
+    """One atom of a query.  Its variable sets are built with it, since
+    every analysis reads them: `key_vars`, `nonkey_vars` (variables at
+    non-key positions that do not also appear in the key) and `variables`."""
+
     relation: RelationSignature
     args: tuple[Term, ...]
 
@@ -86,6 +91,11 @@ class Atom:
                 f"atom {self.relation.name}: {len(self.args)} arguments for arity "
                 f"{self.relation.arity}"
             )
+        key_vars = frozenset([t.symbol for t in self.key_args if t.kind == _VAR])
+        variables = frozenset([t.symbol for t in self.args if t.kind == _VAR])
+        self.__dict__.update(
+            key_vars=key_vars, nonkey_vars=variables - key_vars, variables=variables
+        )
 
     @property
     def name(self) -> str:
@@ -98,19 +108,6 @@ class Atom:
     @property
     def nonkey_args(self) -> tuple[Term, ...]:
         return self.args[self.relation.key_width :]
-
-    @cached_property
-    def key_vars(self) -> frozenset[str]:
-        return frozenset(t.symbol for t in self.key_args if t.is_var)
-
-    @cached_property
-    def nonkey_vars(self) -> frozenset[str]:
-        """Variables at non-key positions that do not also appear in the key."""
-        return frozenset(t.symbol for t in self.nonkey_args if t.is_var) - self.key_vars
-
-    @cached_property
-    def variables(self) -> frozenset[str]:
-        return frozenset(t.symbol for t in self.args if t.is_var)
 
 
 @dataclass(frozen=True)
@@ -252,112 +249,113 @@ def query_graph_dot(g: QueryGraph) -> str:
 
 # --- text format ---------------------------------------------------------
 
+# One match per token, the whitespace and comments before it included.
+# Every position matches: `eof` at the end of the text (listed before `bad`,
+# so trailing whitespace cannot backtrack into it) and `bad` at any other
+# character that starts no token.  A constant keeps its quotes.
 _TOKEN_RE = re.compile(
-    r"""\s+
-      | \#[^\n]*
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | '(?P<const>[^'\n]*)'
-      | (?P<arrow>:-)
-      | (?P<punct>[(),|.])
+    r"""(?:\s+|\#[^\n]*)*
+      (?: (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<const>'[^'\n]*')
+        | (?P<arrow>:-)
+        | (?P<open>\() | (?P<close>\)) | (?P<comma>,) | (?P<pipe>\|) | (?P<dot>\.)
+        | (?P<eof>\Z)
+        | (?P<bad>.)
+      )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+_TERMS = ("ident", "const")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r} at offset {pos}")
-        if m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), pos))
-        elif m.lastgroup == "const":
-            tokens.append(("const", m.group("const"), pos))
-        elif m.lastgroup == "arrow":
-            tokens.append((":-", ":-", pos))
-        elif m.lastgroup == "punct":
-            tokens.append((m.group("punct"), m.group("punct"), pos))
-        pos = m.end()
-    tokens.append(("eof", "", pos))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
-
-    def take(self, kind: str) -> str:
-        tk, value, pos = self.tokens[self.i]
-        if tk != kind:
-            raise QuerySyntaxError(f"expected {kind!r} but found {value!r} at offset {pos}")
-        self.i += 1
-        return value
-
-    def parse(self) -> ConjunctiveQuery:
-        name = self.take("ident")
-        self.take("(")
-        head: list[str] = []
-        if self.peek() != ")":
-            head.append(self.take("ident"))
-            while self.peek() == ",":
-                self.take(",")
-                head.append(self.take("ident"))
-        self.take(")")
-        self.take(":-")
-        atoms: list[Atom] = []
-        if self.peek() == "ident":
-            atoms.append(self.atom())
-            while self.peek() == ",":
-                self.take(",")
-                atoms.append(self.atom())
-        self.take(".")
-        self.take("eof")
-        return ConjunctiveQuery(tuple(atoms), tuple(head), name=name)
-
-    def term(self) -> Term:
-        if self.peek() == "ident":
-            return Term.var(self.take("ident"))
-        if self.peek() == "const":
-            return Term.const(self.take("const"))
-        tk, value, pos = self.tokens[self.i]
-        raise QuerySyntaxError(f"expected a term but found {value!r} at offset {pos}")
-
-    def termlist(self) -> list[Term]:
-        out: list[Term] = []
-        if self.peek() in ("ident", "const"):
-            out.append(self.term())
-            while self.peek() == ",":
-                self.take(",")
-                out.append(self.term())
-        return out
-
-    def atom(self) -> Atom:
-        rel = self.take("ident")
-        self.take("(")
-        keys = self.termlist()
-        saw_pipe = self.peek() == "|"
-        rest: list[Term] = []
-        if saw_pipe:
-            self.take("|")
-            rest = self.termlist()
-        self.take(")")
-        args = keys + rest
-        width = len(keys) if saw_pipe else len(args)
-        return Atom(RelationSignature(rel, len(args), width), tuple(args))
+def _expected(what: str, token: re.Match) -> QuerySyntaxError:
+    kind = token.lastgroup
+    value = token[kind][1:-1] if kind == "const" else token[kind]
+    return QuerySyntaxError(f"expected {what} but found {value!r} at offset {token.start(kind)}")
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
-    return _Parser(_tokenize(text)).parse()
+    """The query in `text`.  The whole text is tokenized first, so an
+    unexpected character anywhere wins over a syntax error before it."""
+    tokens = list(_TOKEN_RE.finditer(text))
+    kinds = [m.lastgroup for m in tokens]
+    if "bad" in kinds:
+        bad = tokens[kinds.index("bad")]
+        raise QuerySyntaxError(f"unexpected character {bad['bad']!r} at offset {bad.start('bad')}")
+    terms: dict[str, Term] = {}  # token text -> the one Term for it
+    if kinds[0] != "ident":
+        raise _expected("'ident'", tokens[0])
+    if kinds[1] != "open":
+        raise _expected("'('", tokens[1])
+    i = 2
+    head: list[str] = []
+    if kinds[i] != "close":
+        while True:
+            if kinds[i] != "ident":
+                raise _expected("'ident'", tokens[i])
+            head.append(tokens[i]["ident"])
+            i += 1
+            if kinds[i] != "comma":
+                break
+            i += 1
+    if kinds[i] != "close":
+        raise _expected("')'", tokens[i])
+    if kinds[i + 1] != "arrow":
+        raise _expected("':-'", tokens[i + 1])
+    i += 2
+    atoms: list[Atom] = []
+    if kinds[i] == "ident":
+        while True:
+            if kinds[i] != "ident":
+                raise _expected("'ident'", tokens[i])
+            if kinds[i + 1] != "open":
+                raise _expected("'('", tokens[i + 1])
+            name = tokens[i]["ident"]
+            i += 2
+            args: list[Term] = []
+            width = -1  # the key width once `|` is read
+            while True:  # the key terms, then the terms after `|`
+                if kinds[i] in _TERMS:
+                    while True:
+                        kind = kinds[i]
+                        if kind not in _TERMS:
+                            raise _expected("a term", tokens[i])
+                        symbol = tokens[i][kind]
+                        term = terms.get(symbol)
+                        if term is None:
+                            term = terms[symbol] = (
+                                Term(_VAR, symbol) if kind == "ident" else Term(_CONST, symbol[1:-1])
+                            )
+                        args.append(term)
+                        i += 1
+                        if kinds[i] != "comma":
+                            break
+                        i += 1
+                if width >= 0 or kinds[i] != "pipe":
+                    break
+                width = len(args)
+                i += 1
+            if kinds[i] != "close":
+                raise _expected("')'", tokens[i])
+            i += 1
+            sig = RelationSignature(name, len(args), len(args) if width < 0 else width)
+            atoms.append(Atom(sig, tuple(args)))
+            if kinds[i] != "comma":
+                break
+            i += 1
+    if kinds[i] != "dot":
+        raise _expected("'.'", tokens[i])
+    if kinds[i + 1] != "eof":
+        raise _expected("'eof'", tokens[i + 1])
+    return ConjunctiveQuery(tuple(atoms), tuple(head), name=tokens[0]["ident"])
 
 
-def _term_text(t: Term) -> str:
-    return t.symbol if t.is_var else f"'{t.symbol}'"
+def _term_text(atom: Atom, t: Term) -> str:
+    if t.is_var:
+        return t.symbol
+    if "'" in t.symbol or "\n" in t.symbol:
+        raise QueryError(f"atom {atom.name}: constant {t.symbol!r} holds a quote or a newline")
+    return f"'{t.symbol}'"
 
 
 def serialize_query(q: ConjunctiveQuery) -> str:
@@ -365,8 +363,8 @@ def serialize_query(q: ConjunctiveQuery) -> str:
     parts = []
     for atom in q.atoms:
         k = atom.relation.key_width
-        keys = ", ".join(_term_text(t) for t in atom.key_args)
-        rest = ", ".join(_term_text(t) for t in atom.nonkey_args)
+        keys = ", ".join([_term_text(atom, t) for t in atom.key_args])
+        rest = ", ".join([_term_text(atom, t) for t in atom.nonkey_args])
         if k == atom.relation.arity:
             inner = keys
         elif k == 0:

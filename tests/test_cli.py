@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -937,3 +938,26 @@ def test_count_and_classify_answer_400_atom_chain_and_star(tmp_path, capsys, bod
         "violation: none\n"
     )
     assert err == ""
+
+
+def _with_bom(path: Path) -> None:
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+@pytest.mark.parametrize("names", [("E.csv",), ("schema.txt", "E.csv", "D.csv", "query.cq")])
+def test_files_starting_with_a_byte_order_mark_read_as_without(tmp_path, capsys, names):
+    # a BOM kept in E.csv made the first key "\ufeffAnny": A 2 4 in place of A 1 3
+    db = tmp_path / "employee"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "examples" / "employee", db)
+    for name in names:
+        _with_bom(db / name)
+    assert main(["count", "--db", str(db), "--query", str(db / "query.cq"), "--mode", "both"]) == 0
+    assert capsys.readouterr().out == EMPLOYEE_BOTH_TSV
+
+
+def test_invalid_byte_after_a_byte_order_mark_names_its_byte_and_line(tmp_path, capsys):
+    path = tmp_path / "q.cq"
+    path.write_bytes(b"# one\n# two \xff\nq(z) :- R(z).\n")
+    _with_bom(path)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: byte 0xff is not valid UTF-8\n"

@@ -158,6 +158,14 @@ def test_substitute_agrees_with_answer_filtering():
     assert evaluate(fixed, db).tuples == filtered
 
 
+@pytest.mark.parametrize("value", ["it's", "two\nlines"])
+def test_serialize_refuses_a_constant_it_cannot_write(value):
+    q = substitute(parse_query("q(z) :- R(x | z)."), ("z",), (value,))
+    with pytest.raises(QueryError) as exc:
+        serialize_query(q)
+    assert str(exc.value) == f"atom R: constant {value!r} holds a quote or a newline"
+
+
 def test_query_graph_two_component_example():
     g = query_graph(support.two_component_query())
     assert g.vertices == {"x", "y1", "y2", "y3", "v", "w"}
