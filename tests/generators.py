@@ -6,7 +6,7 @@ import re
 from cqa.classify import in_cparsimony
 from cqa.attacks import attack_graph
 from cqa.instances import DatabaseInstance, Fact, repair_count
-from cqa.queries import Atom, ConjunctiveQuery, RelationSignature, Term
+from cqa.queries import Atom, ConjunctiveQuery, RelationSignature, Term, serialize_query
 
 DOMAIN = ("a", "b", "c", "d")
 
@@ -103,8 +103,6 @@ def mutated_query_texts(seed: int, queries: int, mutants: int):
     `mutants` copies of it with 1-3 random edits: insert, delete or replace
     one character from EDIT_ALPHABET, or replace one name by another name
     of the same text (which makes self-joins and dangling head variables)."""
-    from cqa.queries import serialize_query
-
     rng = random.Random(seed)
     for _ in range(queries):
         text = serialize_query(random_query(rng, const_prob=0.2))
@@ -112,18 +110,16 @@ def mutated_query_texts(seed: int, queries: int, mutants: int):
         for _ in range(mutants):
             edited = text
             for _ in range(rng.randint(1, 3)):
-                i = rng.randrange(len(edited) + 1)
                 op = rng.randrange(4)
-                if op == 0 or (op in (1, 2) and i == len(edited)):
+                if op == 0:
+                    i = rng.randrange(len(edited) + 1)
                     edited = edited[:i] + rng.choice(EDIT_ALPHABET) + edited[i:]
-                elif op == 1:
-                    edited = edited[:i] + edited[i + 1:]
-                elif op == 2:
-                    edited = edited[:i] + rng.choice(EDIT_ALPHABET) + edited[i + 1:]
+                elif op < 3:
+                    i = rng.randrange(len(edited))
+                    new = rng.choice(EDIT_ALPHABET) if op == 2 else ""
+                    edited = edited[:i] + new + edited[i + 1:]
                 else:
                     names = list(_NAME.finditer(edited))
-                    if names:
-                        m = rng.choice(names)
-                        other = rng.choice(names).group()
-                        edited = edited[:m.start()] + other + edited[m.end():]
+                    m, other = rng.choice(names), rng.choice(names).group()
+                    edited = edited[:m.start()] + other + edited[m.end():]
             yield edited

@@ -946,7 +946,7 @@ def _with_bom(path: Path) -> None:
 
 @pytest.mark.parametrize("names", [("E.csv",), ("schema.txt", "E.csv", "D.csv", "query.cq")])
 def test_files_starting_with_a_byte_order_mark_read_as_without(tmp_path, capsys, names):
-    # a BOM kept in E.csv made the first key "\ufeffAnny": A 2 4 in place of A 1 3
+    # a BOM kept in E.csv would make the first key "\ufeffAnny" and answer A 2 4
     db = tmp_path / "employee"
     shutil.copytree(Path(__file__).resolve().parents[1] / "examples" / "employee", db)
     for name in names:
