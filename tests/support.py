@@ -1,8 +1,8 @@
 """Golden queries/instances from worked examples, plus independent oracles
 (naive join, two-row FD tableau, repair-intersection certainty, exhaustive
-id-set search, the Fact-sorting instance store, the repair-instance oracle,
-the shared-scan certainty check, the per-pair query analysis, the
-two-pass query parser) that the fast implementations are checked against."""
+id-set search, the Fact-sorting instance store, the matcher-pass join, the
+repair-instance oracle, the shared-scan certainty check, the per-pair query
+analysis, the two-pass query parser) that the fast implementations are checked against."""
 
 from __future__ import annotations
 
@@ -10,31 +10,19 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import accumulate, combinations
+from operator import itemgetter
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from cqa.attacks import AttackGraph, AttackWitness, FrozenVariables, attack_graph, keycl
 from cqa.classify import (
     ClassificationReport,
+    CyclicAttackGraphError,
     FuxmanGraph,
     candidate_id_set,
     is_id_set,
 )
-from cqa.evaluate import (
-    AnswerSet,
-    RangeAnswer,
-    _check_schema,
-    _compile_join,
-    _counting_join,
-    _elimination_plan,
-    _group_counts,
-    _Join,
-    _join,
-    _matcher,
-    _matches,
-    _Step,
-    evaluate,
-)
+from cqa.evaluate import AnswerSet, EvaluationError, RangeAnswer, _check_schema, evaluate
 from cqa.fds import FunctionalDependencySet, SequentialProof, fdset
 from cqa.graphs import Digraph, path_to
 from cqa.instances import (
@@ -399,6 +387,182 @@ def fact_oracle(q_full: ConjunctiveQuery, group_vars, db: FactDatabaseInstance):
     )
 
 
+# --- the matcher-pass join and its step builder -------------------------------
+# Kept verbatim (renamed) so that the reference oracle and the reference
+# certainty check below share no join code with `cqa.evaluate`: per atom a
+# matcher from fact values to its variables, then `own` and `new` getters
+# over the matcher's output.
+
+def _ref_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The items of a tuple at `positions`, always as a tuple."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda t: (t[i],)
+    return itemgetter(*positions) if positions else lambda t: ()
+
+
+def _ref_atom_vars(atom: Atom) -> tuple[str, ...]:
+    """The atom's distinct variables in first-occurrence order: the layout of
+    the values its matcher returns."""
+    return tuple(dict.fromkeys(t.symbol for t in atom.args if t.is_var))
+
+
+def _ref_matcher(atom: Atom) -> Callable[[tuple[str, ...]], tuple[str, ...] | None]:
+    """Fact values -> the values of `_ref_atom_vars(atom)`, or None when the fact
+    breaks a constant or gives a repeated variable two values."""
+    first: dict[str, int] = {}
+    tests: list[tuple[int, int | None, str | None]] = []
+    for i, term in enumerate(atom.args):
+        if not term.is_var:
+            tests.append((i, None, term.symbol))
+        elif term.symbol in first:
+            tests.append((i, first[term.symbol], None))
+        else:
+            first[term.symbol] = i
+    pick = _ref_getter(tuple(first.values()))
+    if not tests:
+        return pick
+
+    def match(values: tuple[str, ...]) -> tuple[str, ...] | None:
+        for i, j, const in tests:
+            if values[i] != (const if j is None else values[j]):
+                return None
+        return pick(values)
+
+    return match
+
+
+class _RefStep(NamedTuple):
+    """One atom of a compiled plan.  Rows are tuples of slots: the variables
+    bound up front, then the variables each step binds first, in step order."""
+
+    atom: Atom
+    probe: Callable[[tuple], tuple]  # row -> the atom's variables bound earlier
+    own: Callable[[tuple], tuple]  # match -> the same variables
+    new: Callable[[tuple], tuple]  # match -> the variables first bound here
+    # certainty steps only: row -> what this step and later ones read
+    reads: Callable[[tuple], tuple] | None = None
+    # certainty steps whose key is fixed by constants and earlier bindings: row -> key
+    key: Callable[[tuple], tuple] | None = None
+
+
+def _ref_key_getter(atom: Atom, slots: Mapping[str, int]) -> Callable[[tuple], tuple] | None:
+    """Row -> the atom's key values, when every key position holds a constant
+    or a variable in `slots` (always, for key width 0); otherwise None."""
+    args = atom.key_args
+    if any(t.is_var and t.symbol not in slots for t in args):
+        return None
+    if all(t.is_var for t in args):
+        return _ref_getter([slots[t.symbol] for t in args])
+    parts = [(slots[t.symbol], None) if t.is_var else (None, t.symbol) for t in args]
+    return lambda row: tuple(const if i is None else row[i] for i, const in parts)
+
+
+def _ref_compile_steps(
+    order: Sequence[Atom], slots: dict[str, int], certainty: bool = False
+) -> tuple[_RefStep, ...]:
+    """One step per atom of `order`; `slots` maps the variables bound up front
+    to their slots, and each step appends the variables it binds first.
+    Steps of the certainty check also get `reads` and `key`."""
+    later = list(accumulate((a.variables for a in reversed(order)), frozenset.union))
+    steps = []
+    for atom, read in zip(order, reversed(later)):
+        names = _ref_atom_vars(atom)
+        bound = [i for i, v in enumerate(names) if v in slots]
+        fresh = [i for i, v in enumerate(names) if v not in slots]
+        probe = _ref_getter([slots[names[i]] for i in bound])
+        checks = ()
+        if certainty:
+            reads = _ref_getter(sorted(slots[v] for v in read if v in slots))
+            checks = (reads, _ref_key_getter(atom, slots))
+        for i in fresh:
+            slots[names[i]] = len(slots)
+        steps.append(_RefStep(atom, probe, _ref_getter(bound), _ref_getter(fresh), *checks))
+    return tuple(steps)
+
+
+class _RefJoin(NamedTuple):
+    steps: tuple[_RefStep, ...]
+    head: Callable[[tuple], tuple]  # row -> answer tuple
+
+
+def _ref_compile_join(atoms: Sequence[Atom], head: Sequence[str]) -> _RefJoin:
+    """A join order chosen once per query: atoms whose key is bound first,
+    then the atom with the most bound variables, ties in query order."""
+    bound: set[str] = set()
+    order, todo = [], list(atoms)
+    while todo:
+        atom = min(todo, key=lambda a: (not a.key_vars <= bound, -len(a.variables & bound)))
+        todo.remove(atom)
+        order.append(atom)
+        bound |= atom.variables
+    slots: dict[str, int] = {}
+    return _RefJoin(_ref_compile_steps(order, slots), _ref_getter([slots[v] for v in head]))
+
+
+def _ref_matches(plan: _RefJoin, db: DatabaseInstance) -> list[Iterator[tuple[str, ...]]]:
+    """Per step, a lazy matcher pass over its relation: a join that dies
+    early never matches the relations of its later steps."""
+    return [
+        (m for m in map(_ref_matcher(step.atom), db._rows[step.atom.name]) if m is not None)
+        for step in plan.steps
+    ]
+
+
+def _ref_join(plan: _RefJoin, matches: Sequence[Iterable[tuple]]) -> set[tuple[str, ...]]:
+    """The distinct answer tuples of a compiled join.  Every step reads a
+    hash index on its bound variables, built from its entry in `matches`
+    (the matcher outputs over its relation)."""
+    rows: list[tuple] = [()]
+    for step, got in zip(plan.steps, matches):
+        index: dict[tuple, list[tuple]] = {}
+        for m in got:
+            index.setdefault(step.own(m), []).append(step.new(m))
+        rows = [row + new for row in rows for new in index.get(step.probe(row), ())]
+        if not rows:
+            break
+    return {plan.head(row) for row in rows}
+
+
+def _ref_group_counts(
+    tuples: AbstractSet[tuple[str, ...]], width: int
+) -> dict[tuple[str, ...], int]:
+    """Distinct tuples per group of their first `width` values; the tuples
+    come as a set, so counting them counts distinct remainders."""
+    counts: dict[tuple[str, ...], int] = {}
+    for t in tuples:
+        group = t[:width]
+        counts[group] = counts.get(group, 0) + 1
+    return counts
+
+
+def _ref_counting_join(q_full: ConjunctiveQuery, group_vars: tuple[str, ...]) -> _RefJoin:
+    """The join of a full query with the grouping variables leading its answers."""
+    if q_full.bound_vars:
+        raise EvaluationError(f"counting requires a full query; {q_full.bound_vars} are bound")
+    if len(set(group_vars)) != len(group_vars) or not set(group_vars) <= set(q_full.free_vars):
+        raise EvaluationError(f"grouping variables {group_vars} must be distinct head variables")
+    rest = tuple(v for v in q_full.free_vars if v not in group_vars)
+    return _ref_compile_join(q_full.atoms, group_vars + rest)
+
+
+def _ref_elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_RefStep, ...]:
+    """A topological order of `graph`, the attack graph of `q` or of the query
+    `q` widens, computed once per query.
+
+    Grounding the variables of an unattacked atom or making variables free
+    only removes attacks, so the order stays valid for the widened query and
+    after any candidate tuple and any earlier step have been bound.
+    """
+    names = graph.topological_order()
+    if names is None:
+        raise CyclicAttackGraphError(
+            "attack graph is cyclic: no first-order certainty check; use the repair oracle"
+        )
+    slots = {v: i for i, v in enumerate(q.free_vars)}
+    return _ref_compile_steps([q.atom(n) for n in names], slots, certainty=True)
+
+
 # --- the repair-instance oracle the block-pick oracle replaced ----------------
 # Kept verbatim (renamed) as the slow path `cqacount_oracle` is checked against:
 # one instance per repair of the query's relations, each joined from scratch.
@@ -428,13 +592,13 @@ def reference_oracle(
     produces it; the bounds are attained by actual repairs by construction.
     """
     group_vars = tuple(group_vars)
-    plan = _counting_join(q_full, group_vars)
+    plan = _ref_counting_join(q_full, group_vars)
     _check_schema(q_full, db)
     stats: dict[tuple[str, ...], list[int]] = {}
     repairs = 0
     for repair in enumerate_repairs(_visible(q_full, db), cap):
         repairs += 1
-        counts = _group_counts(_join(plan, _matches(plan, repair)), len(group_vars))
+        counts = _ref_group_counts(_ref_join(plan, _ref_matches(plan, repair)), len(group_vars))
         for group, count in counts.items():
             rec = stats.get(group)
             if rec is None:
@@ -462,10 +626,10 @@ class _Scan(NamedTuple):
     blocks: list[tuple[tuple[str, ...], ...]]  # the same, per block whose facts all match
 
 
-def _scan(step: _Step, db: DatabaseInstance) -> _Scan:
+def _scan(step: _RefStep, db: DatabaseInstance) -> _Scan:
     matches: list[tuple[str, ...]] = []
     blocks: list[tuple[tuple[str, ...], ...]] = []
-    match = _matcher(step.atom)
+    match = _ref_matcher(step.atom)
     for rows in db._blocks[step.atom.name].values():
         got = [m for row in rows if (m := match(row)) is not None]
         matches += got
@@ -474,11 +638,11 @@ def _scan(step: _Step, db: DatabaseInstance) -> _Scan:
     return _Scan(matches, blocks)
 
 
-def _scans(plan: _Join, db: DatabaseInstance) -> dict[str, _Scan]:
+def _scans(plan: _RefJoin, db: DatabaseInstance) -> dict[str, _Scan]:
     return {step.atom.name: _scan(step, db) for step in plan.steps}
 
 
-def _block_index(step: _Step, scan: _Scan) -> dict[tuple, list[tuple[tuple, ...]]]:
+def _block_index(step: _RefStep, scan: _Scan) -> dict[tuple, list[tuple[tuple, ...]]]:
     """Probe values -> one entry per usable block: the new-variable values of its facts.
 
     A block is usable when every fact matches the atom and all facts agree
@@ -493,7 +657,7 @@ def _block_index(step: _Step, scan: _Scan) -> dict[tuple, list[tuple[tuple, ...]
 
 
 def _certain_among(
-    plan: tuple[_Step, ...],
+    plan: tuple[_RefStep, ...],
     candidates: Iterable[tuple[str, ...]],
     scans: Mapping[str, _Scan],
 ) -> frozenset[tuple[str, ...]]:
@@ -541,11 +705,11 @@ def reference_plain_and_certain(
 ) -> tuple[set[tuple[str, ...]], frozenset[tuple[str, ...]]]:
     """The plain answers of `q` and the certain ones among them, from one scan
     of each relation shared by the join and the certainty check."""
-    plan = _elimination_plan(q, graph)
+    plan = _ref_elimination_plan(q, graph)
     _check_schema(q, db)
-    join = _compile_join(q.atoms, q.free_vars)
+    join = _ref_compile_join(q.atoms, q.free_vars)
     scans = _scans(join, db)
-    plain = _join(join, [scans[step.atom.name].matches for step in join.steps])
+    plain = _ref_join(join, [scans[step.atom.name].matches for step in join.steps])
     return plain, _certain_among(plan, plain, scans)
 
 
