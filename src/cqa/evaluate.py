@@ -22,7 +22,7 @@ on each call.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -82,67 +82,59 @@ def _check_schema(q: ConjunctiveQuery, db: DatabaseInstance) -> None:
             )
 
 
-def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """The items of a tuple at `positions`, always as a tuple."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda t: (t[i],)
-    return itemgetter(*positions) if positions else lambda t: ()
+def _values(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The items of a row at `positions` as a tuple, by one C-level getter (a
+    slice for a contiguous run, so one or no position gives a tuple too)."""
+    if not positions or list(positions) == list(range(positions[0], positions[-1] + 1)):
+        return itemgetter(slice(positions[0], positions[-1] + 1) if positions else slice(0))
+    return itemgetter(*positions)
 
 
-def _atom_vars(atom: Atom) -> tuple[str, ...]:
-    """The atom's distinct variables in first-occurrence order: the layout of
-    the values its matcher returns."""
-    return tuple(dict.fromkeys(t.symbol for t in atom.args if t.is_var))
+def _lookup(positions: Sequence[int]) -> Callable[[tuple], object] | None:
+    """The hash key of a row at `positions`: the one item, a tuple of several,
+    or None (no index) for none."""
+    return itemgetter(*positions) if positions else None
 
 
-def _matcher(atom: Atom) -> Callable[[tuple[str, ...]], tuple[str, ...] | None]:
-    """Fact values -> the values of `_atom_vars(atom)`, or None when the fact
-    breaks a constant or gives a repeated variable two values."""
-    first: dict[str, int] = {}
-    tests: list[tuple[int, int | None, str | None]] = []
-    for i, term in enumerate(atom.args):
-        if not term.is_var:
-            tests.append((i, None, term.symbol))
-        elif term.symbol in first:
-            tests.append((i, first[term.symbol], None))
-        else:
-            first[term.symbol] = i
-    pick = _getter(tuple(first.values()))
-    if not tests:
-        return pick
-
-    def match(values: tuple[str, ...]) -> tuple[str, ...] | None:
-        for i, j, const in tests:
-            if values[i] != (const if j is None else values[j]):
-                return None
-        return pick(values)
-
-    return match
+def _test(atom: Atom, first: Mapping[str, int]) -> Callable[[tuple], bool] | None:
+    """Fact row -> does it hold the atom's constants and give each repeated
+    variable one value; None when the atom has neither."""
+    consts = [i for i, t in enumerate(atom.args) if not t.is_var]
+    repeats = [i for i, t in enumerate(atom.args) if t.is_var and first[t.symbol] != i]
+    if not consts and not repeats:
+        return None
+    at, want = _values(consts + repeats), tuple(atom.args[i].symbol for i in consts)
+    if not repeats:
+        return lambda row: at(row) == want
+    same = _values([first[atom.args[i].symbol] for i in repeats])
+    return lambda row: at(row) == want + same(row)
 
 
 class _Step(NamedTuple):
-    """One atom of a compiled plan.  Rows are tuples of slots: the variables
-    bound up front, then the variables each step binds first, in step order."""
+    """One atom of a compiled plan.  Bindings are tuples of slots: the
+    variables bound up front, then the variables each step binds first, in
+    step order.  Fact rows are read at each variable's first position."""
 
     atom: Atom
-    probe: Callable[[tuple], tuple]  # row -> the atom's variables bound earlier
-    own: Callable[[tuple], tuple]  # match -> the same variables
-    new: Callable[[tuple], tuple]  # match -> the variables first bound here
-    # certainty steps only: row -> what this step and later ones read
+    test: Callable[[tuple], bool] | None  # fact row -> fits constants and repeats
+    probe: Callable[[tuple], object] | None  # binding -> the atom's variables bound earlier
+    own: Callable[[tuple], object] | None  # fact row -> the same variables
+    new: Callable[[tuple], tuple]  # fact row -> the variables first bound here
+    # certainty steps only: binding -> what this step and later ones read
     reads: Callable[[tuple], tuple] | None = None
-    # certainty steps whose key is fixed by constants and earlier bindings: row -> key
+    # certainty steps whose key is fixed by constants and earlier bindings:
+    # binding -> key; `probe` and `own` then skip the variables the key fixes
     key: Callable[[tuple], tuple] | None = None
 
 
 def _key_getter(atom: Atom, slots: Mapping[str, int]) -> Callable[[tuple], tuple] | None:
-    """Row -> the atom's key values, when every key position holds a constant
-    or a variable in `slots` (always, for key width 0); otherwise None."""
+    """Binding -> the atom's key values, when every key position holds a
+    constant or a variable in `slots` (always, for key width 0); otherwise None."""
     args = atom.key_args
     if any(t.is_var and t.symbol not in slots for t in args):
         return None
     if all(t.is_var for t in args):
-        return _getter([slots[t.symbol] for t in args])
+        return _values([slots[t.symbol] for t in args])
     parts = [(slots[t.symbol], None) if t.is_var else (None, t.symbol) for t in args]
     return lambda row: tuple(const if i is None else row[i] for i, const in parts)
 
@@ -156,23 +148,29 @@ def _compile_steps(
     later = list(accumulate((a.variables for a in reversed(order)), frozenset.union))
     steps = []
     for atom, read in zip(order, reversed(later)):
-        names = _atom_vars(atom)
-        bound = [i for i, v in enumerate(names) if v in slots]
-        fresh = [i for i, v in enumerate(names) if v not in slots]
-        probe = _getter([slots[names[i]] for i in bound])
-        checks = ()
+        first: dict[str, int] = {}
+        for i, t in enumerate(atom.args):
+            if t.is_var:
+                first.setdefault(t.symbol, i)
+        reads = key = None
         if certainty:
-            reads = _getter(sorted(slots[v] for v in read if v in slots))
-            checks = (reads, _key_getter(atom, slots))
-        for i in fresh:
-            slots[names[i]] = len(slots)
-        steps.append(_Step(atom, probe, _getter(bound), _getter(fresh), *checks))
+            reads = _values(sorted(slots[v] for v in read if v in slots))
+            key = _key_getter(atom, slots)
+        width = atom.relation.key_width if key else 0
+        bound = [v for v, i in first.items() if v in slots and i >= width]
+        fresh = [v for v in first if v not in slots]
+        probe = _lookup([slots[v] for v in bound])
+        own = _lookup([first[v] for v in bound])
+        for v in fresh:
+            slots[v] = len(slots)
+        new = _values([first[v] for v in fresh])
+        steps.append(_Step(atom, _test(atom, first), probe, own, new, reads, key))
     return tuple(steps)
 
 
 class _Join(NamedTuple):
     steps: tuple[_Step, ...]
-    head: Callable[[tuple], tuple]  # row -> answer tuple
+    head: Callable[[tuple], tuple]  # binding -> answer tuple
 
 
 def _compile_join(atoms: Sequence[Atom], head: Sequence[str]) -> _Join:
@@ -186,31 +184,34 @@ def _compile_join(atoms: Sequence[Atom], head: Sequence[str]) -> _Join:
         order.append(atom)
         bound |= atom.variables
     slots: dict[str, int] = {}
-    return _Join(_compile_steps(order, slots), _getter([slots[v] for v in head]))
+    return _Join(_compile_steps(order, slots), _values([slots[v] for v in head]))
 
 
-def _matches(plan: _Join, db: DatabaseInstance) -> list[Iterator[tuple[str, ...]]]:
-    """Per step, a lazy matcher pass over its relation: a join that dies
-    early never matches the relations of its later steps."""
-    return [
-        (m for m in map(_matcher(step.atom), db._rows[step.atom.name]) if m is not None)
-        for step in plan.steps
-    ]
+def _relations(plan: _Join, db: DatabaseInstance) -> list[tuple[tuple[str, ...], ...]]:
+    return [db._rows[step.atom.name] for step in plan.steps]
 
 
-def _join(plan: _Join, matches: Sequence[Iterable[tuple]]) -> set[tuple[str, ...]]:
-    """The distinct answer tuples of a compiled join.  Every step reads a
-    hash index on its bound variables, built from its entry in `matches`
-    (the matcher outputs over its relation)."""
-    rows: list[tuple] = [()]
-    for step, got in zip(plan.steps, matches):
-        index: dict[tuple, list[tuple]] = {}
-        for m in got:
-            index.setdefault(step.own(m), []).append(step.new(m))
-        rows = [row + new for row in rows for new in index.get(step.probe(row), ())]
-        if not rows:
+def _join(plan: _Join, relations: Sequence[Iterable[tuple]]) -> set[tuple[str, ...]]:
+    """The distinct answer tuples of a compiled join over one collection of
+    fact rows per step.  A step with bound variables reads a hash index on
+    them over the rows that pass its test; a step without crosses them."""
+    bindings: list[tuple] = [()]
+    for step, rows in zip(plan.steps, relations):
+        new, probe = step.new, step.probe
+        if step.test:
+            rows = filter(step.test, rows)
+        if probe is None:
+            news = list(map(new, rows))
+            bindings = [b + n for b in bindings for n in news]
+        else:
+            index: dict[object, list[tuple]] = {}
+            own = step.own
+            for row in rows:
+                index.setdefault(own(row), []).append(new(row))
+            bindings = [b + n for b in bindings for n in index.get(probe(b), ())]
+        if not bindings:
             break
-    return {plan.head(row) for row in rows}
+    return set(map(plan.head, bindings))
 
 
 def evaluate(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
@@ -218,17 +219,17 @@ def evaluate(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     the query (every atom through a hash index on its bound variables)."""
     _check_schema(q, db)
     plan = _compile_join(q.atoms, q.free_vars)
-    return AnswerSet(q.free_vars, frozenset(_join(plan, _matches(plan, db))))
+    return AnswerSet(q.free_vars, frozenset(_join(plan, _relations(plan, db))))
 
 
 def _group_counts(tuples: AbstractSet[tuple[str, ...]], width: int) -> dict[tuple[str, ...], int]:
     """Distinct tuples per group of their first `width` values; the tuples
-    come as a set, so counting them counts distinct remainders."""
-    counts: dict[tuple[str, ...], int] = {}
-    for t in tuples:
-        group = t[:width]
+    come as a set, so counting them counts distinct remainders.  One group
+    value is counted bare, as its hash is cached, and wrapped at the end."""
+    counts: dict = {}
+    for group in map(itemgetter(0) if width == 1 else itemgetter(slice(width)), tuples):
         counts[group] = counts.get(group, 0) + 1
-    return counts
+    return {(g,): n for g, n in counts.items()} if width == 1 else counts
 
 
 def _counting_join(q_full: ConjunctiveQuery, group_vars: tuple[str, ...]) -> _Join:
@@ -248,7 +249,7 @@ def count_by(
     group_vars = tuple(group_vars)
     plan = _counting_join(q_full, group_vars)
     _check_schema(q_full, db)
-    counts = _group_counts(_join(plan, _matches(plan, db)), len(group_vars))
+    counts = _group_counts(_join(plan, _relations(plan, db)), len(group_vars))
     return frozenset(CountAnswer(group, n) for group, n in counts.items())
 
 
@@ -271,44 +272,6 @@ def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, .
     return _compile_steps([q.atom(n) for n in names], slots, certainty=True)
 
 
-def _entries(step: _Step, db: DatabaseInstance) -> Callable[[tuple], Sequence[list[tuple]]]:
-    """Binding -> one entry per usable block under it: the new-variable values
-    of the block's facts.  A block is usable when every fact matches the
-    atom and agrees with the binding on the atom's bound variables; any
-    other block fails the binding.
-
-    A step whose key is fixed reads the one block under its key.  Any other
-    step probes an index of its relation's usable blocks by their bound
-    values, built from one matcher pass over the relation on each call.
-    """
-    blocks, match = db._blocks[step.atom.name], _matcher(step.atom)
-    key, probe, own, new = step.key, step.probe, step.own, step.new
-    if key is None:
-        index: dict[tuple, list[list[tuple]]] = {}
-        for rows in blocks.values():
-            got = [m for row in rows if (m := match(row)) is not None]
-            if len(got) == len(rows):
-                probes = {own(m) for m in got}
-                if len(probes) == 1:
-                    index.setdefault(probes.pop(), []).append([new(m) for m in got])
-        return lambda slots: index.get(probe(slots), ())
-
-    def entries(slots: tuple) -> Sequence[list[tuple]]:
-        rows = blocks.get(key(slots))
-        if rows is None:
-            return ()
-        want = probe(slots)
-        got = []
-        for row in rows:
-            m = match(row)
-            if m is None or own(m) != want:
-                return ()
-            got.append(new(m))
-        return (got,)
-
-    return entries
-
-
 def _certain_among(
     plan: tuple[_Step, ...],
     candidates: Iterable[tuple[str, ...]],
@@ -316,52 +279,66 @@ def _certain_among(
 ) -> frozenset[tuple[str, ...]]:
     """The candidate head tuples that hold in every repair.
 
-    A binding is certain at step i when some usable block under it (see
-    `_entries`) has every fact certain at step i + 1; at the last step that
-    is a usable block at all.  Bindings that agree on what step i and later
-    ones read agree on that, so a forward pass keeps one binding per
-    distinct read at each step (a candidate at the first) and, per binding,
-    the reads its blocks' facts lead to; certainty is then decided from the
-    last step back over those, without recursion or a second lookup.
+    A binding is certain at step i when some usable block under it has
+    every fact certain at step i + 1; at the last step that is a usable
+    block at all.  A block is usable when every fact passes the atom's test
+    and agrees with the binding on the atom's bound variables.  A step whose
+    key is fixed reads the one block under its key; any other step indexes
+    its relation's usable blocks by their bound values on each call.
+
+    Bindings that agree on what step i and later ones read agree on that, so
+    a forward pass keeps one binding per distinct read at each step (a
+    candidate at the first) and, per usable block, the reads its facts lead
+    to; certainty is then decided from the last step back over those,
+    without recursion or a second lookup.
     """
     if not plan:
         return frozenset(candidates)
-    lookups = [_entries(step, db) for step in plan]
-    level: dict[tuple, tuple] = {c: c for c in candidates}
-    # per step but the last, per binding: (its read, the reads of each usable block's facts)
-    passes: list[list[tuple[tuple, list[list[tuple]]]]] = []
-    for lookup, after in zip(lookups, plan[1:]):
-        read = after.reads  # what the next step reads
-        reach: dict[tuple, tuple] = {}
-        found = []
+    level: dict[object, tuple] = dict(zip(candidates, candidates))
+    passes: list[tuple[dict, list[tuple[object, list]]]] = []
+    for step, after in zip(plan, (*plan[1:], None)):
+        test, probe, own, new, key = step.test, step.probe, step.own, step.new, step.key
+        blocks, read = db._blocks[step.atom.name], after and after.reads
+        if key is None:
+            index: dict[object, list[tuple]] = {}
+            for rows in blocks.values():
+                owns = {*map(own, rows)} if own else {None}
+                if len(owns) == 1 and (not test or all(map(test, rows))):
+                    index.setdefault(owns.pop(), []).append(rows)
+        found: list = []  # at the last step the usable bindings, before it
+        reach: dict[object, tuple] = {}  # (binding, reads per usable block)
         for at, slots in level.items():
-            blocks = []
-            for entry in lookup(slots):
+            if key is None:
+                usable = index.get(probe(slots) if probe else None, ())
+            else:
+                rows = blocks.get(key(slots))
+                if rows is None or test and not all(map(test, rows)) or (
+                    probe and [*map(own, rows)].count(probe(slots)) < len(rows)
+                ):
+                    continue
+                usable = (rows,)
+            if after is None:
+                if usable:
+                    found.append(at)
+                continue
+            for rows in usable:
                 reads = []
-                for values in entry:
-                    row = slots + values
+                for row in rows:
+                    row = slots + new(row)
                     r = read(row)
-                    reach.setdefault(r, row)
+                    reach[r] = row
                     reads.append(r)
-                blocks.append(reads)
-            found.append((at, blocks))
-        passes.append(found)
+                found.append((at, reads))
+        passes.append((level, found))
         level = reach
-    last = lookups[-1]
-    certain = {at: bool(last(slots)) for at, slots in level.items()}
-    for found in reversed(passes):
-        known, certain = certain, {}
-        for at, blocks in found:
-            ok = False  # plain loops: any/all generators here cost about 10% on employee
-            for reads in blocks:
-                for r in reads:
-                    if not known[r]:
-                        break
-                else:
-                    ok = True
-                    break
-            certain[at] = ok
-    return frozenset(c for c, ok in certain.items() if ok)
+    level, found = passes.pop()
+    certain = dict.fromkeys(level, False) | dict.fromkeys(found, True)
+    for level, found in reversed(passes):
+        known, certain = certain.__getitem__, dict.fromkeys(level, False)
+        for at, reads in found:
+            if all(map(known, reads)):
+                certain[at] = True
+    return frozenset(compress(certain, certain.values()))
 
 
 def _plain_and_certain(
@@ -371,7 +348,7 @@ def _plain_and_certain(
     plan = _elimination_plan(q, graph)
     _check_schema(q, db)
     join = _compile_join(q.atoms, q.free_vars)
-    plain = _join(join, _matches(join, db))
+    plain = _join(join, _relations(join, db))
     return plain, _certain_among(plan, plain, db)
 
 
@@ -403,14 +380,12 @@ def cqacount_oracle(
     group_vars = tuple(group_vars)
     plan = _counting_join(q_full, group_vars)
     _check_schema(q_full, db)
-    relations = [(_matcher(step.atom), db._blocks[step.atom.name].values()) for step in plan.steps]
-    blocks = [[tuple(map(match, rows)) for rows in by_key] for match, by_key in relations]
+    blocks = [db._blocks[step.atom.name].values() for step in plan.steps]
     stats: dict[tuple[str, ...], tuple[int, int, int]] = {}
     repairs = 0
     for picks in _picks(blocks, cap):
         repairs += 1
-        matches = [[m for m in got if m is not None] for got in picks]
-        counts = _group_counts(_join(plan, matches), len(group_vars))
+        counts = _group_counts(_join(plan, picks), len(group_vars))
         for group, count in counts.items():
             hits, low, high = stats.get(group, (0, count, count))
             stats[group] = (hits + 1, min(low, count), max(high, count))
@@ -468,7 +443,7 @@ def is_optimistic_repair(
     fixed = _fix_group(query, group)
     _check_schema(fixed, db)  # and so on `repair`, whose schema is that of `db`
     plan = _compile_join(fixed.atoms, fixed.free_vars)
-    return _join(plan, _matches(plan, db)) <= _join(plan, _matches(plan, repair))
+    return _join(plan, _relations(plan, db)) <= _join(plan, _relations(plan, repair))
 
 
 def is_pessimistic_repair(
