@@ -4,27 +4,30 @@ Two routes compute the same answers on purpose: `cqacount_parsimonious`
 counts distinct id-set tuples over the answers of the widened query and
 the certain ones among them (one join and one certainty filter, no
 repairs), while `cqacount_oracle` joins every repair of the query's
-relations, one matched fact per key block, and aggregates min/max counts
-per group.  The oracle is the ground truth the fast route is checked against.
+relations, one fact per key block, and aggregates min/max counts per
+group.  The oracle is the ground truth the fast route is checked against.
 
 Both first-order passes run steps compiled once per query by one builder
-from an atom order and the variables bound up front: per atom getters
-over rows, the tuples of variable values in binding order, fed by a
-matcher from fact values to the atom's variables.  The join binds
-key-bound atoms first, then those with the most bound variables, and
-reads a hash index per step over its relation's matches.  The certainty
-check binds the head, then follows the attack graph's topological order
-over key blocks and decides from the last step back: a step whose key
-positions hold constants and variables bound before it reads the one
-block under that key, and any other step indexes its relation's blocks
-on each call.
+from an atom order and the variables bound up front.  A step reads fact
+rows as they are stored: a test for the atom's constants and repeated
+variables (absent when it has neither), and C-level `itemgetter`s for
+the values of its bound variables (one value bare, several as a tuple, no
+index for none) and of the variables it binds first.  Bindings are tuples
+of variable values in binding order.  The join binds key-bound atoms
+first, then those with the most bound variables, and reads a hash index
+per step over the rows of its relation that pass the test.  The
+certainty check binds the head, then follows the attack graph's
+topological order over key blocks and decides from the last step back: a
+step whose key positions hold constants and variables bound before it
+reads the one block under that key, and any other step indexes its
+relation's usable blocks on each call.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, compress
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .attacks import AttackGraph, attack_graph
 from .classify import ClassificationReport, CyclicAttackGraphError, _report, in_cparsimony
@@ -82,25 +85,23 @@ def _check_schema(q: ConjunctiveQuery, db: DatabaseInstance) -> None:
             )
 
 
-def _values(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+def _values(positions: list[int]) -> Callable[[tuple], tuple]:
     """The items of a row at `positions` as a tuple, by one C-level getter (a
     slice for a contiguous run, so one or no position gives a tuple too)."""
-    if not positions or list(positions) == list(range(positions[0], positions[-1] + 1)):
+    if not positions or positions == list(range(positions[0], positions[-1] + 1)):
         return itemgetter(slice(positions[0], positions[-1] + 1) if positions else slice(0))
     return itemgetter(*positions)
 
 
-def _lookup(positions: Sequence[int]) -> Callable[[tuple], object] | None:
+def _lookup(positions: list[int]) -> Callable[[tuple], object] | None:
     """The hash key of a row at `positions`: the one item, a tuple of several,
     or None (no index) for none."""
     return itemgetter(*positions) if positions else None
 
 
-def _test(atom: Atom, first: Mapping[str, int]) -> Callable[[tuple], bool] | None:
-    """Fact row -> does it hold the atom's constants and give each repeated
-    variable one value; None when the atom has neither."""
-    consts = [i for i, t in enumerate(atom.args) if not t.is_var]
-    repeats = [i for i, t in enumerate(atom.args) if t.is_var and first[t.symbol] != i]
+def _test(atom: Atom, consts: list[int], repeats: list[int], first: Mapping[str, int]):
+    """Fact row -> does it hold the atom's constants (at `consts`) and give each
+    repeated variable (at `repeats`) one value; None when there are neither."""
     if not consts and not repeats:
         return None
     at, want = _values(consts + repeats), tuple(atom.args[i].symbol for i in consts)
@@ -148,10 +149,15 @@ def _compile_steps(
     later = list(accumulate((a.variables for a in reversed(order)), frozenset.union))
     steps = []
     for atom, read in zip(order, reversed(later)):
-        first: dict[str, int] = {}
+        first: dict[str, int] = {}  # variable -> its first position
+        consts, repeats = [], []
         for i, t in enumerate(atom.args):
-            if t.is_var:
-                first.setdefault(t.symbol, i)
+            if not t.is_var:
+                consts.append(i)
+            elif t.symbol in first:
+                repeats.append(i)
+            else:
+                first[t.symbol] = i
         reads = key = None
         if certainty:
             reads = _values(sorted(slots[v] for v in read if v in slots))
@@ -164,7 +170,7 @@ def _compile_steps(
         for v in fresh:
             slots[v] = len(slots)
         new = _values([first[v] for v in fresh])
-        steps.append(_Step(atom, _test(atom, first), probe, own, new, reads, key))
+        steps.append(_Step(atom, _test(atom, consts, repeats, first), probe, own, new, reads, key))
     return tuple(steps)
 
 
@@ -305,8 +311,9 @@ def _certain_among(
                 owns = {*map(own, rows)} if own else {None}
                 if len(owns) == 1 and (not test or all(map(test, rows))):
                     index.setdefault(owns.pop(), []).append(rows)
-        found: list = []  # at the last step the usable bindings, before it
-        reach: dict[object, tuple] = {}  # (binding, reads per usable block)
+        # per usable block, its binding and the reads of its facts; at the last step, bindings
+        found: list = []
+        reach: dict[object, tuple] = {}  # the next step's read -> a binding with it
         for at, slots in level.items():
             if key is None:
                 usable = index.get(probe(slots) if probe else None, ())
@@ -371,11 +378,11 @@ def cqacount_oracle(
 ) -> frozenset[RangeAnswer]:
     """Tight [min, max] counts per group over every repair.
 
-    Each atom's matcher runs once over the blocks of its relation; every
-    pick of one member per block of the query's relations (a repair of
-    those relations, so `cap` bounds their repairs) is joined from those
-    matches.  A group qualifies only when every repair produces it; the
-    bounds are attained by actual repairs by construction.
+    Every pick of one member per block of the query's relations (a repair
+    of those relations, so `cap` bounds their repairs) is joined as it is;
+    the join's per-row test drops picked members that do not fit the atom.
+    A group qualifies only when every repair produces it; the bounds are
+    attained by actual repairs by construction.
     """
     group_vars = tuple(group_vars)
     plan = _counting_join(q_full, group_vars)
@@ -452,11 +459,20 @@ def is_pessimistic_repair(
     query: ConjunctiveQuery,
     group: tuple[str, ...],
 ) -> bool:
-    """Does every answer on the repair hold in all repairs (for this group)?"""
+    """Does every answer on the repair hold in all repairs (for this group)?
+
+    The pinned query is joined on the repair only: a repair is part of
+    `db`, so its answers are plain answers of `db`, and the certainty check
+    decides just those.
+    """
     if not is_repair_of(repair, db):
         raise EvaluationError("candidate is not a repair of the instance")
     fixed = _fix_group(query, group)
-    return evaluate(fixed, repair).tuples <= certain_answers(fixed, db).tuples
+    _check_schema(fixed, db)  # and so on `repair`, whose schema is that of `db`
+    join = _compile_join(fixed.atoms, fixed.free_vars)
+    answers = _join(join, _relations(join, repair))
+    plan = _elimination_plan(fixed, attack_graph(fixed))
+    return len(_certain_among(plan, answers, db)) == len(answers)
 
 
 # --- result emission -----------------------------------------------------------
