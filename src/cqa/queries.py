@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import filterfalse
 from typing import Iterable
 
 from .errors import InputError
@@ -253,9 +254,11 @@ def query_graph_dot(g: QueryGraph) -> str:
 # Every position matches: `eof` at the end of the text (listed before `bad`,
 # so trailing whitespace cannot backtrack into it) and `bad` at any other
 # character that starts no token.  A constant keeps its quotes.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
 _TOKEN_RE = re.compile(
-    r"""(?:\s+|\#[^\n]*)*
-      (?: (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    rf"""(?:\s+|\#[^\n]*)*
+      (?: (?P<ident>{_IDENT})
         | (?P<const>'[^'\n]*')
         | (?P<arrow>:-)
         | (?P<open>\() | (?P<close>\)) | (?P<comma>,) | (?P<pipe>\|) | (?P<dot>\.)
@@ -359,7 +362,13 @@ def _term_text(atom: Atom, t: Term) -> str:
 
 
 def serialize_query(q: ConjunctiveQuery) -> str:
-    """Canonical form: single spaces, atoms in input order."""
+    """Canonical form: single spaces, atoms in input order.  Refuses a name
+    or a constant that the text format cannot write."""
+    for what, names in (("query name", [q.name]), ("relation", [a.name for a in q.atoms]),
+                        ("variable", q.free_vars + q.bound_vars)):
+        bad = next(filterfalse(_IDENT_RE.fullmatch, names), None)
+        if bad is not None:
+            raise QueryError(f"{what} {bad!r} is not an identifier")
     parts = []
     for atom in q.atoms:
         k = atom.relation.key_width

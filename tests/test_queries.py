@@ -166,6 +166,29 @@ def test_serialize_refuses_a_constant_it_cannot_write(value):
     assert str(exc.value) == f"atom R: constant {value!r} holds a quote or a newline"
 
 
+def _named_query(name="q", relation="R", x="x", z="z"):
+    atom = Atom(RelationSignature(relation, 2, 1), (Term.var(x), Term.var(z)))
+    return ConjunctiveQuery((atom,), (z,), name=name)
+
+
+@pytest.mark.parametrize("query, message", [
+    (_named_query(name="my q"), "query name 'my q' is not an identifier"),
+    (_named_query(name=""), "query name '' is not an identifier"),
+    (_named_query(relation="R x"), "relation 'R x' is not an identifier"),
+    (_named_query(relation="R("), "relation 'R(' is not an identifier"),
+    (_named_query(z="x y"), "variable 'x y' is not an identifier"),
+    (_named_query(x="1z"), "variable '1z' is not an identifier"),
+    (_named_query(x="é"), "variable 'é' is not an identifier"),
+])
+def test_serialize_refuses_a_name_it_cannot_write(query, message):
+    # such a name would serialize to text that parse_query rejects
+    with pytest.raises(QueryError) as exc:
+        serialize_query(query)
+    assert str(exc.value) == message
+    assert serialize_query(_named_query(name="_q1", relation="R_2", x="_", z="z9")) == (
+        "_q1(z9) :- R_2(_ | z9).")
+
+
 def test_query_graph_two_component_example():
     g = query_graph(support.two_component_query())
     assert g.vertices == {"x", "y1", "y2", "y3", "v", "w"}
