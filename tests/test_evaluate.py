@@ -133,6 +133,16 @@ def test_count_by_counts_are_positive():
         assert answer.count >= 1
 
 
+def test_group_counts_by_width():
+    # distinct tuples per group of their first `width` values, counted by hand
+    tuples = {("a", "x", "1"), ("a", "x", "2"), ("a", "y", "1"), ("b", "x", "1")}
+    group_counts = evaluate_module._group_counts
+    assert group_counts(tuples, 0) == {(): 4}
+    assert group_counts(tuples, 1) == {("a",): 3, ("b",): 1}
+    assert group_counts(tuples, 2) == {("a", "x"): 2, ("a", "y"): 1, ("b", "x"): 1}
+    assert group_counts(set(), 1) == {}
+
+
 def test_count_by_requires_full_query():
     with pytest.raises(EvaluationError):
         count_by(support.employee_query(), ("z",), support.employee_db())
@@ -486,6 +496,37 @@ def test_repair_checks_reject_non_repairs():
         is_optimistic_repair(broken, db, widened, ("g1",))
 
 
+def test_pessimistic_repair_equals_answer_inclusion_on_random_pairs():
+    # the check joins the pinned query on the repair only and decides those
+    # answers on the instance; the definition evaluates on the repair and
+    # takes the certain answers on the instance
+    rng = random.Random(2033)
+    seen = dict.fromkeys(("pessimistic", "not pessimistic", "no answer on the repair",
+                          "whole head pinned", "nothing pinned"), 0)
+    for _ in range(1500):
+        while True:
+            q = random_query(rng, max_atoms=4, max_vars=5, const_prob=0.15)
+            if q.free_vars and support.attack_graph(q).is_acyclic():
+                break
+        db = _certainty_instance(rng, q)
+        plain = sorted(evaluate(q, db).tuples)
+        width = rng.randint(0, len(q.free_vars))
+        group = rng.choice(plain)[:width] if plain and rng.random() < 0.9 else tuple(
+            rng.choice(DOMAIN) for _ in range(width))
+        repair = DatabaseInstance(db.schema.values(),
+                                  [rng.choice(block.members) for block in db.blocks()])
+        fixed = substitute(q, q.free_vars[:width], group)
+        on_repair = evaluate(fixed, repair).tuples
+        want = on_repair <= certain_answers(fixed, db).tuples
+        assert is_pessimistic_repair(repair, db, q, group) == want, (
+            serialize_query(q), group, db.facts, repair.facts)
+        seen["pessimistic" if want else "not pessimistic"] += 1
+        seen["no answer on the repair"] += not on_repair
+        seen["whole head pinned"] += width == len(q.free_vars)
+        seen["nothing pinned"] += width == 0
+    assert min(seen.values()) >= 50, seen
+
+
 def test_range_answer_emission():
     answers = [RangeAnswer(("B",), 1, 3), RangeAnswer(("A",), 1, 3)]
     assert range_answers_tsv(answers) == "A\t1\t3\nB\t1\t3"
@@ -535,15 +576,24 @@ def _join_instance(rng, q):
 
 
 def test_evaluate_equals_naive_join_on_random_pairs():
-    # the compiled join fed by one matcher pass per relation (`evaluate`,
-    # `count_by`), against the query-order join
+    # the compiled join over fact rows (`evaluate`, `count_by`), against the
+    # query-order join; a step's index key is a bare value when it binds one
+    # earlier variable, a tuple for several, and absent for none
     rng = random.Random(2027)
     seen = dict.fromkeys(
         ("key constant", "non-key constant", "repeated variable", "key width 0",
-         "empty relation", "disjoint atoms", "join dies"), 0)
+         "empty relation", "disjoint atoms", "join dies", "step binds no earlier variable",
+         "step binds one earlier variable", "step binds several earlier variables"), 0)
     for _ in range(2400):
         q = random_query(rng, max_atoms=5, max_vars=5, const_prob=0.15)
         db = _join_instance(rng, q)
+        shared, bound = set(), set()  # per step of the join order, its variables bound earlier
+        for step in evaluate_module._compile_join(q.atoms, q.free_vars).steps:
+            shared.add(min(len(step.atom.variables & bound), 2))
+            bound |= step.atom.variables
+        seen["step binds no earlier variable"] += 0 in shared
+        seen["step binds one earlier variable"] += 1 in shared
+        seen["step binds several earlier variables"] += 2 in shared
         want = support.naive_evaluate(q, db)
         assert evaluate(q, db) == want, (serialize_query(q), db.facts)
         full = make_free(q, q.bound_vars)
