@@ -93,12 +93,6 @@ def _values(positions: list[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*positions)
 
 
-def _lookup(positions: list[int]) -> Callable[[tuple], object] | None:
-    """The hash key of a row at `positions`: the one item, a tuple of several,
-    or None (no index) for none."""
-    return itemgetter(*positions) if positions else None
-
-
 def _test(atom: Atom, consts: list[int], repeats: list[int], first: Mapping[str, int]):
     """Fact row -> does it hold the atom's constants (at `consts`) and give each
     repeated variable (at `repeats`) one value; None when there are neither."""
@@ -165,8 +159,9 @@ def _compile_steps(
         width = atom.relation.key_width if key else 0
         bound = [v for v, i in first.items() if v in slots and i >= width]
         fresh = [v for v in first if v not in slots]
-        probe = _lookup([slots[v] for v in bound])
-        own = _lookup([first[v] for v in bound])
+        # hash keys: one value bare, several as a tuple, no index for none
+        probe = itemgetter(*[slots[v] for v in bound]) if bound else None
+        own = itemgetter(*[first[v] for v in bound]) if bound else None
         for v in fresh:
             slots[v] = len(slots)
         new = _values([first[v] for v in fresh])

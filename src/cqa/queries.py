@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import filterfalse
 from typing import Iterable
 
 from .errors import InputError
@@ -254,11 +253,9 @@ def query_graph_dot(g: QueryGraph) -> str:
 # Every position matches: `eof` at the end of the text (listed before `bad`,
 # so trailing whitespace cannot backtrack into it) and `bad` at any other
 # character that starts no token.  A constant keeps its quotes.
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_IDENT_RE = re.compile(_IDENT)
 _TOKEN_RE = re.compile(
-    rf"""(?:\s+|\#[^\n]*)*
-      (?: (?P<ident>{_IDENT})
+    r"""(?:\s+|\#[^\n]*)*
+      (?: (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
         | (?P<const>'[^'\n]*')
         | (?P<arrow>:-)
         | (?P<open>\() | (?P<close>\)) | (?P<comma>,) | (?P<pipe>\|) | (?P<dot>\.)
@@ -366,8 +363,9 @@ def serialize_query(q: ConjunctiveQuery) -> str:
     or a constant that the text format cannot write."""
     for what, names in (("query name", [q.name]), ("relation", [a.name for a in q.atoms]),
                         ("variable", q.free_vars + q.bound_vars)):
-        bad = next(filterfalse(_IDENT_RE.fullmatch, names), None)
-        if bad is not None:
+        # ASCII Python identifiers are exactly what `_TOKEN_RE` reads as `ident`
+        if not (all(map(str.isidentifier, names)) and "".join(names).isascii()):
+            bad = next(n for n in names if not (n.isidentifier() and n.isascii()))
             raise QueryError(f"{what} {bad!r} is not an identifier")
     parts = []
     for atom in q.atoms:
