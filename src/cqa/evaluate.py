@@ -93,7 +93,9 @@ def _values(positions: list[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*positions)
 
 
-def _test(atom: Atom, consts: list[int], repeats: list[int], first: Mapping[str, int]):
+def _test(
+    atom: Atom, consts: list[int], repeats: list[int], first: Mapping[str, int]
+) -> Callable[[tuple], bool] | None:
     """Fact row -> does it hold the atom's constants (at `consts`) and give each
     repeated variable (at `repeats`) one value; None when there are neither."""
     if not consts and not repeats:
@@ -156,7 +158,7 @@ def _compile_steps(
         if certainty:
             reads = _values(sorted(slots[v] for v in read if v in slots))
             key = _key_getter(atom, slots)
-        width = atom.relation.key_width if key else 0
+        width = 0 if key is None else atom.relation.key_width
         bound = [v for v, i in first.items() if v in slots and i >= width]
         fresh = [v for v in first if v not in slots]
         # hash keys: one value bare, several as a tuple, no index for none
