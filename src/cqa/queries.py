@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import InputError
@@ -361,12 +362,12 @@ def _term_text(atom: Atom, t: Term) -> str:
 def serialize_query(q: ConjunctiveQuery) -> str:
     """Canonical form: single spaces, atoms in input order.  Refuses a name
     or a constant that the text format cannot write."""
-    for what, names in (("query name", [q.name]), ("relation", [a.name for a in q.atoms]),
-                        ("variable", q.free_vars + q.bound_vars)):
-        # ASCII Python identifiers are exactly what `_TOKEN_RE` reads as `ident`
-        if not (all(map(str.isidentifier, names)) and "".join(names).isascii()):
-            bad = next(n for n in names if not (n.isidentifier() and n.isascii()))
-            raise QueryError(f"{what} {bad!r} is not an identifier")
+    names = [q.name, *map(attrgetter("relation.name"), q.atoms), *q.free_vars, *q.bound_vars]
+    # ASCII Python identifiers are exactly what `_TOKEN_RE` reads as `ident`
+    if not (all(map(str.isidentifier, names)) and "".join(names).isascii()):
+        i = next(i for i, n in enumerate(names) if not (n.isidentifier() and n.isascii()))
+        what = "query name" if i == 0 else "relation" if i <= len(q.atoms) else "variable"
+        raise QueryError(f"{what} {names[i]!r} is not an identifier")
     parts = []
     for atom in q.atoms:
         k = atom.relation.key_width
