@@ -6,25 +6,35 @@ analysis, the two-pass query parser) that the fast implementations are checked a
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    AbstractSet,
+    Callable,
+    Collection,
+    Container,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from cqa.attacks import AttackGraph, AttackWitness, FrozenVariables, attack_graph, keycl
 from cqa.classify import (
     ClassificationReport,
     CyclicAttackGraphError,
-    FuxmanGraph,
     candidate_id_set,
     is_id_set,
 )
 from cqa.evaluate import AnswerSet, EvaluationError, RangeAnswer, _check_schema, evaluate
 from cqa.fds import FunctionalDependencySet, SequentialProof, fdset
-from cqa.graphs import Digraph, path_to
+from cqa.graphs import path_to
 from cqa.instances import (
     DEFAULT_REPAIR_CAP,
     Block,
@@ -38,12 +48,10 @@ from cqa.queries import (
     Atom,
     ConjunctiveQuery,
     QueryError,
-    QueryGraph,
     QuerySyntaxError,
     RelationSignature,
     Term,
     parse_query,
-    query_graph,
     serialize_query,
 )
 
@@ -719,9 +727,103 @@ def reference_plain_and_certain(
 # closure per pair of atoms, one walk per reached variable, and sequential
 # proofs that rescan from the first atom after every atom they add.
 # `reference_report` and `reference_attack_graph_dot` are the report and DOT
-# helpers as they read these per-attack edge objects.
+# helpers as they read these per-attack edge objects.  Every reference graph,
+# the query graph included, stands on `ReferenceDigraph`, a frozen copy of the
+# digraph layer with sorted successor and predecessor tuples, so that a fault
+# in `cqa.graphs` shows in the gate.
 
-class ReferenceAttackGraph(Digraph):
+class ReferenceDigraph:
+    """Vertices plus a collection of (source, target) edges, kept as given;
+    an undirected graph keeps each edge once and walks it both ways."""
+
+    def __init__(self, vertices: Iterable[str], edges: Collection, directed: bool = True):
+        self.vertices = frozenset(vertices)
+        self.edges = edges
+        self.directed = directed
+        succ: dict[str, set[str]] = {v: set() for v in self.vertices}
+        pred: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for s, t in edges if directed else [*edges, *((t, s) for s, t in edges)]:
+            succ[s].add(t)
+            pred[t].add(s)
+        self._succ = {v: tuple(sorted(ns)) for v, ns in succ.items()}
+        self._pred = {v: tuple(sorted(ns)) for v, ns in pred.items()}
+
+    def successors(self, v: str) -> tuple[str, ...]:
+        return self._succ.get(v, ())
+
+    def predecessors(self, v: str) -> tuple[str, ...]:
+        return self._pred.get(v, ())
+
+    def in_degree(self, v: str) -> int:
+        return len(self.predecessors(v))
+
+    def topological_order(self) -> tuple[str, ...] | None:
+        """Kahn's algorithm, smallest ready name first; None on a cycle."""
+        waiting = {v: len(ps) for v, ps in self._pred.items()}
+        ready = sorted(v for v, n in waiting.items() if n == 0)  # a sorted list is a heap
+        order: list[str] = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for u in self._succ[v]:
+                waiting[u] -= 1
+                if waiting[u] == 0:
+                    heapq.heappush(ready, u)
+        return tuple(order) if len(order) == len(waiting) else None
+
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """Weakly connected components, each sorted, ordered by least vertex."""
+        seen: set[str] = set()
+        out: list[tuple[str, ...]] = []
+        for v in sorted(self.vertices):
+            if v in seen:
+                continue
+            comp, todo = {v}, [v]
+            while todo:
+                w = todo.pop()
+                for u in self._succ[w] + self._pred[w]:
+                    if u not in comp:
+                        comp.add(u)
+                        todo.append(u)
+            seen |= comp
+            out.append(tuple(sorted(comp)))
+        return tuple(out)
+
+    def reach(self, start: Iterable[str], allowed: Container[str]) -> dict[str, str | None]:
+        """Layered BFS from the allowed start vertices through allowed ones:
+        parent links in discovery order, None for a start vertex."""
+        parent: dict[str, str | None] = {v: None for v in sorted(start) if v in allowed}
+        queue = list(parent)
+        for v in queue:
+            for u in self._succ[v]:
+                if u in allowed and u not in parent:
+                    parent[u] = v
+                    queue.append(u)
+        return parent
+
+    def dot(self, name: str, bold: Container[tuple[str, str]] = ()) -> str:
+        """DOT text: vertices, then edges, both sorted; edges in `bold` drawn bold."""
+        kind, arrow = ("digraph", "->") if self.directed else ("graph", "--")
+        lines = [f"{kind} {name} {{", *(f'  "{v}";' for v in sorted(self.vertices))]
+        for s, t in sorted(self.edges):
+            style = " [style=bold]" if (s, t) in bold else ""
+            lines.append(f'  "{s}" {arrow} "{t}"{style};')
+        return "\n".join(lines) + "\n}\n"
+
+
+def reference_query_graph(q: ConjunctiveQuery) -> ReferenceDigraph:
+    """Undirected co-occurrence graph over the bound variables."""
+    bound = frozenset(q.bound_vars)
+    edges: set[tuple[str, str]] = set()
+    for atom in q.atoms:
+        here = sorted(atom.variables & bound)
+        for i, a in enumerate(here):
+            for b in here[i + 1 :]:
+                edges.add((a, b))
+    return ReferenceDigraph(bound, frozenset(edges), directed=False)
+
+
+class ReferenceAttackGraph(ReferenceDigraph):
     """Digraph over the atom names of one query; `edges` maps each edge to
     its AttackEdge, which carries the witness.  It keeps the query's FD set
     and query graph it was built from, for later analysis of the same query."""
@@ -732,7 +834,7 @@ class ReferenceAttackGraph(Digraph):
         edges: Mapping[tuple[str, str], ReferenceAttackEdge],
         variable_paths: Mapping[str, Mapping[str, tuple[str, ...]]],
         fds: FunctionalDependencySet,
-        qg: QueryGraph,
+        qg: ReferenceDigraph,
     ):
         super().__init__((a.name for a in query.atoms), dict(edges))
         self.query = query
@@ -780,7 +882,7 @@ class ReferenceAttackEdge:
 
 
 def reference_attack_graph(q: ConjunctiveQuery) -> ReferenceAttackGraph:
-    qg = query_graph(q)
+    qg = reference_query_graph(q)
     fds = fdset(q)
     edges: dict[tuple[str, str], ReferenceAttackEdge] = {}
     variable_paths: dict[str, dict[str, tuple[str, ...]]] = {}
@@ -861,7 +963,20 @@ def reference_sequential_proof(
     return SequentialProof(tuple(proof), target, base)
 
 
-def reference_fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
+class ReferenceFuxmanGraph(ReferenceDigraph):
+    """Digraph over the atom names of one query."""
+
+    def __init__(self, atoms: tuple[Atom, ...], edges: frozenset[tuple[str, str]]):
+        super().__init__((a.name for a in atoms), edges)
+        self.atoms = atoms
+
+    def is_forest(self) -> bool:
+        return self.topological_order() is not None and all(
+            self.in_degree(a.name) <= 1 for a in self.atoms
+        )
+
+
+def reference_fuxman_graph(q: ConjunctiveQuery) -> ReferenceFuxmanGraph:
     """Edge R -> S whenever a bound non-key variable of R occurs in S."""
     bound = set(q.bound_vars)
     edges: set[tuple[str, str]] = set()
@@ -870,7 +985,7 @@ def reference_fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
         for s in q.atoms:
             if s.name != r.name and carried & s.variables:
                 edges.add((r.name, s.name))
-    return FuxmanGraph(q.atoms, frozenset(edges))
+    return ReferenceFuxmanGraph(q.atoms, frozenset(edges))
 
 
 def reference_in_cforest(q: ConjunctiveQuery) -> bool:
