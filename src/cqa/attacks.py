@@ -33,8 +33,8 @@ class AttackGraph(Digraph):
     (source, target) to True when it is strong, that is when key(source)
     does not determine key(target).  It keeps the query's FD set and query
     graph it was built from, for later analysis of the same query.
-    `reached` maps each atom name to the BFS parent links of `attack_graph`
-    over the variables it attacks."""
+    `reached` maps each atom name, in name order, to the BFS parent links of
+    `attack_graph` over the variables it attacks."""
 
     def __init__(
         self,
@@ -49,11 +49,6 @@ class AttackGraph(Digraph):
         self.fds = fds
         self.query_graph = qg
         self._reached = reached
-        attackers: dict[str, list[str]] = {}
-        for name in sorted(reached):
-            for v in reached[name]:
-                attackers.setdefault(v, []).append(name)
-        self._attackers = {v: tuple(names) for v, names in attackers.items()}
 
     def attacks(self, source: str, target: str) -> bool:
         return (source, target) in self.edges
@@ -73,7 +68,7 @@ class AttackGraph(Digraph):
         return frozenset(self._reached[source])
 
     def attackers_of_variable(self, x: str) -> tuple[str, ...]:
-        return self._attackers.get(x, ())
+        return tuple(name for name, parent in self._reached.items() if x in parent)
 
     def strong_edges(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(k for k, strong in self.edges.items() if strong))
@@ -101,7 +96,7 @@ def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
             holders.setdefault(v, []).append(j)
     edges: dict[tuple[str, str], bool] = {}
     reached: dict[str, dict[str, str | None]] = {}
-    for i, atom in enumerate(q.atoms):
+    for i, atom in sorted(enumerate(q.atoms), key=lambda p: p[1].name):
         avoid = fds.closure(atom.key_vars, fds.deps[i + 1])  # keycl: atom i owns dep i + 1
         parent = reached[atom.name] = qg.reach(atom.nonkey_vars, qg.vertices - avoid)
         hits = {j for v in parent for j in holders[v] if j != i}
@@ -130,8 +125,11 @@ def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> Frozen
     cannot change the proof.
     """
     g = graph if graph is not None else attack_graph(q)
+    starters = [g.attacked_variables(a.name) for a in q.atoms if a.key_vars.issubset(q.free_vars)]
     certs: dict[str, SequentialProof] = {}
     for x in q.bound_vars:
+        if all(x in attacked for attacked in starters):
+            continue  # a proof starts with an atom keyed by head variables; all attack x
         attackers = set(g.attackers_of_variable(x))
         rest = [a for a in q.atoms if a.name not in attackers]
         if all(x not in a.variables for a in rest):

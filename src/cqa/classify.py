@@ -15,7 +15,7 @@ from typing import Iterable
 from .attacks import AttackGraph, attack_graph, frozen_vars
 from .errors import AnalysisRefusal
 from .graphs import Digraph, path_to
-from .queries import Atom, ConjunctiveQuery, _check_bound
+from .queries import ConjunctiveQuery, _check_bound
 
 
 class CyclicAttackGraphError(AnalysisRefusal):
@@ -142,14 +142,8 @@ def _report(q: ConjunctiveQuery, g: AttackGraph, cforest: bool = False) -> Class
 class FuxmanGraph(Digraph):
     """Digraph over the atom names of one query."""
 
-    def __init__(self, atoms: tuple[Atom, ...], edges: frozenset[tuple[str, str]]):
-        super().__init__((a.name for a in atoms), edges)
-        self.atoms = atoms
-
     def is_forest(self) -> bool:
-        return self.topological_order() is not None and all(
-            self.in_degree(a.name) <= 1 for a in self.atoms
-        )
+        return self.topological_order() is not None and all(n <= 1 for n in self._in.values())
 
 
 def fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
@@ -163,7 +157,7 @@ def fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
         for s in q.atoms:
             if s is not r and not carried.isdisjoint(s.variables):
                 edges.add((r.name, s.name))
-    return FuxmanGraph(q.atoms, frozenset(edges))
+    return FuxmanGraph((a.name for a in q.atoms), frozenset(edges))
 
 
 def in_cforest(q: ConjunctiveQuery) -> bool:

@@ -25,12 +25,13 @@ relation's usable blocks on each call.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import accumulate, compress
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .attacks import AttackGraph, attack_graph
-from .classify import ClassificationReport, CyclicAttackGraphError, _report, in_cparsimony
+from .classify import ClassificationReport, CyclicAttackGraphError, _report, in_cforest
 from .errors import AnalysisRefusal, InputError, InternalError
 from .instances import DEFAULT_REPAIR_CAP, DatabaseInstance, _picks, is_repair_of
 from .queries import Atom, ConjunctiveQuery, make_free, substitute
@@ -414,7 +415,7 @@ def cqacount_parsimonious(
     graph = attack_graph(q)
     report = _report(q, graph)
     if not report.in_cparsimony:
-        raise NotInCparsimonyError(in_cparsimony(q))
+        raise NotInCparsimonyError(replace(report, in_cforest=in_cforest(q)))
     width = len(q.free_vars)
     plain, certain = _plain_and_certain(make_free(q, report.id_set or ()), db, graph)
     upper = _group_counts(plain, width)

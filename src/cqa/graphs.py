@@ -1,6 +1,6 @@
 """One small digraph over string vertices: the traversal layer under the
-attack graph, the Fuxman graph and the query graph.  Adjacency is built
-once as sorted tuples, so every walk and every output is deterministic."""
+attack graph, the Fuxman graph and the query graph.  Sorted successor tuples
+and in-degree counts are built once, so every walk and output is deterministic."""
 
 from __future__ import annotations
 
@@ -9,33 +9,29 @@ from typing import Collection, Container, Iterable, Mapping
 
 
 class Digraph:
-    """Vertices plus a collection of (source, target) edges, kept as given;
-    an undirected graph keeps each edge once and walks it both ways."""
+    """Vertices plus distinct (source, target) edges, kept as given; an undirected
+    graph gets each edge once, walks it both ways and counts both ends' in-degree."""
 
     def __init__(self, vertices: Iterable[str], edges: Collection, directed: bool = True):
         self.vertices = frozenset(vertices)
         self.edges = edges
         self.directed = directed
-        succ: dict[str, set[str]] = {v: set() for v in self.vertices}
-        pred: dict[str, set[str]] = {v: set() for v in self.vertices}
+        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
+        self._in = dict.fromkeys(self.vertices, 0)
         for s, t in edges if directed else [*edges, *((t, s) for s, t in edges)]:
-            succ[s].add(t)
-            pred[t].add(s)
+            succ[s].append(t)
+            self._in[t] += 1
         self._succ = {v: tuple(sorted(ns)) for v, ns in succ.items()}
-        self._pred = {v: tuple(sorted(ns)) for v, ns in pred.items()}
 
     def successors(self, v: str) -> tuple[str, ...]:
         return self._succ.get(v, ())
 
-    def predecessors(self, v: str) -> tuple[str, ...]:
-        return self._pred.get(v, ())
-
     def in_degree(self, v: str) -> int:
-        return len(self.predecessors(v))
+        return self._in.get(v, 0)
 
     def topological_order(self) -> tuple[str, ...] | None:
         """Kahn's algorithm, smallest ready name first; None on a cycle."""
-        waiting = {v: len(ps) for v, ps in self._pred.items()}
+        waiting = dict(self._in)
         ready = sorted(v for v, n in waiting.items() if n == 0)  # a sorted list is a heap
         order: list[str] = []
         while ready:
@@ -48,22 +44,22 @@ class Digraph:
         return tuple(order) if len(order) == len(waiting) else None
 
     def components(self) -> tuple[tuple[str, ...], ...]:
-        """Weakly connected components, each sorted, ordered by least vertex."""
-        seen: set[str] = set()
-        out: list[tuple[str, ...]] = []
+        """Weakly connected components, each sorted, ordered by least vertex:
+        union-find over the edges, then the vertices grouped in sorted order."""
+        root = {v: v for v in self.vertices}
+
+        def find(v: str) -> str:
+            while root[v] != v:
+                root[v] = v = root[root[v]]  # path halving: v and its link move up a level
+            return v
+
+        for s, t in self.edges:
+            if root[s] != root[t]:  # most edges join two vertices already linked: no call
+                root[find(s)] = find(t)
+        groups: dict[str, list[str]] = {}
         for v in sorted(self.vertices):
-            if v in seen:
-                continue
-            comp, todo = {v}, [v]
-            while todo:
-                w = todo.pop()
-                for u in self._succ[w] + self._pred[w]:
-                    if u not in comp:
-                        comp.add(u)
-                        todo.append(u)
-            seen |= comp
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
+            groups.setdefault(find(v), []).append(v)
+        return tuple(map(tuple, groups.values()))
 
     def reach(self, start: Iterable[str], allowed: Container[str]) -> dict[str, str | None]:
         """Layered BFS from the allowed start vertices through allowed ones:

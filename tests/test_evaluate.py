@@ -7,6 +7,7 @@ import pytest
 
 import support
 from generators import DOMAIN, cparsimony_corpus, random_instance, random_query
+from cqa.attacks import attack_graph
 from cqa.classify import CyclicAttackGraphError, in_cparsimony
 from cqa.evaluate import (
     CountAnswer,
@@ -440,12 +441,20 @@ def test_parsimonious_refuses_twin_lookup():
 
 
 def test_parsimonious_route_skips_cforest_and_refuses_with_full_report(monkeypatch):
-    # a refusal carries the full classification report, Cforest included
+    # a refusal carries the full classification report, Cforest included,
+    # and builds one attack graph, as an accepted call does
+    # (`cqa.evaluate` as a dotted name is the re-exported function)
+    evaluate_module = importlib.import_module("cqa.evaluate")
+    built = []
+    for module in (evaluate_module, importlib.import_module("cqa.classify")):
+        monkeypatch.setattr(module, "attack_graph", lambda q: built.append(q) or attack_graph(q))
     for q in (support.lookup_pair_query(), support.twin_lookup_query(),
               support.mutual_attack_query()):
         db = DatabaseInstance((a.relation for a in q.atoms), [])
+        built.clear()
         with pytest.raises(NotInCparsimonyError) as err:
             cqacount_parsimonious(q, db)
+        assert len(built) == 1, serialize_query(q)
         assert err.value.report == in_cparsimony(q), serialize_query(q)
 
     # an accepted query never runs the Cforest test
@@ -453,6 +462,7 @@ def test_parsimonious_route_skips_cforest_and_refuses_with_full_report(monkeypat
         raise AssertionError("in_cforest called")
 
     monkeypatch.setattr("cqa.classify.in_cforest", no_cforest)
+    monkeypatch.setattr(evaluate_module, "in_cforest", no_cforest)
     got = cqacount_parsimonious(support.employee_query(), support.employee_db())
     assert got == {RangeAnswer(("A",), 1, 3), RangeAnswer(("B",), 1, 3)}
 

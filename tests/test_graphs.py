@@ -6,15 +6,52 @@ import random
 from cqa.graphs import Digraph, path_to
 
 
-def random_digraphs(seed: int, count: int):
+def random_digraphs(seed: int, count: int, directed: bool = True):
+    """Random graphs of up to 6 vertices; an undirected one gets each edge
+    once, in a random direction."""
     rng = random.Random(seed)
     for _ in range(count):
         vertices = [f"v{i}" for i in range(rng.randint(0, 6))]
         density = rng.random()
-        edges = frozenset(
-            (s, t) for s in vertices for t in vertices if s != t and rng.random() < density / 2
-        )
-        yield Digraph(vertices, edges), rng
+        if directed:
+            edges = frozenset(
+                (s, t) for s in vertices for t in vertices if s != t and rng.random() < density / 2
+            )
+        else:
+            edges = frozenset(
+                (s, t) if rng.random() < 0.5 else (t, s)
+                for s, t in itertools.combinations(vertices, 2)
+                if rng.random() < density
+            )
+        yield Digraph(vertices, edges, directed), rng
+
+
+def walked(g: Digraph) -> set[tuple[str, str]]:
+    """The edges as the graph walks them: both ways round when undirected."""
+    return set(g.edges) if g.directed else {*g.edges, *((t, s) for s, t in g.edges)}
+
+
+def bfs_distances(arcs, start, allowed) -> dict[str, int]:
+    """Brute-force BFS distances over `arcs` inside `allowed`."""
+    dist = {v: 0 for v in start & allowed}
+    frontier, level = set(dist), 0
+    while frontier:
+        level += 1
+        frontier = {t for s, t in arcs if s in frontier and t in allowed and t not in dist}
+        dist.update((v, level) for v in frontier)
+    return dist
+
+
+def test_successors_and_in_degree_match_the_edges():
+    for directed, seed in ((True, 109), (False, 113)):
+        for g, _ in random_digraphs(seed, 400, directed):
+            arcs = walked(g)
+            for v in sorted(g.vertices):
+                assert g.successors(v) == tuple(sorted(t for s, t in arcs if s == v))
+                assert g.in_degree(v) == sum(t == v for _, t in arcs)
+                if not directed:  # both ends of an undirected edge count
+                    assert g.in_degree(v) == sum(v in e for e in g.edges)
+            assert g.successors("absent") == () and g.in_degree("absent") == 0
 
 
 def test_topological_order_matches_brute_force():
@@ -66,3 +103,25 @@ def test_components_partition_the_vertices():
             # each component is connected when edges are read both ways
             undirected = Digraph(comp, [e for e in g.edges if e[0] in comp], directed=False)
             assert set(undirected.reach(comp[:1], set(comp))) == set(comp)
+
+
+def test_undirected_reach_and_components_walk_edges_both_ways():
+    for g, rng in random_digraphs(127, 400, directed=False):
+        arcs = walked(g)
+        allowed = {v for v in sorted(g.vertices) if rng.random() < 0.7}
+        start = {v for v in sorted(g.vertices) if rng.random() < 0.3}
+        dist = bfs_distances(arcs, start, allowed)
+        parent = g.reach(start, allowed)
+        assert set(parent) == set(dist)
+        for v in parent:
+            path = path_to(parent, v)
+            assert path[0] in start and path[-1] == v and set(path) <= allowed
+            assert len(path) == dist[v] + 1
+            assert all((s, t) in arcs for s, t in zip(path, path[1:]))
+        comps = g.components()
+        flat = [v for comp in comps for v in comp]
+        assert sorted(flat) == sorted(g.vertices) and len(flat) == len(set(flat))
+        assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+        for comp in comps:
+            assert list(comp) == sorted(comp)
+            assert set(bfs_distances(arcs, {comp[0]}, g.vertices)) == set(comp)
