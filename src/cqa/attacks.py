@@ -120,23 +120,20 @@ class FrozenVariables:
 def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> FrozenVariables:
     """A bound x is frozen when fdset over the atoms not attacking x yields {} -> x.
 
-    The proof runs over those atoms and every head variable of q: a head
-    variable that occurs in none of them is in no key and is not x, so it
-    cannot change the proof.
+    An attacked x never is: a proof over atoms other than an attacker a would
+    put x in keycl(a), which the attack of a avoids.  So the proof runs over
+    every atom of q, and only for the variables no atom attacks.
     """
     g = graph if graph is not None else attack_graph(q)
-    starters = [g.attacked_variables(a.name) for a in q.atoms if a.key_vars.issubset(q.free_vars)]
+    attacked: set[str] = set()
+    for atom in q.atoms:
+        attacked |= g.attacked_variables(atom.name)
     certs: dict[str, SequentialProof] = {}
     for x in q.bound_vars:
-        if all(x in attacked for attacked in starters):
-            continue  # a proof starts with an atom keyed by head variables; all attack x
-        attackers = set(g.attackers_of_variable(x))
-        rest = [a for a in q.atoms if a.name not in attackers]
-        if all(x not in a.variables for a in rest):
-            continue  # no atom left yields x, so there is no proof
-        proof = _sequential_proof(rest, q.free_vars, (), x)
-        if proof is not None:
-            certs[x] = proof
+        if x not in attacked:
+            proof = _sequential_proof(q.atoms, q.free_vars, (), x)
+            if proof is not None:
+                certs[x] = proof
     return FrozenVariables(frozenset(certs), certs)
 
 

@@ -50,11 +50,11 @@ class Digraph:
 
         def find(v: str) -> str:
             while root[v] != v:
-                root[v] = v = root[root[v]]  # path halving: v and its link move up a level
+                root[v] = v = root[root[v]]  # path halving: link v to its grandparent, step there
             return v
 
         for s, t in self.edges:
-            if root[s] != root[t]:  # most edges join two vertices already linked: no call
+            if root[s] != root[t]:  # one parent means one set: skip both calls
                 root[find(s)] = find(t)
         groups: dict[str, list[str]] = {}
         for v in sorted(self.vertices):
