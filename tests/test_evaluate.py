@@ -693,6 +693,29 @@ def _certainty_instance(rng, q):
     return DatabaseInstance(db.schema.values(), facts)
 
 
+def _plan_shape(q, graph):
+    """Per elimination level, from the atoms' variables and keys alone:
+    "free" when every variable bound before it that it or a later level
+    reads is one of its own, "joined" when some is not and the next atom's
+    key variables all occur in it, and "forward" otherwise; the levels
+    before the last "forward" one are "forward" too."""
+    order = [q.atom(name) for name in graph.topological_order()]
+    bound, shape = set(q.free_vars), []
+    for i, atom in enumerate(order):
+        reads = bound & set().union(*(a.variables for a in order[i:]))
+        if reads <= atom.variables:
+            shape.append("free")
+        elif i + 1 < len(order) and order[i + 1].key_vars <= atom.variables:
+            shape.append("joined")
+        else:
+            shape.append("forward")
+        bound |= atom.variables
+    if "forward" in shape:
+        last = len(shape) - shape[::-1].index("forward")
+        shape[:last] = ["forward"] * last
+    return shape
+
+
 def test_plain_and_certain_equals_reference_on_random_pairs():
     # the certainty check against the shared-scan one it replaced, on queries
     # with acyclic attack graphs as they are, widened by their id-set when in
@@ -702,7 +725,7 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
         ("bound key", "constant in a bound key", "repeated key variable", "key width 0",
          "unbound key", "no block under the key", "fact fails the atom",
          "bound non-key variable disagrees", "empty plan", "widened", "made free", "certain",
-         "not certain"), 0)
+         "not certain", "wholly bottom-up", "forward prefix", "key-joined level"), 0)
     for i in range(3000):
         while True:
             if i % 50 == 0:
@@ -731,4 +754,8 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
             seen[case] += 1
         seen["certain"] += bool(want[1])
         seen["not certain"] += bool(want[0] - want[1])
+        shape = _plan_shape(q, graph)
+        seen["wholly bottom-up"] += bool(shape) and "forward" not in shape
+        seen["forward prefix"] += "forward" in shape
+        seen["key-joined level"] += "joined" in shape
     assert min(seen.values()) >= 50, seen
