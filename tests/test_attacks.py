@@ -257,19 +257,41 @@ def _long_query(rng: random.Random, n: int) -> ConjunctiveQuery:
     return ConjunctiveQuery(tuple(atoms), free)
 
 
+def _shared_target_query(rng: random.Random) -> ConjunctiveQuery:
+    """R(x | v), S(y | w) and T(v, w | u) under shuffled relation names and
+    atom order, sometimes with P(p | x) above R, and a head that leaves v and
+    w bound: a Fuxman graph that is acyclic but gives T two parents.  (No
+    such graph meets the Cforest edge condition: the variable that R passes
+    to T lies in key(T), and so in notkey(S), or in notkey(T); either way
+    an edge leads back to R.)"""
+    r, s, t, p = rng.sample("PRSTUV", 4)
+    body = [f"{r}(x | v)", f"{s}(y | w)", f"{t}(v, w | u)"]
+    if rng.random() < 0.5:
+        body.append(f"{p}(p | x)")
+    rng.shuffle(body)
+    free = [v for v in "puxy" if rng.random() < 0.4 and (v != "p" or len(body) == 4)]
+    return parse_query(f"q({', '.join(free)}) :- {', '.join(body)}.")
+
+
 def test_analysis_equals_reference_on_random_and_long_queries():
     # the one-closure-one-BFS analysis against the per-pair one it replaced
     rng = random.Random(2032)
-    for i in range(2060):
+    shared_targets = 0  # acyclic Fuxman graphs whose largest in-degree is 2
+    for i in range(2100):
         if i < 2000:
             q = random_query(rng, max_atoms=8, max_vars=8, const_prob=0.1)
-        else:  # 20-60 atoms, mostly near 20: the reference costs n^3 on a chain
+        elif i < 2060:  # 20-60 atoms, mostly near 20: the reference costs n^3 on a chain
             q = _long_query(rng, 20 + int(40 * rng.random() ** 2))
+        else:
+            q = _shared_target_query(rng)
         g, want = attack_graph(q), support.reference_attack_graph(q)
         where = serialize_query(q)
         assert attack_graph_dot(g) == support.reference_attack_graph_dot(want), where
-        assert fuxman_graph_dot(fuxman_graph(q)) == fuxman_graph_dot(
-            support.reference_fuxman_graph(q)), where
+        fuxman, fuxman_want = fuxman_graph(q), support.reference_fuxman_graph(q)
+        assert fuxman_graph_dot(fuxman) == fuxman_graph_dot(fuxman_want), where
+        assert fuxman.is_forest() == fuxman_want.is_forest(), where
+        shared_targets += fuxman_want.topological_order() is not None and max(
+            map(fuxman_want.in_degree, fuxman_want.vertices), default=0) == 2
         report = support.reference_report(q, want, support.reference_in_cforest(q))
         assert in_cparsimony(q).to_json_dict() == report.to_json_dict(), where  # with cforest
         assert {k: (g.edges[k], g.witness(*k)) for k in g.edges} == {
@@ -292,3 +314,4 @@ def test_analysis_equals_reference_on_random_and_long_queries():
             for x in q.variables:
                 witness = attacks_variable(atom, x, q)
                 assert (witness and witness.path) == paths.get(x), where
+    assert shared_targets >= 20, shared_targets

@@ -759,3 +759,52 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
         seen["forward prefix"] += "forward" in shape
         seen["key-joined level"] += "joined" in shape
     assert min(seen.values()) >= 50, seen
+
+
+def _scaled_instance(rng, q, rows):
+    """The facts in `rows` (relation -> list of rows, one per key) plus, in
+    10-25% of the blocks of each relation, one more member that moves one
+    non-key value to "G" or another value the relation holds there."""
+    share = rng.uniform(0.1, 0.25)
+    facts = set()
+    for name, members in rows.items():
+        width = q.atom(name).relation.key_width
+        values = [sorted({row[i] for row in members} | {"G"}) for i in range(len(members[0]))]
+        facts |= {Fact(name, row) for row in members}
+        for row in members:
+            if rng.random() < share:
+                i = rng.randrange(width, len(row))
+                value = rng.choice([v for v in values[i] if v != row[i]])
+                facts.add(Fact(name, row[:i] + (value,) + row[i + 1:]))
+    return DatabaseInstance((a.relation for a in q.atoms), facts)
+
+
+def test_plain_and_certain_equals_reference_at_benchmark_scale():
+    # the gate draws a few facts per relation; here blocks number in the
+    # hundreds, each query widened to its id-set as the parsimonious route
+    # does, and the chain's plan joins two levels on the next key in a row
+    rng = random.Random(2037)
+    employees, depts = 800, 90
+    employee = {
+        "E": [(f"e{i}", "F" if rng.random() < 0.9 else "P", f"d{rng.randrange(depts + 5)}")
+              for i in range(employees)],
+        "D": [(f"d{i}", f"m{rng.randrange(depts // 3)}") for i in range(depts)],
+    }
+    lookup = {"E": [(f"k{i}", f"v{rng.randrange(100)}") for i in range(500)]}
+    chain = {
+        "A": [(f"x{i}", f"y{rng.randrange(220)}") for i in range(300)],
+        "B": [(f"y{i}", f"z{rng.randrange(160)}") for i in range(200)],
+        "C": [(f"z{i}", f"w{rng.randrange(60)}") for i in range(150)],
+    }
+    cases = [("q(z) :- E(x | 'F', y), D(y | z).", employee, ["joined", "free"]),
+             ("q(z) :- E(x | z).", lookup, ["free"]),
+             ("q(w) :- A(x | y), B(y | z), C(z | w).", chain, ["joined", "joined", "free"])]
+    for text, rows, shape in cases:
+        q = parse_query(text)
+        graph = support.attack_graph(q)
+        wide = make_free(q, in_cparsimony(q).id_set)
+        assert _plan_shape(wide, graph) == shape, text
+        db = _scaled_instance(rng, q, rows)
+        plain, certain = want = support.reference_plain_and_certain(wide, db, graph)
+        assert evaluate_module._plain_and_certain(wide, db, graph) == want, text
+        assert len(certain) > 50 and len(plain - certain) > 50, (text, len(plain), len(certain))
