@@ -716,6 +716,34 @@ def _plan_shape(q, graph):
     return shape
 
 
+def _key_joined_query(rng):
+    """A chain R1(x1 | x2), R2(x2 | x3), ... of two or three atoms ending in
+    w, with s at a non-key position of two or more atoms and both free (x1
+    too, at times): each level passes w through from the next level's entry
+    and shares s with it beside the next key."""
+    n = rng.randint(2, 3)
+    chain = [f"x{i}" for i in range(1, n + 1)] + ["w"]
+    with_s = rng.sample(range(n), rng.randint(2, n))
+    atoms = []
+    for i in range(n):
+        rest = [chain[i + 1], "s"] if i in with_s else [chain[i + 1]]
+        rng.shuffle(rest)
+        args = tuple(map(Term.var, [chain[i], *rest]))
+        atoms.append(Atom(RelationSignature(f"R{i + 1}", len(args), 1), args))
+    return ConjunctiveQuery(tuple(atoms), ("w", "s", "x1") if rng.random() < 0.3 else ("w", "s"))
+
+
+def _covering_instance(rng, q):
+    """One or two members in every block of every key over {a, b}, also over {a, b}."""
+    facts = []
+    for sig in (atom.relation for atom in q.atoms):
+        rests = list(itertools.product("ab", repeat=sig.arity - sig.key_width))
+        for key in itertools.product("ab", repeat=sig.key_width):
+            picked = rng.sample(rests, rng.randint(1, min(2, len(rests))))
+            facts += [Fact(sig.name, key + rest) for rest in picked]
+    return DatabaseInstance((a.relation for a in q.atoms), facts)
+
+
 def test_plain_and_certain_equals_reference_on_random_pairs():
     # the certainty check against the shared-scan one it replaced, on queries
     # with acyclic attack graphs as they are, widened by their id-set when in
@@ -726,10 +754,12 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
          "unbound key", "no block under the key", "fact fails the atom",
          "bound non-key variable disagrees", "empty plan", "widened", "made free", "certain",
          "not certain", "wholly bottom-up", "forward prefix", "key-joined level"), 0)
-    for i in range(3000):
+    for i in range(3500):
         while True:
             if i % 50 == 0:
                 q = ConjunctiveQuery(())
+            elif i >= 3000:
+                q = _key_joined_query(rng)
             else:
                 q = random_query(rng, max_atoms=5, max_vars=5, const_prob=0.15)
             if q.atoms and rng.random() < 0.1:  # one more atom with key width 0
@@ -746,7 +776,10 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
         elif i % 3 == 2 and q.bound_vars:
             q = make_free(q, rng.sample(q.bound_vars, rng.randint(1, len(q.bound_vars))))
             seen["made free"] += 1
-        db = _oracle_instance(rng, q, 64)[0] if i % 4 == 3 else _certainty_instance(rng, q)
+        if i >= 3000:
+            db = _covering_instance(rng, q)
+        else:
+            db = _oracle_instance(rng, q, 64)[0] if i % 4 == 3 else _certainty_instance(rng, q)
         want = support.reference_plain_and_certain(q, db, graph)
         assert evaluate_module._plain_and_certain(q, db, graph) == want, (
             serialize_query(q), db.facts)
