@@ -17,10 +17,12 @@ of variable values in binding order.  The join binds key-bound atoms
 first, then those with the most bound variables, and reads a hash index
 per step over the rows of its relation that pass the test.  The
 certainty check binds the head, then follows the attack graph's
-topological order over key blocks and decides from the last step back: a
-step whose key positions hold constants and variables bound before it
-reads the one block under that key, and any other step indexes its
-relation's usable blocks on each call.
+topological order over key blocks.  It decides a suffix of that order
+bottom-up, one set per step from one walk over its relation's blocks.  A
+step is in it when it holds every variable bound before it that it or a
+later step reads, or when its atom fixes the next step's key, whose entry
+brings the variables it lacks.  A forward pass per candidate covers the
+steps before and ends in a membership test.
 """
 
 from __future__ import annotations
@@ -123,6 +125,13 @@ class _Step(NamedTuple):
     # certainty steps whose key is fixed by constants and earlier bindings:
     # binding -> key; `probe` and `own` then skip the variables the key fixes
     key: Callable[[tuple], tuple] | None = None
+    # certainty steps decided bottom-up (see `_certain_among`): fact row,
+    # plus the next step's entry at a key-joined step -> what `reads` gives;
+    # fact row -> the next step's read, or what the fact shares with the
+    # next step's entry, which `keyof` reads off the entry
+    mine: Callable[[tuple], tuple] | None = None
+    ahead: Callable[[tuple], tuple] | None = None
+    keyof: Callable[[tuple], tuple] | None = None
 
 
 def _key_getter(atom: Atom, slots: Mapping[str, int]) -> Callable[[tuple], tuple] | None:
@@ -142,10 +151,11 @@ def _compile_steps(
 ) -> tuple[_Step, ...]:
     """One step per atom of `order`; `slots` maps the variables bound up front
     to their slots, and each step appends the variables it binds first.
-    Steps of the certainty check also get `reads` and `key`."""
-    later = list(accumulate((a.variables for a in reversed(order)), frozenset.union))
+    Steps of the certainty check also get `reads` and `key`, and `mine`,
+    `ahead` and `keyof` where `_certain_among` decides them bottom-up."""
+    later = [*accumulate((a.variables for a in reversed(order)), frozenset.union)][::-1]
     steps = []
-    for atom, read in zip(order, reversed(later)):
+    for k, atom in enumerate(order):
         first: dict[str, int] = {}  # variable -> its first position
         consts, repeats = [], []
         for i, t in enumerate(atom.args):
@@ -155,9 +165,10 @@ def _compile_steps(
                 repeats.append(i)
             else:
                 first[t.symbol] = i
-        reads = key = None
+        reads = key = mine = ahead = keyof = None
         if certainty:
-            reads = _values(sorted(slots[v] for v in read if v in slots))
+            read = [v for v in slots if v in later[k]]  # `slots` is in slot order
+            reads = _values([slots[v] for v in read])
             key = _key_getter(atom, slots)
         width = 0 if key is None else atom.relation.key_width
         bound = [v for v, i in first.items() if v in slots and i >= width]
@@ -168,7 +179,19 @@ def _compile_steps(
         for v in fresh:
             slots[v] = len(slots)
         new = _values([first[v] for v in fresh])
-        steps.append(_Step(atom, _test(atom, consts, repeats, first), probe, own, new, reads, key))
+        nxt = order[k + 1] if k + 1 < len(order) else None
+        # bottom-up when every variable of `read` is the atom's own (always at
+        # the last step) or when the atom fixes the next step's key
+        if certainty and (nxt is None or nxt.key_vars <= first.keys() or {*read} <= first.keys()):
+            after = [v for v in slots if v in later[k + 1]] if nxt else []  # the next read
+            shared = [v for v in after if v in first]
+            mine = _values([first[v] if v in first else len(atom.args) + after.index(v)
+                            for v in read])
+            ahead = _values([first[v] for v in shared]) if nxt else None
+            if len(shared) < len(after):  # key-joined: the rest of `read` is in the next entry
+                keyof = _values([after.index(v) for v in shared])
+        steps.append(_Step(atom, _test(atom, consts, repeats, first), probe, own, new, reads, key,
+                           mine, ahead, keyof))
     return tuple(steps)
 
 
@@ -284,33 +307,66 @@ def _certain_among(
     """The candidate head tuples that hold in every repair.
 
     A binding is certain at step i when some usable block under it has
-    every fact certain at step i + 1; at the last step that is a usable
-    block at all.  A block is usable when every fact passes the atom's test
-    and agrees with the binding on the atom's bound variables.  A step whose
-    key is fixed reads the one block under its key; any other step indexes
-    its relation's usable blocks by their bound values on each call.
+    every fact certain at step i + 1 (at the last step, when there is such
+    a block).  A block is usable when every fact passes the atom's test and
+    agrees with the binding on the atom's bound variables.  Certainty at a
+    step depends only on what it and later steps read.
 
-    Bindings that agree on what step i and later ones read agree on that, so
-    a forward pass keeps one binding per distinct read at each step (a
-    candidate at the first) and, per usable block, the reads its facts lead
-    to; certainty is then decided from the last step back over those,
-    without recursion or a second lookup.
+    The steps after the last one without `mine` are decided from the last
+    back, each into one entry per block of its relation whose facts pass
+    the test, lead each to an entry of the next step and agree on what the
+    step reads.  A pass-through-free step reads each fact's next read off
+    the fact.  A key-joined step finds the next step's entry by what the
+    fact shares with it, as the fact fixes the next key, and takes the
+    earlier variables it lacks from that entry.  When the first step is so
+    decided, the answer is its entries among the candidates.
+
+    Otherwise a forward pass over the steps before keeps one binding per
+    distinct read at each step (a candidate at the first) and, per usable
+    block, the reads its facts lead to, and ends in a membership test in
+    the entries.  A step whose key is fixed reads the one block under its
+    key; any other indexes its relation's usable blocks on each call.
+    Certainty is then decided from that test back, without recursion.
     """
     if not plan:
         return frozenset(candidates)
+    start = max((i + 1 for i, step in enumerate(plan) if step.mine is None), default=0)
+    entries: dict[tuple, tuple] = {}
+    for i in range(len(plan) - 1, start - 1, -1):
+        step, by = plan[i], plan[i - 1].keyof if i else None  # how step i - 1 finds entries
+        test, mine, ahead, joined = step.test, step.mine, step.ahead, step.keyof is not None
+        nexts, entries = entries, {}
+        for rows in db._blocks[step.atom.name].values():
+            agreed = None
+            for row in rows:
+                if test and not test(row):
+                    break
+                if joined:
+                    if (rest := nexts.get(ahead(row))) is None:
+                        break
+                    row += rest
+                elif ahead and ahead(row) not in nexts:
+                    break
+                if agreed is None:
+                    agreed = mine(row)
+                elif mine(row) != agreed:
+                    break
+            else:
+                entries[by(agreed) if by else agreed] = agreed
+    if not start:
+        return frozenset(entries.keys() & candidates)
     level: dict[object, tuple] = dict(zip(candidates, candidates))
     passes: list[tuple[dict, list[tuple[object, list]]]] = []
-    for step, after in zip(plan, (*plan[1:], None)):
+    for step, after in zip(plan[:start], plan[1:]):
         test, probe, own, new, key = step.test, step.probe, step.own, step.new, step.key
-        blocks, read = db._blocks[step.atom.name], after and after.reads
+        blocks, read = db._blocks[step.atom.name], after.reads
         if key is None:
             index: dict[object, list[tuple]] = {}
             for rows in blocks.values():
                 owns = {*map(own, rows)} if own else {None}
                 if len(owns) == 1 and (not test or all(map(test, rows))):
                     index.setdefault(owns.pop(), []).append(rows)
-        # per usable block, its binding and the reads of its facts; at the last step, bindings
-        found: list = []
+        found: list = []  # per usable block, its binding and the reads of its facts
         reach: dict[object, tuple] = {}  # the next step's read -> a binding with it
         for at, slots in level.items():
             if key is None:
@@ -322,10 +378,6 @@ def _certain_among(
                 ):
                     continue
                 usable = (rows,)
-            if after is None:
-                if usable:
-                    found.append(at)
-                continue
             for rows in usable:
                 reads = []
                 for row in rows:
@@ -336,13 +388,13 @@ def _certain_among(
                 found.append((at, reads))
         passes.append((level, found))
         level = reach
-    level, found = passes.pop()
-    certain = dict.fromkeys(level, False) | dict.fromkeys(found, True)
+    known = entries.__contains__
     for level, found in reversed(passes):
-        known, certain = certain.__getitem__, dict.fromkeys(level, False)
+        certain = dict.fromkeys(level, False)
         for at, reads in found:
             if all(map(known, reads)):
                 certain[at] = True
+        known = certain.__getitem__
     return frozenset(compress(certain, certain.values()))
 
 
