@@ -353,7 +353,7 @@ def _certain_among(
                     break
             else:
                 entries[by(agreed) if by else agreed] = agreed
-    if not start:
+    if not start:  # every head variable is in some atom, so the first read is the head
         return frozenset(entries.keys() & candidates)
     level: dict[object, tuple] = dict(zip(candidates, candidates))
     passes: list[tuple[dict, list[tuple[object, list]]]] = []
