@@ -4,7 +4,7 @@ components, and frozen variables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .fds import FunctionalDependencySet, SequentialProof, _sequential_proof, fdset, keycl
 from .graphs import Digraph, path_to
@@ -29,29 +29,31 @@ def attacks_variable(atom: Atom, x: str, q: ConjunctiveQuery) -> AttackWitness |
 
 
 class AttackGraph(Digraph):
-    """Digraph over the atom names of one query; `edges` maps each attack
-    (source, target) to True when it is strong, that is when key(source)
-    does not determine key(target).  It keeps the query's FD set and query
-    graph it was built from, for later analysis of the same query.
+    """Digraph over the atom names of one query, with the set of its strong
+    attacks: those (source, target) where key(source) does not determine
+    key(target).  It keeps the query's FD set and query graph it was built
+    from, for later analysis of the same query.
     `reached` maps each atom name, in name order, to the BFS parent links of
     `attack_graph` over the variables it attacks."""
 
     def __init__(
         self,
         query: ConjunctiveQuery,
-        edges: Mapping[tuple[str, str], bool],
+        edges: Iterable[tuple[str, str]],
+        strong: set[tuple[str, str]],
         reached: Mapping[str, Mapping[str, str | None]],
         fds: FunctionalDependencySet,
         qg: QueryGraph,
     ):
         super().__init__((a.name for a in query.atoms), edges)
         self.query = query
+        self._strong = strong
         self.fds = fds
         self.query_graph = qg
         self._reached = reached
 
     def attacks(self, source: str, target: str) -> bool:
-        return (source, target) in self.edges
+        return target in self.successors(source)
 
     def witness(self, source: str, target: str) -> AttackWitness:
         """The witness of the attack source -> target, walked along the BFS
@@ -71,7 +73,7 @@ class AttackGraph(Digraph):
         return tuple(name for name, parent in self._reached.items() if x in parent)
 
     def strong_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(k for k, strong in self.edges.items() if strong))
+        return tuple(sorted(self._strong))
 
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
@@ -94,7 +96,8 @@ def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
     for j, other in enumerate(q.atoms):
         for v in other.variables:
             holders.setdefault(v, []).append(j)
-    edges: dict[tuple[str, str], bool] = {}
+    succ: dict[str, list[str]] = {}  # atom name -> the names of the atoms it attacks
+    strong: set[tuple[str, str]] = set()
     reached: dict[str, dict[str, str | None]] = {}
     for i, atom in sorted(enumerate(q.atoms), key=lambda p: p[1].name):
         avoid = fds.closure(atom.key_vars, fds.deps[i + 1])  # keycl: atom i owns dep i + 1
@@ -103,10 +106,10 @@ def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
         if not hits:
             continue
         determined = fds.closure(atom.key_vars)
-        for j in sorted(hits):
-            other = q.atoms[j]
-            edges[(atom.name, other.name)] = not other.key_vars <= determined
-    return AttackGraph(q, edges, reached, fds, qg)
+        others = [q.atoms[j] for j in hits]
+        succ[atom.name] = [b.name for b in others]
+        strong.update((atom.name, b.name) for b in others if not b.key_vars <= determined)
+    return AttackGraph(q, ((s, t) for s, ts in succ.items() for t in ts), strong, reached, fds, qg)
 
 
 @dataclass(frozen=True)
@@ -139,4 +142,4 @@ def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> Frozen
 
 def attack_graph_dot(g: AttackGraph) -> str:
     """DOT rendering: solid edges are weak attacks, bold edges strong."""
-    return g.dot("attack_graph", set(g.strong_edges()))
+    return g.dot("attack_graph", g._strong)

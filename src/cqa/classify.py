@@ -157,7 +157,7 @@ def fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
         for s in q.atoms:
             if s is not r and not carried.isdisjoint(s.variables):
                 edges.add((r.name, s.name))
-    return FuxmanGraph((a.name for a in q.atoms), frozenset(edges))
+    return FuxmanGraph((a.name for a in q.atoms), edges)
 
 
 def in_cforest(q: ConjunctiveQuery) -> bool:

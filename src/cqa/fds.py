@@ -54,9 +54,6 @@ class FunctionalDependencySet:
                     grew = True
         return frozenset(closed)
 
-    def implies(self, lhs: Iterable[str], var: str) -> bool:
-        return var in self.closure(lhs)
-
     def determines(self, lhs: Iterable[str], rhs: Iterable[str]) -> bool:
         return set(rhs) <= self.closure(lhs)
 

@@ -5,23 +5,28 @@ and in-degree counts are built once, so every walk and output is deterministic."
 from __future__ import annotations
 
 import heapq
-from typing import Collection, Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 
 class Digraph:
-    """Vertices plus distinct (source, target) edges, kept as given; an undirected
-    graph gets each edge once, walks it both ways and counts both ends' in-degree."""
+    """Vertices plus distinct (source, target) edges, stored only as successor tuples;
+    an undirected graph gets each edge once, walks it both ways and counts both ends."""
 
-    def __init__(self, vertices: Iterable[str], edges: Collection, directed: bool = True):
+    def __init__(self, vertices: Iterable[str], edges: Iterable, directed: bool = True):
         self.vertices = frozenset(vertices)
-        self.edges = edges
         self.directed = directed
         succ: dict[str, list[str]] = {v: [] for v in self.vertices}
         self._in = dict.fromkeys(self.vertices, 0)
-        for s, t in edges if directed else [*edges, *((t, s) for s, t in edges)]:
+        for s, t in edges if directed else [p for s, t in edges for p in ((s, t), (t, s))]:
             succ[s].append(t)
             self._in[t] += 1
         self._succ = {v: tuple(sorted(ns)) for v, ns in succ.items()}
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The edges read off the successor tuples; an undirected one as (smaller, larger)."""
+        return frozenset((s, t) for s, ts in self._succ.items() for t in ts
+                         if self.directed or s < t)
 
     def successors(self, v: str) -> tuple[str, ...]:
         return self._succ.get(v, ())
@@ -53,9 +58,10 @@ class Digraph:
                 root[v] = v = root[root[v]]  # path halving: link v to its grandparent, step there
             return v
 
-        for s, t in self.edges:
-            if root[s] != root[t]:  # one parent means one set: skip both calls
-                root[find(s)] = find(t)
+        for s, ts in self._succ.items():
+            for t in ts:
+                if root[s] != root[t]:  # one parent means one set: skip both calls
+                    root[find(s)] = find(t)
         groups: dict[str, list[str]] = {}
         for v in sorted(self.vertices):
             groups.setdefault(find(v), []).append(v)
@@ -77,9 +83,10 @@ class Digraph:
         """DOT text: vertices, then edges, both sorted; edges in `bold` drawn bold."""
         kind, arrow = ("digraph", "->") if self.directed else ("graph", "--")
         lines = [f"{kind} {name} {{", *(f'  "{v}";' for v in sorted(self.vertices))]
-        for s, t in sorted(self.edges):
-            style = " [style=bold]" if (s, t) in bold else ""
-            lines.append(f'  "{s}" {arrow} "{t}"{style};')
+        for s, ts in sorted(self._succ.items()):
+            for t in ts if self.directed else [t for t in ts if s < t]:
+                style = " [style=bold]" if (s, t) in bold else ""
+                lines.append(f'  "{s}" {arrow} "{t}"{style};')
         return "\n".join(lines) + "\n}\n"
 
 

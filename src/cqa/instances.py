@@ -151,10 +151,6 @@ class DatabaseInstance:
     def is_consistent(self) -> bool:
         return all(len(rows) == 1 for by_key in self._blocks.values() for rows in by_key.values())
 
-    @property
-    def active_domain(self) -> frozenset[str]:
-        return frozenset(v for rows in self._rows.values() for row in rows for v in row)
-
 
 def repair_count(db: DatabaseInstance) -> int:
     return math.prod(len(rows) for by_key in db._blocks.values() for rows in by_key.values())

@@ -226,11 +226,8 @@ def substitute(
 class QueryGraph(Digraph):
     """Undirected co-occurrence graph over the bound variables."""
 
-    def __init__(self, vertices: Iterable[str], edges: frozenset[tuple[str, str]]):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         super().__init__(vertices, edges, directed=False)
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        return frozenset(self._succ[v])
 
 
 def query_graph(q: ConjunctiveQuery) -> QueryGraph:
@@ -241,7 +238,7 @@ def query_graph(q: ConjunctiveQuery) -> QueryGraph:
         for i, a in enumerate(here):
             for b in here[i + 1 :]:
                 edges.add((a, b))
-    return QueryGraph(bound, frozenset(edges))
+    return QueryGraph(bound, edges)
 
 
 def query_graph_dot(g: QueryGraph) -> str:

@@ -349,10 +349,6 @@ class FactDatabaseInstance:
     def is_consistent(self) -> bool:
         return all(len(members) == 1 for members in self._blocks.values())
 
-    @property
-    def active_domain(self) -> frozenset[str]:
-        return frozenset(v for fact in self.facts for v in fact.values)
-
 
 def fact_enumerate_repairs(
     db: FactDatabaseInstance, cap: int = DEFAULT_REPAIR_CAP

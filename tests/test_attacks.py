@@ -120,9 +120,11 @@ def test_strong_label_matches_fd_definition():
     for _ in range(120):
         q = random_query(rng)
         fds = fdset(q)
-        for (src, dst), strong in attack_graph(q).edges.items():
+        g = attack_graph(q)
+        strong = set(g.strong_edges())
+        for (src, dst) in g.edges:
             weak = fds.determines(q.atom(src).key_vars, q.atom(dst).key_vars)
-            assert strong == (not weak)
+            assert ((src, dst) in strong) == (not weak)
 
 
 def test_every_edge_attacks_a_key_variable():
@@ -220,9 +222,10 @@ def test_attack_graph_makes_two_closures_per_atom(monkeypatch):
 
 
 def test_attack_graph_memory_per_attack_on_a_chain():
-    # one sorted successor tuple and one in-degree count per atom beside the
-    # strength flags: about 175 B per attack under tracemalloc (185 B on
-    # Python 3.10), against about 255 B with predecessor tuples built from sets
+    # the successor tuples are the only store of the attacks, beside one set
+    # of the strong ones (empty here): about 58 B per attack at peak under
+    # tracemalloc on Python 3.11, against about 175 B when a (source, target)
+    # -> strength dict kept every attack a second time
     q = parse_query("q(x0) :- " + ", ".join(f"R{i}(x{i} | x{i + 1})" for i in range(300)) + ".")
     tracemalloc.start()
     try:
@@ -231,7 +234,7 @@ def test_attack_graph_memory_per_attack_on_a_chain():
     finally:
         tracemalloc.stop()
     assert len(g.edges) == 300 * 299 // 2
-    assert peak / len(g.edges) <= 220
+    assert peak / len(g.edges) <= 100
 
 
 def _long_query(rng: random.Random, n: int) -> ConjunctiveQuery:
@@ -294,7 +297,8 @@ def test_analysis_equals_reference_on_random_and_long_queries():
             map(fuxman_want.in_degree, fuxman_want.vertices), default=0) == 2
         report = support.reference_report(q, want, support.reference_in_cforest(q))
         assert in_cparsimony(q).to_json_dict() == report.to_json_dict(), where  # with cforest
-        assert {k: (g.edges[k], g.witness(*k)) for k in g.edges} == {
+        strong = set(g.strong_edges())
+        assert {k: (k in strong, g.witness(*k)) for k in g.edges} == {
             k: (e.strong, e.witness) for k, e in want.edges.items()}, where
         assert frozen_vars(q, g) == support.reference_frozen_vars(q, want), where
         fds = fdset(q)

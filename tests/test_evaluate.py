@@ -677,7 +677,7 @@ def _certainty_instance(rng, q):
     domain = DOMAIN[: rng.randint(2, 4)]
     facts = set()
     for _ in range(rng.randint(1, 3)):
-        value = {v: rng.choice(domain) for v in q.variables}
+        value = {v: rng.choice(domain) for v in sorted(q.variables)}
         facts |= {Fact(a.name, tuple(value.get(t.symbol, t.symbol) for t in a.args))
                   for a in q.atoms}
     noise = domain + ("e",)

@@ -54,11 +54,6 @@ def test_consistency():
         assert repair.is_consistent()
 
 
-def test_active_domain_collects_all_values():
-    db = support.lookup_pair_db()
-    assert db.active_domain == {"c1", "c2", "a", "b", "d", "e", "f"}
-
-
 def test_repair_count_and_enumeration_employee():
     db = support.employee_db()
     assert repair_count(db) == 4
@@ -285,7 +280,6 @@ def test_row_store_equals_fact_store_on_random_bundles():
             missing = ("zz",) * len(b.key_values)
             assert new.block(b.relation, missing) == old.block(b.relation, missing)
         assert new.is_consistent() == old.is_consistent()
-        assert new.active_domain == old.active_domain
         assert repair_count(new) == math.prod(len(b.members) for b in old.blocks())
 
         again = DatabaseInstance(reversed(sigs), reversed(facts))

@@ -217,7 +217,7 @@ def test_query_graph_vertices_are_exactly_bound_vars():
     g = query_graph(q)
     assert g.vertices == set(q.bound_vars)
     assert all(a != b for a, b in g.edges)
-    assert all(g.neighbors(a) and b in g.neighbors(a) for a, b in g.edges)
+    assert all(b in g.successors(a) and a in g.successors(b) for a, b in g.edges)
 
 
 def test_query_graph_dot_is_deterministic():
