@@ -754,7 +754,8 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
         ("bound key", "constant in a bound key", "repeated key variable", "key width 0",
          "unbound key", "no block under the key", "fact fails the atom",
          "bound non-key variable disagrees", "empty plan", "widened", "made free", "certain",
-         "not certain", "wholly bottom-up", "forward prefix", "key-joined level"), 0)
+         "not certain", "wholly bottom-up", "forward prefix", "key-joined level",
+         "forward step with a fixed key"), 0)
     for i in range(3500):
         while True:
             if i % 50 == 0:
@@ -792,6 +793,11 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
         seen["wholly bottom-up"] += bool(shape) and "forward" not in shape
         seen["forward prefix"] += "forward" in shape
         seen["key-joined level"] += "joined" in shape
+        bound, fixed = set(q.free_vars), False  # by the head, then by earlier levels
+        for name, level in zip(graph.topological_order(), shape):
+            fixed |= level == "forward" and q.atom(name).key_vars <= bound
+            bound |= q.atom(name).variables
+        seen["forward step with a fixed key"] += fixed
     assert min(seen.values()) >= 50, seen
 
 
