@@ -22,7 +22,8 @@ bottom-up, one set per step from one walk over its relation's blocks.  A
 step is in it when it holds every variable bound before it that it or a
 later step reads, or when its atom fixes the next step's key, whose entry
 brings the variables it lacks.  A forward pass per candidate covers the
-steps before and ends in a membership test.
+steps before, each through a per-call index of its relation's usable
+blocks, and ends in a membership test.
 """
 
 from __future__ import annotations
@@ -122,28 +123,13 @@ class _Step(NamedTuple):
     new: Callable[[tuple], tuple]  # fact row -> the variables first bound here
     # certainty steps only: binding -> what this step and later ones read
     reads: Callable[[tuple], tuple] | None = None
-    # certainty steps whose key is fixed by constants and earlier bindings:
-    # binding -> key; `probe` and `own` then skip the variables the key fixes
-    key: Callable[[tuple], tuple] | None = None
-    # certainty steps decided bottom-up (see `_certain_among`): fact row,
-    # plus the next step's entry at a key-joined step -> what `reads` gives;
-    # fact row -> the next step's read, or what the fact shares with the
-    # next step's entry, which `keyof` reads off the entry
+    # certainty steps decided bottom-up (see `_certain_among`): fact row plus
+    # the next step's entry -> what `reads` gives; fact row -> what the fact
+    # shares with the next step's read, the key of the next step's entries,
+    # which `keyof` reads off an entry when the fact lacks some of that read
     mine: Callable[[tuple], tuple] | None = None
     ahead: Callable[[tuple], tuple] | None = None
     keyof: Callable[[tuple], tuple] | None = None
-
-
-def _key_getter(atom: Atom, slots: Mapping[str, int]) -> Callable[[tuple], tuple] | None:
-    """Binding -> the atom's key values, when every key position holds a
-    constant or a variable in `slots` (always, for key width 0); otherwise None."""
-    args = atom.key_args
-    if any(t.is_var and t.symbol not in slots for t in args):
-        return None
-    if all(t.is_var for t in args):
-        return _values([slots[t.symbol] for t in args])
-    parts = [(slots[t.symbol], None) if t.is_var else (None, t.symbol) for t in args]
-    return lambda row: tuple(const if i is None else row[i] for i, const in parts)
 
 
 def _compile_steps(
@@ -151,8 +137,8 @@ def _compile_steps(
 ) -> tuple[_Step, ...]:
     """One step per atom of `order`; `slots` maps the variables bound up front
     to their slots, and each step appends the variables it binds first.
-    Steps of the certainty check also get `reads` and `key`, and `mine`,
-    `ahead` and `keyof` where `_certain_among` decides them bottom-up."""
+    Steps of the certainty check also get `reads`, and `mine`, `ahead` and
+    `keyof` where `_certain_among` decides them bottom-up."""
     later = [*accumulate((a.variables for a in reversed(order)), frozenset.union)][::-1]
     steps = []
     for k, atom in enumerate(order):
@@ -165,13 +151,11 @@ def _compile_steps(
                 repeats.append(i)
             else:
                 first[t.symbol] = i
-        reads = key = mine = ahead = keyof = None
+        reads = mine = ahead = keyof = None
         if certainty:
             read = [v for v in slots if v in later[k]]  # `slots` is in slot order
             reads = _values([slots[v] for v in read])
-            key = _key_getter(atom, slots)
-        width = 0 if key is None else atom.relation.key_width
-        bound = [v for v, i in first.items() if v in slots and i >= width]
+        bound = [v for v in first if v in slots]
         fresh = [v for v in first if v not in slots]
         # hash keys: one value bare, several as a tuple, no index for none
         probe = itemgetter(*[slots[v] for v in bound]) if bound else None
@@ -190,7 +174,7 @@ def _compile_steps(
             ahead = _values([first[v] for v in shared]) if nxt else None
             if len(shared) < len(after):  # key-joined: the rest of `read` is in the next entry
                 keyof = _values([after.index(v) for v in shared])
-        steps.append(_Step(atom, _test(atom, consts, repeats, first), probe, own, new, reads, key,
+        steps.append(_Step(atom, _test(atom, consts, repeats, first), probe, own, new, reads,
                            mine, ahead, keyof))
     return tuple(steps)
 
@@ -315,18 +299,19 @@ def _certain_among(
     The steps after the last one without `mine` are decided from the last
     back, each into one entry per block of its relation whose facts pass
     the test, lead each to an entry of the next step and agree on what the
-    step reads.  A pass-through-free step reads each fact's next read off
-    the fact.  A key-joined step finds the next step's entry by what the
-    fact shares with it, as the fact fixes the next key, and takes the
-    earlier variables it lacks from that entry.  When the first step is so
-    decided, the answer is its entries among the candidates.
+    step reads.  Each fact finds the next step's entry by what it shares
+    with the next read and is read together with that entry: a
+    pass-through-free step's fact holds the whole next read, and a
+    key-joined step's fact fixes the next key, the entry bringing the
+    earlier variables the fact lacks.  When the first step is so decided,
+    the answer is its entries among the candidates.
 
     Otherwise a forward pass over the steps before keeps one binding per
     distinct read at each step (a candidate at the first) and, per usable
     block, the reads its facts lead to, and ends in a membership test in
-    the entries.  A step whose key is fixed reads the one block under its
-    key; any other indexes its relation's usable blocks on each call.
-    Certainty is then decided from that test back, without recursion.
+    the entries.  Each step indexes its relation's usable blocks on each
+    call by the bound variables their facts agree on.  Certainty is then
+    decided from that test back, without recursion.
     """
     if not plan:
         return frozenset(candidates)
@@ -334,19 +319,17 @@ def _certain_among(
     entries: dict[tuple, tuple] = {}
     for i in range(len(plan) - 1, start - 1, -1):
         step, by = plan[i], plan[i - 1].keyof if i else None  # how step i - 1 finds entries
-        test, mine, ahead, joined = step.test, step.mine, step.ahead, step.keyof is not None
+        test, mine, ahead = step.test, step.mine, step.ahead
         nexts, entries = entries, {}
         for rows in db._blocks[step.atom.name].values():
             agreed = None
             for row in rows:
                 if test and not test(row):
                     break
-                if joined:
+                if ahead:
                     if (rest := nexts.get(ahead(row))) is None:
                         break
                     row += rest
-                elif ahead and ahead(row) not in nexts:
-                    break
                 if agreed is None:
                     agreed = mine(row)
                 elif mine(row) != agreed:
@@ -358,27 +341,16 @@ def _certain_among(
     level: dict[object, tuple] = dict(zip(candidates, candidates))
     passes: list[tuple[dict, list[tuple[object, list]]]] = []
     for step, after in zip(plan[:start], plan[1:]):
-        test, probe, own, new, key = step.test, step.probe, step.own, step.new, step.key
-        blocks, read = db._blocks[step.atom.name], after.reads
-        if key is None:
-            index: dict[object, list[tuple]] = {}
-            for rows in blocks.values():
-                owns = {*map(own, rows)} if own else {None}
-                if len(owns) == 1 and (not test or all(map(test, rows))):
-                    index.setdefault(owns.pop(), []).append(rows)
+        test, probe, own, new, read = step.test, step.probe, step.own, step.new, after.reads
+        index: dict[object, list[tuple]] = {}  # usable blocks by what their facts agree on
+        for rows in db._blocks[step.atom.name].values():
+            owns = {*map(own, rows)} if own else {None}
+            if len(owns) == 1 and (not test or all(map(test, rows))):
+                index.setdefault(owns.pop(), []).append(rows)
         found: list = []  # per usable block, its binding and the reads of its facts
         reach: dict[object, tuple] = {}  # the next step's read -> a binding with it
         for at, slots in level.items():
-            if key is None:
-                usable = index.get(probe(slots) if probe else None, ())
-            else:
-                rows = blocks.get(key(slots))
-                if rows is None or test and not all(map(test, rows)) or (
-                    probe and [*map(own, rows)].count(probe(slots)) < len(rows)
-                ):
-                    continue
-                usable = (rows,)
-            for rows in usable:
+            for rows in index.get(probe(slots) if probe else None, ()):
                 reads = []
                 for row in rows:
                     row = slots + new(row)
