@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .fds import FunctionalDependencySet, SequentialProof, _sequential_proof, fdset, keycl
+from .fds import FunctionalDependencySet, SequentialProof, fdset, keycl, sequential_proof
 from .graphs import Digraph, path_to
 from .queries import Atom, ConjunctiveQuery, QueryGraph, query_graph
 
@@ -134,7 +134,7 @@ def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> Frozen
     certs: dict[str, SequentialProof] = {}
     for x in q.bound_vars:
         if x not in attacked:
-            proof = _sequential_proof(q.atoms, q.free_vars, (), x)
+            proof = sequential_proof(q, (), x)
             if proof is not None:
                 certs[x] = proof
     return FrozenVariables(frozenset(certs), certs)

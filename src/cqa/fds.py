@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .queries import Atom, ConjunctiveQuery, QueryError
 
@@ -95,27 +95,18 @@ def sequential_proof(
 
     Tail-minimal: dropping the last atom breaks the proof; earlier atoms
     may still be redundant.  Atoms are tried in query order, so the result
-    is deterministic.
-    """
-    return _sequential_proof(q.atoms, q.free_vars, base, target)
-
-
-def _sequential_proof(
-    atoms: Sequence[Atom], free: Iterable[str], base: Iterable[str], target: str
-) -> SequentialProof | None:
-    """`sequential_proof` over the given atoms with the head variables `free`.
-
-    Each atom counts its key variables not yet known, and the atoms whose
-    count is zero wait on a heap by position, so the proof takes the first
-    usable atom each time without rescanning.  It stops at the first atom
-    that yields the target, so no shorter prefix proves it.
+    is deterministic.  Each atom counts its key variables not yet known,
+    and the atoms whose count is zero wait on a heap by position, so the
+    proof takes the first usable atom each time without rescanning.  It
+    stops at the first atom that yields the target, so no shorter prefix
+    proves it.
     """
     base = frozenset(base)
-    known = set(free) | base
+    known = set(q.free_vars) | base
     missing: list[int] = []
     waiting: dict[str, list[int]] = {}
     ready: list[int] = []  # ascending, so a heap
-    for i, atom in enumerate(atoms):
+    for i, atom in enumerate(q.atoms):
         need = atom.key_vars - known
         missing.append(len(need))
         for v in need:
@@ -126,7 +117,7 @@ def _sequential_proof(
     while target not in known:
         if not ready:
             return None
-        atom = atoms[heapq.heappop(ready)]
+        atom = q.atoms[heapq.heappop(ready)]
         proof.append(atom)
         for v in atom.variables - known:
             known.add(v)
