@@ -716,6 +716,41 @@ def _plan_shape(q, graph):
     return shape
 
 
+def _bottom_up_cases(q, db, graph, plain):
+    """The edge cases of a wholly bottom-up plan on this pair, from every
+    embedding of the body in `db` (per elimination level, its fact and the
+    whole valuation), checked against the plain answers `plain`: a fact of
+    some embedding whose block also holds a fact that fails the atom or
+    gives another value to a variable of the level's read, and a fact of a
+    key-joined level that meets two or more facts of the next atom's block
+    in embeddings."""
+    shape = _plan_shape(q, graph)
+    if not shape or "forward" in shape:
+        return set()
+    order = [q.atom(name) for name in graph.topological_order()]
+    embeddings = [((), {})]
+    for atom in order:
+        embeddings = [(facts + (f,), b) for facts, binding in embeddings
+                      for f in db.relation_facts(atom.name)
+                      if (b := support._unify(atom, f, binding)) is not None]
+    assert {tuple(b[v] for v in q.free_vars) for _, b in embeddings} == plain
+    cases, bound = set(), set(q.free_vars)
+    for i, (atom, level) in enumerate(zip(order, shape)):
+        read = bound & set().union(*(a.variables for a in order[i:])) & atom.variables
+        bound |= atom.variables
+        meets = collections.defaultdict(set)  # fact at this level -> facts at the next
+        for facts, binding in embeddings:
+            own = {v: binding[v] for v in read}
+            key = facts[i].values[:atom.relation.key_width]
+            if any(support._unify(atom, g, own) is None for g in db.block(atom.name, key)):
+                cases.add("plain through an unusable block")
+            if level == "joined":
+                meets[facts[i]].add(facts[i + 1])
+        if any(len(nexts) > 1 for nexts in meets.values()):
+            cases.add("key-joined fan-out")
+    return cases
+
+
 def _key_joined_query(rng):
     """A chain R1(x1 | x2), R2(x2 | x3), ... of two or three atoms ending in
     w, with s at a non-key position of two or more atoms and both free (x1
@@ -755,7 +790,8 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
          "unbound key", "no block under the key", "fact fails the atom",
          "bound non-key variable disagrees", "empty plan", "widened", "made free", "certain",
          "not certain", "wholly bottom-up", "forward prefix", "key-joined level",
-         "forward step with a fixed key"), 0)
+         "forward step with a fixed key", "plain through an unusable block",
+         "key-joined fan-out"), 0)
     for i in range(3500):
         while True:
             if i % 50 == 0:
@@ -798,6 +834,8 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
             fixed |= level == "forward" and q.atom(name).key_vars <= bound
             bound |= q.atom(name).variables
         seen["forward step with a fixed key"] += fixed
+        for case in _bottom_up_cases(q, db, graph, want[0]):
+            seen[case] += 1
     assert min(seen.values()) >= 50, seen
 
 
