@@ -283,6 +283,62 @@ def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, .
     return _compile_steps([q.atom(n) for n in names], slots, certainty=True)
 
 
+def _walk(
+    plan: tuple[_Step, ...], start: int, db: DatabaseInstance, plain: bool = False
+) -> tuple[dict[tuple, tuple], set[tuple]]:
+    """Steps `start` on of `plan`, decided from the last back, each from one
+    walk over the blocks of its relation: the entries of step `start` and,
+    when `plain`, its plain reads.
+
+    A step's entries are one read per block whose facts pass the test, lead
+    each to an entry of the next step and agree on what the step reads.
+    Each fact finds the next step's entry by what it shares with the next
+    read and is read together with that entry: a pass-through-free step's
+    fact holds the whole next read, and a key-joined step's fact fixes the
+    next key, the entry bringing the earlier variables the fact lacks.  The
+    plain reads of a step are those of every fact that passes the test,
+    read together with each plain read of the next step under the same key
+    (several under a conflicting block).  Both are found by the previous
+    step under the same key.  Without `plain`, a block is left at its first
+    fact that rules it out.
+    """
+    entries: dict[tuple, tuple] = {}
+    below: dict[tuple, list[tuple]] = {}  # the next step's plain reads by key
+    found: set[tuple] = set()
+    for i in range(len(plan) - 1, start - 1, -1):
+        step, by = plan[i], plan[i - 1].keyof if i else None  # how step i - 1 finds entries
+        test, mine, ahead = step.test, step.mine, step.ahead
+        nexts, entries, found = entries, {}, set()
+        add = found.add
+        for rows in db._blocks[step.atom.name].values():
+            agreed = None  # the block's read; False once a fact rules it out
+            for row in rows:
+                if test and not test(row):
+                    read = False
+                elif ahead:
+                    at = ahead(row)
+                    for rest in below.get(at, ()):
+                        add(mine(row + rest))
+                    read = False if (rest := nexts.get(at)) is None else mine(row + rest)
+                else:
+                    read = mine(row)
+                    if plain:
+                        add(read)
+                if agreed is None:
+                    agreed = read
+                elif read != agreed:
+                    agreed = False
+                if agreed is False and not plain:
+                    break
+            if agreed is not False:
+                entries[by(agreed) if by else agreed] = agreed
+        if plain and i > start:
+            below = {}
+            for read in found:
+                below.setdefault(by(read) if by else read, []).append(read)
+    return entries, found
+
+
 def _certain_among(
     plan: tuple[_Step, ...],
     candidates: Iterable[tuple[str, ...]],
@@ -296,46 +352,19 @@ def _certain_among(
     agrees with the binding on the atom's bound variables.  Certainty at a
     step depends only on what it and later steps read.
 
-    The steps after the last one without `mine` are decided from the last
-    back, each into one entry per block of its relation whose facts pass
-    the test, lead each to an entry of the next step and agree on what the
-    step reads.  Each fact finds the next step's entry by what it shares
-    with the next read and is read together with that entry: a
-    pass-through-free step's fact holds the whole next read, and a
-    key-joined step's fact fixes the next key, the entry bringing the
-    earlier variables the fact lacks.  When the first step is so decided,
-    the answer is its entries among the candidates.
-
-    Otherwise a forward pass over the steps before keeps one binding per
-    distinct read at each step (a candidate at the first) and, per usable
-    block, the reads its facts lead to, and ends in a membership test in
-    the entries.  Each step indexes its relation's usable blocks on each
-    call by the bound variables their facts agree on.  Certainty is then
-    decided from that test back, without recursion.
+    The steps after the last one without `mine` are decided by `_walk`.
+    When the first step is so decided, the answer is its entries among the
+    candidates.  Otherwise a forward pass over the steps before keeps one
+    binding per distinct read at each step (a candidate at the first) and,
+    per usable block, the reads its facts lead to, and ends in a membership
+    test in the entries.  Each step indexes its relation's usable blocks on
+    each call by the bound variables their facts agree on.  Certainty is
+    then decided from that test back, without recursion.
     """
     if not plan:
         return frozenset(candidates)
     start = max((i + 1 for i, step in enumerate(plan) if step.mine is None), default=0)
-    entries: dict[tuple, tuple] = {}
-    for i in range(len(plan) - 1, start - 1, -1):
-        step, by = plan[i], plan[i - 1].keyof if i else None  # how step i - 1 finds entries
-        test, mine, ahead = step.test, step.mine, step.ahead
-        nexts, entries = entries, {}
-        for rows in db._blocks[step.atom.name].values():
-            agreed = None
-            for row in rows:
-                if test and not test(row):
-                    break
-                if ahead:
-                    if (rest := nexts.get(ahead(row))) is None:
-                        break
-                    row += rest
-                if agreed is None:
-                    agreed = mine(row)
-                elif mine(row) != agreed:
-                    break
-            else:
-                entries[by(agreed) if by else agreed] = agreed
+    entries = _walk(plan, start, db)[0]
     if not start:  # every head variable is in some atom, so the first read is the head
         return frozenset(entries.keys() & candidates)
     level: dict[object, tuple] = dict(zip(candidates, candidates))
@@ -373,9 +402,16 @@ def _certain_among(
 def _plain_and_certain(
     q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph
 ) -> tuple[set[tuple[str, ...]], frozenset[tuple[str, ...]]]:
-    """The plain answers of `q` and the certain ones among them."""
+    """The plain answers of `q` and the certain ones among them.  When every
+    step of the elimination plan is decided bottom-up, one `_walk` reads
+    both: the plain answers are the first step's plain reads and the
+    certain ones its entries.  Otherwise the join gives the plain answers,
+    and `_certain_among` filters them."""
     plan = _elimination_plan(q, graph)
     _check_schema(q, db)
+    if plan and all(step.mine for step in plan):
+        entries, plain = _walk(plan, 0, db, plain=True)
+        return plain, frozenset(entries)
     join = _compile_join(q.atoms, q.free_vars)
     plain = _join(join, _relations(join, db))
     return plain, _certain_among(plan, plain, db)
@@ -444,13 +480,11 @@ def cqacount_parsimonious(
     plain, certain = _plain_and_certain(make_free(q, report.id_set or ()), db, graph)
     upper = _group_counts(plain, width)
     lower = _group_counts(certain, width)
-    out = set()
-    for group, m in sorted(lower.items()):
-        n = upper.get(group, 0)
-        if not 1 <= m <= n:
-            raise InternalError(f"inconsistent parsimonious bounds [{m}, {n}] for group {group}")
-        out.add(RangeAnswer(group, m, n))
-    return frozenset(out)
+    out = frozenset(RangeAnswer(group, m, upper.get(group, 0)) for group, m in lower.items())
+    if bad := [a for a in out if not 1 <= a.lower <= a.upper]:
+        group, m, n = min(bad)
+        raise InternalError(f"inconsistent parsimonious bounds [{m}, {n}] for group {group}")
+    return out
 
 
 # --- repair quality checks ----------------------------------------------------
