@@ -467,6 +467,41 @@ def test_parsimonious_route_skips_cforest_and_refuses_with_full_report(monkeypat
     assert got == {RangeAnswer(("A",), 1, 3), RangeAnswer(("B",), 1, 3)}
 
 
+def test_wholly_bottom_up_plan_runs_no_join_and_tests_each_row_once(monkeypatch):
+    # the widened employee plan E (key-joined) -> D is decided bottom-up at
+    # every step, so one walk per relation reads the plain answers too: no
+    # join, and E's test runs once per E row; the forward-prefix plan of
+    # q(a, b) :- R(a | x), S(b | x) still takes its plain answers from the join
+    evaluate_module = importlib.import_module("cqa.evaluate")
+    joins, tested = [], collections.Counter()
+    join, test = evaluate_module._join, evaluate_module._test
+
+    def counted_test(atom, *args):
+        predicate = test(atom, *args)
+
+        def counted(row):
+            tested[atom.name] += 1
+            return predicate(row)
+
+        return predicate and counted
+
+    monkeypatch.setattr(evaluate_module, "_join", lambda *args: joins.append(1) or join(*args))
+    monkeypatch.setattr(evaluate_module, "_test", counted_test)
+    rng = random.Random(2039)
+    q = support.employee_query()
+    employee = {"E": [(f"e{i}", "F" if rng.random() < 0.6 else "M", f"d{rng.randrange(25)}")
+                      for i in range(250)],
+                "D": [(f"d{i}", f"g{rng.randrange(8)}") for i in range(25)]}
+    db = _scaled_instance(rng, q, employee)
+    assert cqacount_parsimonious(q, db)
+    assert (len(joins), tested["E"]) == (0, len(db.relation_facts("E")))
+    forward = {"R": [(f"a{i}", f"x{i % 7}") for i in range(40)],
+               "S": [(f"b{i}", f"x{i % 5}") for i in range(40)]}
+    q = parse_query("q(a, b) :- R(a | x), S(b | x).")
+    assert cqacount_parsimonious(q, _scaled_instance(rng, q, forward))
+    assert len(joins) == 1
+
+
 def test_boolean_grouping_yields_single_answer():
     q = parse_query("q() :- E(x | 'F', y), D(y | z).")
     db = support.employee_db()
