@@ -156,17 +156,6 @@ class ConjunctiveQuery:
             raise QueryError(f"no atom for relation {relation_name}")
         return a
 
-    def without(self, atoms: Iterable[Atom | str]) -> "ConjunctiveQuery":
-        """Drop the given atoms; free variables no longer occurring are dropped too."""
-        gone = {a if isinstance(a, str) else a.name for a in atoms}
-        kept = tuple(a for a in self.atoms if a.name not in gone)
-        occurring = frozenset().union(*(a.variables for a in kept)) if kept else frozenset()
-        return replace(
-            self,
-            atoms=kept,
-            free_vars=tuple(v for v in self.free_vars if v in occurring),
-        )
-
 
 def _check_bound(q: ConjunctiveQuery, xs: Iterable[str]) -> tuple[str, ...]:
     """`xs` as a tuple, after checking it names distinct bound variables of q."""

@@ -10,7 +10,7 @@ import heapq
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 from operator import itemgetter
 from typing import (
@@ -189,6 +189,14 @@ def four_atom_fd_query() -> ConjunctiveQuery:
 
 def square_share_query() -> ConjunctiveQuery:
     return parse_query("q(z) :- R1(x | y, z), R2(x | y), S1(y | x), S2(y | x).")
+
+
+def without(q: ConjunctiveQuery, atoms: Iterable[Atom | str]) -> ConjunctiveQuery:
+    """`q` less the given atoms; free variables no longer occurring are dropped too."""
+    gone = {a if isinstance(a, str) else a.name for a in atoms}
+    kept = tuple(a for a in q.atoms if a.name not in gone)
+    occurring = frozenset().union(*(a.variables for a in kept))
+    return replace(q, atoms=kept, free_vars=tuple(v for v in q.free_vars if v in occurring))
 
 
 MATCHING_TRIPLES = [("a", "d", "f"), ("a", "e", "g"), ("b", "e", "g")]

@@ -50,7 +50,7 @@ def test_keycl_equals_closure_over_query_without_atom():
     for _ in range(1000):
         q = random_query(rng, max_atoms=12, max_vars=rng.choice((4, 7, 10)), const_prob=0.08)
         for atom in q.atoms:
-            old = frozenset(q.free_vars) | fdset(q.without([atom])).closure(atom.key_vars)
+            old = frozenset(q.free_vars) | fdset(support.without(q, [atom])).closure(atom.key_vars)
             assert keycl(atom, q) == old
 
 
@@ -191,7 +191,7 @@ def test_frozen_matches_independent_closure():
         fr = frozen_vars(q, g).vars
         for x in q.bound_vars:
             attackers = g.attackers_of_variable(x)
-            sub = q.without(attackers)
+            sub = support.without(q, attackers)
             expect = support.brute_force_implies(fdset(sub), (), x)
             assert (x in fr) == expect
 

@@ -230,7 +230,7 @@ def test_graph_other_kinds(tmp_path, capsys):
 
 
 def test_fd_closure_listing(tmp_path, capsys):
-    reduced = support.four_atom_fd_query().without(["T"])
+    reduced = support.without(support.four_atom_fd_query(), ["T"])
     path = write_query(tmp_path, reduced)
     assert main(["fd", path, "--lhs", "y"]) == 0
     assert capsys.readouterr().out.strip() == "u x y z1"

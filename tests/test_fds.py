@@ -12,7 +12,7 @@ from cqa.queries import parse_query
 
 
 def test_fdset_of_reduced_four_atom_query():
-    q = support.four_atom_fd_query().without(["T"])
+    q = support.without(support.four_atom_fd_query(), ["T"])
     fds = fdset(q)
     # written with reflexive right-hand parts stripped: {} -> z1, u -> x, x z1 -> y, y -> u
     stripped = {(dep.lhs, dep.rhs - dep.lhs) for dep in fds.deps}

@@ -58,7 +58,7 @@ def test_grounding_an_unattacked_atom_adds_no_attack():
     for q in acyclic_corpus(127, 300, max_atoms=6):
         graph = attack_graph(q)
         for atom in graph.unattacked_atoms():
-            rest = q.without([atom])
+            rest = support.without(q, [atom])
             rest = make_free(rest, [v for v in rest.bound_vars if v in atom.variables])
             grounded = [v for v in rest.free_vars if v in atom.variables]
             rest = substitute(rest, grounded, [f"fresh_{v}" for v in grounded])

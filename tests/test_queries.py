@@ -233,7 +233,7 @@ def test_bound_vars_first_occurrence_order():
 
 def test_without_drops_atoms_and_dangling_frees():
     q = support.four_atom_fd_query()
-    sub = q.without(["T"])
+    sub = support.without(q, ["T"])
     assert [a.name for a in sub.atoms] == ["R", "S", "U"]
     assert sub.free_vars == ("z1",)  # z2 occurred only in T
 
