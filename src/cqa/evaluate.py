@@ -2,8 +2,7 @@
 
 Two routes compute the same answers on purpose: `cqacount_parsimonious`
 counts distinct id-set tuples over the answers of the widened query and
-the certain ones among them (one join and one certainty filter, no
-repairs), while `cqacount_oracle` joins every repair of the query's
+the certain ones among them (first-order passes only, no repairs), while `cqacount_oracle` joins every repair of the query's
 relations, one fact per key block, and aggregates min/max counts per
 group.  The oracle is the ground truth the fast route is checked against.
 
@@ -21,9 +20,12 @@ topological order over key blocks.  It decides a suffix of that order
 bottom-up, one set per step from one walk over its relation's blocks.  A
 step is in it when it holds every variable bound before it that it or a
 later step reads, or when its atom fixes the next step's key, whose entry
-brings the variables it lacks.  A forward pass per candidate covers the
-steps before, each through a per-call index of its relation's usable
-blocks, and ends in a membership test.
+brings the variables it lacks.  When the whole order is so decided, the
+same walk also collects each step's plain reads, so the plain answers
+need no join.  Otherwise the join gives the candidates, and a forward
+pass per candidate covers the steps before the suffix, each through a
+per-call index of its relation's usable blocks, ending in a membership
+test.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class _Step(NamedTuple):
     new: Callable[[tuple], tuple]  # fact row -> the variables first bound here
     # certainty steps only: binding -> what this step and later ones read
     reads: Callable[[tuple], tuple] | None = None
-    # certainty steps decided bottom-up (see `_certain_among`): fact row plus
+    # certainty steps decided bottom-up (see `_walk`): fact row plus
     # the next step's entry -> what `reads` gives; fact row -> what the fact
     # shares with the next step's read, the key of the next step's entries,
     # which `keyof` reads off an entry when the fact lacks some of that read
@@ -138,7 +140,7 @@ def _compile_steps(
     """One step per atom of `order`; `slots` maps the variables bound up front
     to their slots, and each step appends the variables it binds first.
     Steps of the certainty check also get `reads`, and `mine`, `ahead` and
-    `keyof` where `_certain_among` decides them bottom-up."""
+    `keyof` where `_walk` decides them bottom-up."""
     later = [*accumulate((a.variables for a in reversed(order)), frozenset.union)][::-1]
     steps = []
     for k, atom in enumerate(order):
@@ -304,7 +306,6 @@ def _walk(
     """
     entries: dict[tuple, tuple] = {}
     below: dict[tuple, list[tuple]] = {}  # the next step's plain reads by key
-    found: set[tuple] = set()
     for i in range(len(plan) - 1, start - 1, -1):
         step, by = plan[i], plan[i - 1].keyof if i else None  # how step i - 1 finds entries
         test, mine, ahead = step.test, step.mine, step.ahead
@@ -317,9 +318,9 @@ def _walk(
                     read = False
                 elif ahead:
                     at = ahead(row)
-                    for rest in below.get(at, ()):
-                        add(mine(row + rest))
                     read = False if (rest := nexts.get(at)) is None else mine(row + rest)
+                    for other in below.get(at, ()):  # the entry is one of them, its read reused
+                        add(read if other is rest else mine(row + other))
                 else:
                     read = mine(row)
                     if plain:
@@ -467,8 +468,8 @@ def cqacount_parsimonious(
     """Range-consistent counts without touching any repair.
 
     Upper bounds count distinct id-set tuples among the plain answers of
-    the widened query; lower bounds count them among the certain ones,
-    which are filtered from the same plain answers.  The answer groups
+    the widened query; lower bounds count them among the certain ones, a
+    subset of the plain answers (see `_plain_and_certain`).  The answer groups
     are the groups with a lower bound.  Raises NotInCparsimonyError (with
     the classifier's certificate) when the query is outside the class.
     """
