@@ -288,9 +288,9 @@ def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, .
 def _walk(
     plan: tuple[_Step, ...], start: int, db: DatabaseInstance, plain: bool = False
 ) -> tuple[dict[tuple, tuple], set[tuple]]:
-    """Steps `start` on of `plan`, decided from the last back, each from one
-    walk over the blocks of its relation: the entries of step `start` and,
-    when `plain`, its plain reads.
+    """The entries of step `start` of `plan` and, when `plain`, its plain
+    reads, from one walk over the relation of each step from `start` on,
+    the last first.
 
     A step's entries are one read per block whose facts pass the test, lead
     each to an entry of the next step and agree on what the step reads.
