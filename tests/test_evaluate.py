@@ -542,12 +542,14 @@ def test_repair_checks_reject_non_repairs():
 
 
 def test_pessimistic_repair_equals_answer_inclusion_on_random_pairs():
-    # the check joins the pinned query on the repair only and decides those
-    # answers on the instance; the definition evaluates on the repair and
-    # takes the certain answers on the instance
+    # the check's answer against its definition: the pinned query evaluated
+    # on the repair, inside the certain answers on the instance; the pinned
+    # queries' elimination plans cover both a forward prefix and wholly
+    # bottom-up plans
     rng = random.Random(2033)
     seen = dict.fromkeys(("pessimistic", "not pessimistic", "no answer on the repair",
-                          "whole head pinned", "nothing pinned"), 0)
+                          "whole head pinned", "nothing pinned", "forward prefix",
+                          "wholly bottom-up"), 0)
     for _ in range(1500):
         while True:
             q = random_query(rng, max_atoms=4, max_vars=5, const_prob=0.15)
@@ -569,6 +571,8 @@ def test_pessimistic_repair_equals_answer_inclusion_on_random_pairs():
         seen["no answer on the repair"] += not on_repair
         seen["whole head pinned"] += width == len(q.free_vars)
         seen["nothing pinned"] += width == 0
+        forward = "forward" in _plan_shape(fixed, support.attack_graph(fixed))
+        seen["forward prefix" if forward else "wholly bottom-up"] += 1
     assert min(seen.values()) >= 50, seen
 
 
