@@ -20,12 +20,11 @@ topological order over key blocks.  It decides a suffix of that order
 bottom-up, one set per step from one walk over its relation's blocks.  A
 step is in it when it holds every variable bound before it that it or a
 later step reads, or when its atom fixes the next step's key, whose entry
-brings the variables it lacks.  When the whole order is so decided, the
-same walk also collects each step's plain reads, so the plain answers
-need no join.  Otherwise the join gives the candidates, and a forward
-pass per candidate covers the steps before the suffix, each through a
-per-call index of its relation's usable blocks, ending in a membership
-test.
+brings the variables it lacks.  The same walk also collects each step's
+plain reads, so when the whole order is so decided the plain answers need
+no join.  Otherwise the join gives the plain answers, and a forward pass
+per answer covers the steps before the suffix, each through a per-call
+index of its relation's usable blocks, ending in a membership test.
 """
 
 from __future__ import annotations
@@ -286,11 +285,11 @@ def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, .
 
 
 def _walk(
-    plan: tuple[_Step, ...], start: int, db: DatabaseInstance, plain: bool = False
+    plan: tuple[_Step, ...], start: int, db: DatabaseInstance
 ) -> tuple[dict[tuple, tuple], set[tuple]]:
-    """The entries of step `start` of `plan` and, when `plain`, its plain
-    reads, from one walk over the relation of each step from `start` on,
-    the last first.
+    """The entries and the plain reads of step `start` of `plan`, from one
+    walk over the relation of each step from `start` on, the last first
+    (with no step, the empty read is both).
 
     A step's entries are one read per block whose facts pass the test, lead
     each to an entry of the next step and agree on what the step reads.
@@ -301,10 +300,10 @@ def _walk(
     plain reads of a step are those of every fact that passes the test,
     read together with each plain read of the next step under the same key
     (several under a conflicting block).  Both are found by the previous
-    step under the same key.  Without `plain`, a block is left at its first
-    fact that rules it out.
+    step under the same key.
     """
-    entries: dict[tuple, tuple] = {}
+    entries: dict[tuple, tuple] = {(): ()}
+    found: set[tuple] = {()}
     below: dict[tuple, list[tuple]] = {}  # the next step's plain reads by key
     for i in range(len(plan) - 1, start - 1, -1):
         step, by = plan[i], plan[i - 1].keyof if i else None  # how step i - 1 finds entries
@@ -323,29 +322,24 @@ def _walk(
                         add(read if other is rest else mine(row + other))
                 else:
                     read = mine(row)
-                    if plain:
-                        add(read)
+                    add(read)
                 if agreed is None:
                     agreed = read
                 elif read != agreed:
                     agreed = False
-                if agreed is False and not plain:
-                    break
             if agreed is not False:
                 entries[by(agreed) if by else agreed] = agreed
-        if plain and i > start:
+        if i > start:
             below = {}
             for read in found:
                 below.setdefault(by(read) if by else read, []).append(read)
     return entries, found
 
 
-def _certain_among(
-    plan: tuple[_Step, ...],
-    candidates: Iterable[tuple[str, ...]],
-    db: DatabaseInstance,
-) -> frozenset[tuple[str, ...]]:
-    """The candidate head tuples that hold in every repair.
+def _plain_and_certain(
+    q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph
+) -> tuple[set[tuple[str, ...]], frozenset[tuple[str, ...]]]:
+    """The plain answers of `q` and the certain ones among them.
 
     A binding is certain at step i when some usable block under it has
     every fact certain at step i + 1 (at the last step, when there is such
@@ -353,22 +347,26 @@ def _certain_among(
     agrees with the binding on the atom's bound variables.  Certainty at a
     step depends only on what it and later steps read.
 
-    The steps after the last one without `mine` are decided by `_walk`.
-    When the first step is so decided, the answer is its entries among the
-    candidates.  Otherwise a forward pass over the steps before keeps one
-    binding per distinct read at each step (a candidate at the first) and,
-    per usable block, the reads its facts lead to, and ends in a membership
-    test in the entries.  Each step indexes its relation's usable blocks on
-    each call by the bound variables their facts agree on.  Certainty is
-    then decided from that test back, without recursion.
+    The steps after the last one without `mine` are decided by one `_walk`.
+    When that is every step, the plain answers are the first step's plain
+    reads and the certain ones its entries (every head variable is in some
+    atom, so the first read is the head).  Otherwise the join gives the
+    plain answers, and a forward pass over the steps before keeps one
+    binding per distinct read at each step (a plain answer at the first)
+    and, per usable block, the reads its facts lead to, and ends in a
+    membership test in the entries.  Each step indexes its relation's
+    usable blocks on each call by the bound variables their facts agree
+    on.  Certainty is then decided from that test back, without recursion.
     """
-    if not plan:
-        return frozenset(candidates)
+    plan = _elimination_plan(q, graph)
+    _check_schema(q, db)
     start = max((i + 1 for i, step in enumerate(plan) if step.mine is None), default=0)
-    entries = _walk(plan, start, db)[0]
-    if not start:  # every head variable is in some atom, so the first read is the head
-        return frozenset(entries.keys() & candidates)
-    level: dict[object, tuple] = dict(zip(candidates, candidates))
+    entries, plain = _walk(plan, start, db)
+    if not start:
+        return plain, frozenset(entries)
+    join = _compile_join(q.atoms, q.free_vars)
+    plain = _join(join, _relations(join, db))
+    level: dict[object, tuple] = dict(zip(plain, plain))
     passes: list[tuple[dict, list[tuple[object, list]]]] = []
     for step, after in zip(plan[:start], plan[1:]):
         test, probe, own, new, read = step.test, step.probe, step.own, step.new, after.reads
@@ -397,25 +395,7 @@ def _certain_among(
             if all(map(known, reads)):
                 certain[at] = True
         known = certain.__getitem__
-    return frozenset(compress(certain, certain.values()))
-
-
-def _plain_and_certain(
-    q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph
-) -> tuple[set[tuple[str, ...]], frozenset[tuple[str, ...]]]:
-    """The plain answers of `q` and the certain ones among them.  When every
-    step of the elimination plan is decided bottom-up, one `_walk` reads
-    both: the plain answers are the first step's plain reads and the
-    certain ones its entries.  Otherwise the join gives the plain answers,
-    and `_certain_among` filters them."""
-    plan = _elimination_plan(q, graph)
-    _check_schema(q, db)
-    if plan and all(step.mine for step in plan):
-        entries, plain = _walk(plan, 0, db, plain=True)
-        return plain, frozenset(entries)
-    join = _compile_join(q.atoms, q.free_vars)
-    plain = _join(join, _relations(join, db))
-    return plain, _certain_among(plan, plain, db)
+    return plain, frozenset(compress(certain, certain.values()))
 
 
 def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
@@ -490,9 +470,20 @@ def cqacount_parsimonious(
 
 # --- repair quality checks ----------------------------------------------------
 
-def _fix_group(query: ConjunctiveQuery, group: tuple[str, ...]) -> ConjunctiveQuery:
-    """Pin the leading head variables to the group's constants."""
-    return substitute(query, query.free_vars[: len(group)], group)
+def _pinned(
+    repair: DatabaseInstance,
+    db: DatabaseInstance,
+    query: ConjunctiveQuery,
+    group: tuple[str, ...],
+) -> tuple[ConjunctiveQuery, _Join]:
+    """The query with its leading head variables pinned to the group's
+    constants, and its compiled join, once `repair` is checked to be a
+    repair of `db` on the query's schema."""
+    if not is_repair_of(repair, db):
+        raise EvaluationError("candidate is not a repair of the instance")
+    fixed = substitute(query, query.free_vars[: len(group)], group)
+    _check_schema(fixed, db)  # and so on `repair`, whose schema is that of `db`
+    return fixed, _compile_join(fixed.atoms, fixed.free_vars)
 
 
 def is_optimistic_repair(
@@ -502,12 +493,8 @@ def is_optimistic_repair(
     group: tuple[str, ...],
 ) -> bool:
     """Does the repair preserve every answer the full instance has for this group?"""
-    if not is_repair_of(repair, db):
-        raise EvaluationError("candidate is not a repair of the instance")
-    fixed = _fix_group(query, group)
-    _check_schema(fixed, db)  # and so on `repair`, whose schema is that of `db`
-    plan = _compile_join(fixed.atoms, fixed.free_vars)
-    return _join(plan, _relations(plan, db)) <= _join(plan, _relations(plan, repair))
+    _, join = _pinned(repair, db, query, group)
+    return _join(join, _relations(join, db)) <= _join(join, _relations(join, repair))
 
 
 def is_pessimistic_repair(
@@ -516,20 +503,10 @@ def is_pessimistic_repair(
     query: ConjunctiveQuery,
     group: tuple[str, ...],
 ) -> bool:
-    """Does every answer on the repair hold in all repairs (for this group)?
-
-    The pinned query is joined on the repair only: a repair is part of
-    `db`, so its answers are plain answers of `db`, and the certainty check
-    decides just those.
-    """
-    if not is_repair_of(repair, db):
-        raise EvaluationError("candidate is not a repair of the instance")
-    fixed = _fix_group(query, group)
-    _check_schema(fixed, db)  # and so on `repair`, whose schema is that of `db`
-    join = _compile_join(fixed.atoms, fixed.free_vars)
-    answers = _join(join, _relations(join, repair))
-    plan = _elimination_plan(fixed, attack_graph(fixed))
-    return len(_certain_among(plan, answers, db)) == len(answers)
+    """Does every answer on the repair hold in all repairs (for this group)?"""
+    fixed, join = _pinned(repair, db, query, group)
+    certain = _plain_and_certain(fixed, db, attack_graph(fixed))[1]
+    return _join(join, _relations(join, repair)) <= certain
 
 
 # --- result emission -----------------------------------------------------------
