@@ -5,6 +5,7 @@ and in-degree counts are built once, so every walk and output is deterministic."
 from __future__ import annotations
 
 import heapq
+import io
 from typing import Container, Iterable, Mapping
 
 
@@ -80,14 +81,18 @@ class Digraph:
         return parent
 
     def dot(self, name: str, bold: Container[tuple[str, str]] = ()) -> str:
-        """DOT text: vertices, then edges, both sorted; edges in `bold` drawn bold."""
+        """DOT text: vertices, then edges, both sorted; edges in `bold` drawn bold.
+        Each line is written into one buffer as it is made."""
         kind, arrow = ("digraph", "->") if self.directed else ("graph", "--")
-        lines = [f"{kind} {name} {{", *(f'  "{v}";' for v in sorted(self.vertices))]
+        out = io.StringIO()
+        out.write(f"{kind} {name} {{\n")
+        out.writelines(f'  "{v}";\n' for v in sorted(self.vertices))
         for s, ts in sorted(self._succ.items()):
             for t in ts if self.directed else [t for t in ts if s < t]:
                 style = " [style=bold]" if (s, t) in bold else ""
-                lines.append(f'  "{s}" {arrow} "{t}"{style};')
-        return "\n".join(lines) + "\n}\n"
+                out.write(f'  "{s}" {arrow} "{t}"{style};\n')
+        out.write("}\n")
+        return out.getvalue()
 
 
 def path_to(parent: Mapping[str, str | None], v: str) -> tuple[str, ...]:
