@@ -238,9 +238,9 @@ def test_attack_graph_memory_per_attack_on_a_chain():
 
 
 def test_attack_graph_dot_memory_per_byte_of_text_on_a_chain():
-    # the lines go into one buffer as they are made: the peak is about 2.8
-    # times the text on Python 3.11, against about 5.9 times when every edge
-    # line was kept as its own string until a final join
+    # the lines go into one buffer as they are made, a peak of about 2.8
+    # times the text on Python 3.11; four times the text rules out keeping
+    # one string per edge line until a final join, which reads about 5.9
     q = parse_query("q(x0) :- " + ", ".join(f"R{i}(x{i} | x{i + 1})" for i in range(600)) + ".")
     g = attack_graph(q)
     tracemalloc.start()
