@@ -29,9 +29,11 @@ index of its relation's usable blocks, ending in a membership test.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
-from itertools import accumulate, compress
-from operator import itemgetter
+from functools import partial
+from itertools import accumulate, compress, repeat
+from operator import itemgetter, le
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .attacks import AttackGraph, attack_graph
@@ -75,6 +77,10 @@ class RangeAnswer(NamedTuple):
     group: tuple[str, ...]
     lower: int
     upper: int
+
+
+# `RangeAnswer._make` without its length check
+_range_answer = partial(tuple.__new__, RangeAnswer)
 
 
 def _check_schema(q: ConjunctiveQuery, db: DatabaseInstance) -> None:
@@ -237,11 +243,18 @@ def evaluate(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
 def _group_counts(tuples: AbstractSet[tuple[str, ...]], width: int) -> dict[tuple[str, ...], int]:
     """Distinct tuples per group of their first `width` values; the tuples
     come as a set, so counting them counts distinct remainders.  One group
-    value is counted bare, as its hash is cached, and wrapped at the end."""
+    value is counted bare, as its hash is cached, and wrapped at the end.
+    A `Counter` costs the oracle more than it saves on a repair's few tuples."""
     counts: dict = {}
     for group in map(itemgetter(0) if width == 1 else itemgetter(slice(width)), tuples):
         counts[group] = counts.get(group, 0) + 1
     return {(g,): n for g, n in counts.items()} if width == 1 else counts
+
+
+def _tally(tuples: Iterable[tuple[str, ...]], width: int) -> Mapping[object, int]:
+    """`_group_counts` in one C-level `Counter` pass, leaving one group
+    value bare: wrap the keys with `zip` at width 1."""
+    return Counter(map(itemgetter(0) if width == 1 else itemgetter(slice(width)), tuples))
 
 
 def _counting_join(q_full: ConjunctiveQuery, group_vars: tuple[str, ...]) -> _Join:
@@ -338,8 +351,8 @@ def _walk(
 
 def _plain_and_certain(
     q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph
-) -> tuple[set[tuple[str, ...]], frozenset[tuple[str, ...]]]:
-    """The plain answers of `q` and the certain ones among them.
+) -> tuple[set[tuple[str, ...]], AbstractSet[tuple[str, ...]]]:
+    """The plain answers of `q` and the certain ones among them (a set view).
 
     A binding is certain at step i when some usable block under it has
     every fact certain at step i + 1 (at the last step, when there is such
@@ -363,7 +376,7 @@ def _plain_and_certain(
     start = max((i + 1 for i, step in enumerate(plan) if step.mine is None), default=0)
     entries, plain = _walk(plan, start, db)
     if not start:
-        return plain, frozenset(entries)
+        return plain, entries.keys()
     join = _compile_join(q.atoms, q.free_vars)
     plain = _join(join, _relations(join, db))
     level: dict[object, tuple] = dict(zip(plain, plain))
@@ -404,7 +417,7 @@ def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     Requires an acyclic attack graph; candidates come from the plain
     answers (a sound superset) and are filtered by one elimination plan.
     """
-    return AnswerSet(q.free_vars, _plain_and_certain(q, db, attack_graph(q))[1])
+    return AnswerSet(q.free_vars, frozenset(_plain_and_certain(q, db, attack_graph(q))[1]))
 
 
 # --- range-consistent counting ----------------------------------------------
@@ -459,11 +472,12 @@ def cqacount_parsimonious(
         raise NotInCparsimonyError(replace(report, in_cforest=in_cforest(q)))
     width = len(q.free_vars)
     plain, certain = _plain_and_certain(make_free(q, report.id_set or ()), db, graph)
-    upper = _group_counts(plain, width)
-    lower = _group_counts(certain, width)
-    out = frozenset(RangeAnswer(group, m, upper.get(group, 0)) for group, m in lower.items())
-    if bad := [a for a in out if not 1 <= a.lower <= a.upper]:
-        group, m, n = min(bad)
+    upper, lower = _tally(plain, width), _tally(certain, width)
+    counts = lower.values()
+    uppers = [*map(upper.get, lower, repeat(0))]
+    out = frozenset(map(_range_answer, zip(zip(lower) if width == 1 else lower, counts, uppers)))
+    if min(counts, default=1) < 1 or not all(map(le, counts, uppers)):
+        group, m, n = min(a for a in out if not 1 <= a.lower <= a.upper)
         raise InternalError(f"inconsistent parsimonious bounds [{m}, {n}] for group {group}")
     return out
 

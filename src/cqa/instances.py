@@ -224,9 +224,10 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
         if m is None:
             raise BundleError(f"{schema_file}:{lineno}: cannot parse {line!r}")
         sigs.append(RelationSignature(m["name"], int(m["arity"]), int(m["key"])))
-    rows: dict[str, set[Row]] = {}
+    # distinct rows in file order, so `sorted` merges the file's ascending runs
+    rows: dict[str, dict[Row, None]] = {}
     for sig in sigs:
-        got = rows.setdefault(sig.name, set())
+        got = rows.setdefault(sig.name, {})
         data = root / f"{sig.name}.csv"
         if not data.is_file():
             continue
@@ -235,7 +236,7 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
             for rowno, row in enumerate(reader, 1):
                 if len(row) != sig.arity:
                     raise BundleError(f"{data}:{rowno}: {len(row)} columns for arity {sig.arity}")
-                got.add(tuple(row))
+                got[tuple(row)] = None
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise BundleError(f"{data}:{reader.line_num}: {exc}") from None
     schema = _schema(sigs)

@@ -337,9 +337,9 @@ def test_count_internal_error_is_exit_3(tmp_path, capsys, monkeypatch):
     import importlib
 
     evaluate_module = importlib.import_module("cqa.evaluate")
-    counts = evaluate_module._group_counts
+    counts = evaluate_module._tally
     monkeypatch.setattr(
-        evaluate_module, "_group_counts", lambda t, w: {g: -n for g, n in counts(t, w).items()}
+        evaluate_module, "_tally", lambda t, w: {g: -n for g, n in counts(t, w).items()}
     )
     qpath = write_query(tmp_path, support.employee_query())
     db = employee_bundle(tmp_path)

@@ -24,7 +24,7 @@ from cqa.evaluate import (
     range_answers_json,
     range_answers_tsv,
 )
-from cqa.errors import InputError
+from cqa.errors import InputError, InternalError
 from cqa.instances import (
     DEFAULT_REPAIR_CAP,
     DatabaseInstance,
@@ -142,6 +142,13 @@ def test_group_counts_by_width():
     assert group_counts(tuples, 1) == {("a",): 3, ("b",): 1}
     assert group_counts(tuples, 2) == {("a", "x"): 2, ("a", "y"): 1, ("b", "x"): 1}
     assert group_counts(set(), 1) == {}
+    # the parsimonious route's C-level grouping, a single group value bare
+    for width in (0, 1, 2):
+        for given in (tuples, set()):
+            tally = evaluate_module._tally(given, width)
+            assert dict(zip(zip(tally) if width == 1 else tally, tally.values())) == (
+                group_counts(given, width)
+            )
 
 
 def test_count_by_requires_full_query():
@@ -426,6 +433,25 @@ def test_parsimonious_groups_are_the_certain_answers():
         db = random_instance(rng, q, max_repairs=64)
         groups = {a.group for a in cqacount_parsimonious(q, db)}
         assert groups == certain_answers(q, db).tuples
+
+
+@pytest.mark.parametrize("fault, bounds", [
+    # each breaks one half of `1 <= m <= n` alone
+    ("tally", "[0, 2]"),  # every count one short
+    ("swap", "[3, 1]"),  # lower bounds from the plain answers, upper from the certain
+])
+def test_parsimonious_inconsistent_bounds_are_internal_errors(monkeypatch, fault, bounds):
+    if fault == "tally":
+        tally = evaluate_module._tally
+        monkeypatch.setattr(evaluate_module, "_tally",
+                            lambda t, w: {g: n - 1 for g, n in tally(t, w).items()})
+    else:
+        split = evaluate_module._plain_and_certain
+        monkeypatch.setattr(evaluate_module, "_plain_and_certain",
+                            lambda *args: split(*args)[::-1])
+    with pytest.raises(InternalError) as err:
+        cqacount_parsimonious(support.employee_query(), support.employee_db())
+    assert str(err.value) == f"inconsistent parsimonious bounds {bounds} for group ('A',)"
 
 
 def test_parsimonious_refuses_lookup_pair_with_certificate():

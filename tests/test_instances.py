@@ -132,6 +132,20 @@ def test_bundle_roundtrip(tmp_path):
     assert again.facts == db.facts  # canonical ordering preserved
 
 
+def test_bundle_rows_out_of_order_and_repeated_load_as_facts(tmp_path):
+    root = tmp_path / "shuffled"
+    root.mkdir()
+    (root / "schema.txt").write_text("R arity=2 key=1\n")
+    (root / "R.csv").write_text("k2,b\nk1,z\nk10,a\nk2,b\nk1,a\n")
+    db = DatabaseInstance(
+        [RelationSignature("R", 2, 1)],
+        [Fact("R", row) for row in [("k1", "a"), ("k1", "z"), ("k10", "a"), ("k2", "b")]],
+    )
+    loaded = load_bundle(root)
+    assert loaded == db
+    assert loaded.facts == db.facts
+
+
 def test_bundle_roundtrip_with_awkward_values(tmp_path):
     db = DatabaseInstance(
         [RelationSignature("R", 2, 1)],
