@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .fds import FunctionalDependencySet, SequentialProof, fdset, keycl, sequential_proof
-from .graphs import Digraph, path_to
+from .graphs import Digraph, joined, path_to
 from .queries import Atom, ConjunctiveQuery, QueryGraph, query_graph
 
 
@@ -142,4 +142,4 @@ def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> Frozen
 
 def attack_graph_dot(g: AttackGraph) -> str:
     """DOT rendering: solid edges are weak attacks, bold edges strong."""
-    return g.dot("attack_graph", g._strong)
+    return joined(g.dot("attack_graph", g._strong))

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .attacks import AttackGraph, attack_graph, frozen_vars
 from .errors import AnalysisRefusal
-from .graphs import Digraph, path_to
+from .graphs import Digraph, joined, path_to
 from .queries import ConjunctiveQuery, _check_bound
 
 
@@ -171,4 +171,4 @@ def in_cforest(q: ConjunctiveQuery) -> bool:
 
 
 def fuxman_graph_dot(fg: FuxmanGraph) -> str:
-    return fg.dot("fuxman_graph")
+    return joined(fg.dot("fuxman_graph"))

@@ -13,8 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .attacks import attack_graph, attack_graph_dot
-from .classify import fuxman_graph, fuxman_graph_dot, in_cparsimony
+from .attacks import attack_graph
+from .classify import fuxman_graph, in_cparsimony
 from .errors import AnalysisRefusal, InputError, InternalError
 from .evaluate import (
     cqacount_oracle,
@@ -39,7 +39,6 @@ from .queries import (
     make_free,
     parse_query,
     query_graph,
-    query_graph_dot,
     serialize_query,
 )
 
@@ -106,13 +105,17 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    # each line is written as it is made, never the whole text (the lines
+    # that `attack_graph_dot` and its siblings join)
     q = _load_query(args.query)
     if args.kind == "attack":
-        print(attack_graph_dot(attack_graph(q)), end="")
+        g = attack_graph(q)
+        lines = g.dot("attack_graph", g._strong)
     elif args.kind == "fuxman":
-        print(fuxman_graph_dot(fuxman_graph(q)), end="")
+        lines = fuxman_graph(q).dot("fuxman_graph")
     else:
-        print(query_graph_dot(query_graph(q)), end="")
+        lines = query_graph(q).dot("query_graph")
+    sys.stdout.writelines(lines)
     return 0
 
 

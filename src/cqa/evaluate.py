@@ -9,22 +9,25 @@ group.  The oracle is the ground truth the fast route is checked against.
 Both first-order passes run steps compiled once per query by one builder
 from an atom order and the variables bound up front.  A step reads fact
 rows as they are stored: a test for the atom's constants and repeated
-variables (absent when it has neither), and C-level `itemgetter`s for
-the values of its bound variables (one value bare, several as a tuple, no
-index for none) and of the variables it binds first.  Bindings are tuples
-of variable values in binding order.  The join binds key-bound atoms
-first, then those with the most bound variables, and reads a hash index
-per step over the rows of its relation that pass the test.  The
-certainty check binds the head, then follows the attack graph's
-topological order over key blocks.  It decides a suffix of that order
-bottom-up, one set per step from one walk over its relation's blocks.  A
-step is in it when it holds every variable bound before it that it or a
-later step reads, or when its atom fixes the next step's key, whose entry
-brings the variables it lacks.  The same walk also collects each step's
-plain reads, so when the whole order is so decided the plain answers need
-no join.  Otherwise the join gives the plain answers, and a forward pass
-per answer covers the steps before the suffix, each through a per-call
-index of its relation's usable blocks, ending in a membership test.
+variables (absent when it has neither, one bare compare for a lone
+constant), and C-level `itemgetter`s for the values of its bound
+variables (one value bare, several as a tuple, no index for none) and of
+the variables it binds first.  Bindings are tuples of variable values in
+binding order.  The join binds key-bound atoms first, then those with the
+most bound variables, and reads a hash index per step over the rows of
+its relation that pass the test.  The certainty check binds the head,
+then follows the attack graph's topological order over key blocks.  It
+decides a suffix of that order bottom-up, one set per step from one walk
+over its relation: the rows of single-fact blocks in one flat pass, and
+only the blocks of two or more facts, where repairs differ, checked for
+agreement.  A step is in it when it holds every variable bound before it
+that it or a later step reads, or when its atom fixes the next step's
+key, whose entry brings the variables it lacks.  The same walk also
+collects each step's plain reads, so when the whole order is so decided
+the plain answers need no join.  Otherwise the join gives the plain
+answers, and a forward pass per answer covers the steps before the
+suffix, each through a per-call index of its relation's usable blocks,
+ending in a membership test.
 """
 
 from __future__ import annotations
@@ -111,6 +114,9 @@ def _test(
     repeated variable (at `repeats`) one value; None when there are neither."""
     if not consts and not repeats:
         return None
+    if len(consts) == 1 and not repeats:  # one bare compare, no 1-tuple per row
+        i, c = consts[0], atom.args[consts[0]].symbol
+        return lambda row: row[i] == c
     at, want = _values(consts + repeats), tuple(atom.args[i].symbol for i in consts)
     if not repeats:
         return lambda row: at(row) == want
@@ -305,7 +311,10 @@ def _walk(
     (with no step, the empty read is both).
 
     A step's entries are one read per block whose facts pass the test, lead
-    each to an entry of the next step and agree on what the step reads.
+    each to an entry of the next step and agree on what the step reads.  A
+    single-fact block needs no agreement, so those rows go through one flat
+    loop (at the last step, one `map` whose reads are both entries and
+    plain reads), and only blocks of two or more facts compare their reads.
     Each fact finds the next step's entry by what it shares with the next
     read and is read together with that entry: a pass-through-free step's
     fact holds the whole next read, and a key-joined step's fact fixes the
@@ -323,7 +332,22 @@ def _walk(
         test, mine, ahead = step.test, step.mine, step.ahead
         nexts, entries, found = entries, {}, set()
         add = found.add
-        for rows in db._blocks[step.atom.name].values():
+        singles, conflicts = db._parts[step.atom.name]
+        if test:
+            singles = filter(test, singles)
+        if not ahead:  # the last step: each passing row's read is an entry and a plain read
+            reads = [*map(mine, singles)]
+            found.update(reads)
+            entries.update(zip(map(by, reads) if by else reads, reads))
+        else:
+            for row in singles:
+                at = ahead(row)
+                if (rest := nexts.get(at)) is not None:
+                    read = mine(row + rest)
+                    entries[by(read) if by else read] = read
+                for other in below.get(at, ()):  # the entry is one of them, its read reused
+                    add(read if other is rest else mine(row + other))
+        for rows in conflicts:
             agreed = None  # the block's read; False once a fact rules it out
             for row in rows:
                 if test and not test(row):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import heapq
 import io
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 
 class Digraph:
@@ -80,19 +80,26 @@ class Digraph:
                     queue.append(u)
         return parent
 
-    def dot(self, name: str, bold: Container[tuple[str, str]] = ()) -> str:
-        """DOT text: vertices, then edges, both sorted; edges in `bold` drawn bold.
-        Each line is written into one buffer as it is made."""
+    def dot(self, name: str, bold: Container[tuple[str, str]] = ()) -> Iterator[str]:
+        """The lines of the DOT text, each yielded as it is made: vertices,
+        then edges, both sorted; edges in `bold` drawn bold."""
         kind, arrow = ("digraph", "->") if self.directed else ("graph", "--")
-        out = io.StringIO()
-        out.write(f"{kind} {name} {{\n")
-        out.writelines(f'  "{v}";\n' for v in sorted(self.vertices))
+        yield f"{kind} {name} {{\n"
+        yield from (f'  "{v}";\n' for v in sorted(self.vertices))
         for s, ts in sorted(self._succ.items()):
             for t in ts if self.directed else [t for t in ts if s < t]:
                 style = " [style=bold]" if (s, t) in bold else ""
-                out.write(f'  "{s}" {arrow} "{t}"{style};\n')
-        out.write("}\n")
-        return out.getvalue()
+                yield f'  "{s}" {arrow} "{t}"{style};\n'
+        yield "}\n"
+
+
+def joined(lines: Iterable[str]) -> str:
+    """The lines as one text, each written into one buffer as it comes; a
+    final `"".join` would hold a string per line on top, about twice the
+    peak memory."""
+    out = io.StringIO()
+    out.writelines(lines)
+    return out.getvalue()
 
 
 def path_to(parent: Mapping[str, str | None], v: str) -> tuple[str, ...]:

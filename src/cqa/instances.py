@@ -116,6 +116,15 @@ class DatabaseInstance:
             for name, sig in self.schema.items()
         }
 
+    @cached_property
+    def _parts(self) -> dict[str, tuple[tuple[Row, ...], tuple[tuple[Row, ...], ...]]]:
+        """Per relation: the rows of its single-fact blocks, then its blocks of
+        two or more facts, the only ones in which repairs differ; each part in
+        key order, and every row in exactly one of them."""
+        return {name: (tuple(rows[0] for rows in by_key.values() if len(rows) == 1),
+                       tuple(rows for rows in by_key.values() if len(rows) > 1))
+                for name, by_key in self._blocks.items()}
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DatabaseInstance)
@@ -149,11 +158,11 @@ class DatabaseInstance:
         )
 
     def is_consistent(self) -> bool:
-        return all(len(rows) == 1 for by_key in self._blocks.values() for rows in by_key.values())
+        return not any(conflicts for _, conflicts in self._parts.values())
 
 
 def repair_count(db: DatabaseInstance) -> int:
-    return math.prod(len(rows) for by_key in db._blocks.values() for rows in by_key.values())
+    return math.prod(len(rows) for _, conflicts in db._parts.values() for rows in conflicts)
 
 
 def _picks(blocks: Sequence[Collection[Sequence]], cap: int) -> Iterator[list[tuple]]:

@@ -25,7 +25,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import InputError
-from .graphs import Digraph
+from .graphs import Digraph, joined
 
 
 class QueryError(InputError, ValueError):
@@ -231,7 +231,7 @@ def query_graph(q: ConjunctiveQuery) -> QueryGraph:
 
 
 def query_graph_dot(g: QueryGraph) -> str:
-    return g.dot("query_graph")
+    return joined(g.dot("query_graph"))
 
 
 # --- text format ---------------------------------------------------------

@@ -940,6 +940,15 @@ def test_count_and_classify_answer_400_atom_chain_and_star(tmp_path, capsys, bod
     assert err == ""
 
 
+@pytest.mark.parametrize("name", ["employee", "forward", "blocks"])
+def test_shipped_bundles_count_as_their_goldens(capsys, name):
+    # the goldens CI diffs the installed script against, here through main
+    root = Path(__file__).resolve().parents[1] / "examples" / name
+    assert main(["count", "--db", str(root), "--query", str(root / "query.cq"),
+                 "--mode", "both"]) == 0
+    assert capsys.readouterr().out == (root / "count-both.tsv").read_text(encoding="utf-8")
+
+
 def _with_bom(path: Path) -> None:
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
 

@@ -816,6 +816,31 @@ def _bottom_up_cases(q, db, graph, plain):
     return cases
 
 
+def _partition_cases(q, db, graph):
+    """The cases of the walk's two parts on this pair, from the blocks alone,
+    at each level after the last "forward" one: its relation holds both
+    single-fact and conflicting blocks, and a conflicting block's facts all
+    fit the atom but give the atom's variables of the level's read two or
+    more values."""
+    order = [q.atom(name) for name in graph.topological_order()]
+    cases, bound = set(), set(q.free_vars)
+    for i, (atom, level) in enumerate(zip(order, _plan_shape(q, graph))):
+        read = sorted(bound & set().union(*(a.variables for a in order[i:])) & atom.variables)
+        bound |= atom.variables
+        if level == "forward":
+            continue
+        sizes = set()
+        for block in (b for b in db.blocks() if b.relation == atom.name):
+            sizes.add(len(block.members) > 1)
+            fits = [support._unify(atom, f, {}) for f in block.members]
+            if len(fits) > 1 and None not in fits and len(
+                    {tuple(b[v] for v in read) for b in fits}) > 1:
+                cases.add("conflicting block fits but disagrees on the read")
+        if sizes == {False, True}:
+            cases.add("walked relation with single and conflicting blocks")
+    return cases
+
+
 def _key_joined_query(rng):
     """A chain R1(x1 | x2), R2(x2 | x3), ... of two or three atoms ending in
     w, with s at a non-key position of two or more atoms and both free (x1
@@ -856,7 +881,8 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
          "bound non-key variable disagrees", "empty plan", "widened", "made free", "certain",
          "not certain", "wholly bottom-up", "forward prefix", "key-joined level",
          "forward step with a fixed key", "plain through an unusable block",
-         "key-joined fan-out"), 0)
+         "key-joined fan-out", "walked relation with single and conflicting blocks",
+         "conflicting block fits but disagrees on the read"), 0)
     for i in range(3500):
         while True:
             if i % 50 == 0:
@@ -899,7 +925,7 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
             fixed |= level == "forward" and q.atom(name).key_vars <= bound
             bound |= q.atom(name).variables
         seen["forward step with a fixed key"] += fixed
-        for case in _bottom_up_cases(q, db, graph, want[0]):
+        for case in _bottom_up_cases(q, db, graph, want[0]) | _partition_cases(q, db, graph):
             seen[case] += 1
     assert min(seen.values()) >= 50, seen
 

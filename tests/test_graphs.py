@@ -141,7 +141,7 @@ def test_dot_lists_each_edge_once_in_sorted_order():
             want = [f"{kind} g {{", *(f'  "{v}";' for v in sorted(g.vertices)), *(
                 f'  "{s}" {arrow} "{t}"{" [style=bold]" if (s, t) in bold else ""};'
                 for s, t in drawn), "}"]
-            assert g.dot("g", bold) == "\n".join(want) + "\n"
+            assert "".join(g.dot("g", bold)) == "\n".join(want) + "\n"
 
 
 def test_edges_given_as_a_generator_build_the_same_graph():

@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,46 @@ def test_consistency():
     assert DatabaseInstance([RelationSignature("R", 2, 1)]).is_consistent()
     for repair in enumerate_repairs(support.employee_db()):
         assert repair.is_consistent()
+
+
+def test_parts_put_each_row_in_one_part_in_key_order():
+    # single-fact blocks give their rows, blocks of two or more facts stay
+    # whole; both in key order, and repair_count and is_consistent read off
+    # the conflicting part alone
+    sigs = [RelationSignature("Whole", 2, 0), RelationSignature("Full", 2, 2),
+            RelationSignature("Empty", 2, 1), RelationSignature("Clash", 2, 1),
+            RelationSignature("Mixed", 3, 1)]
+    facts = [Fact("Whole", row) for row in (("b", "a"), ("a", "b"), ("a", "a"))]
+    facts += [Fact("Full", row) for row in (("b", "a"), ("a", "b"), ("a", "a"))]
+    facts += [Fact("Clash", row) for row in (("b", "x"), ("a", "y"), ("a", "x"), ("b", "y"))]
+    facts += [Fact("Mixed", row) for row in (("c", "x", "1"), ("a", "x", "1"), ("b", "y", "2"),
+                                             ("a", "x", "2"), ("d", "z", "3"))]
+    db = DatabaseInstance(sigs, facts)
+    assert db._parts == {
+        "Clash": ((), ((("a", "x"), ("a", "y")), (("b", "x"), ("b", "y")))),
+        "Empty": ((), ()),
+        "Full": ((("a", "a"), ("a", "b"), ("b", "a")), ()),
+        "Mixed": ((("b", "y", "2"), ("c", "x", "1"), ("d", "z", "3")),
+                  ((("a", "x", "1"), ("a", "x", "2")),)),
+        "Whole": ((), ((("a", "a"), ("a", "b"), ("b", "a")),)),
+    }
+    assert repair_count(db) == 2 * 2 * 2 * 3 and not db.is_consistent()
+    rng = random.Random(73)
+    for _ in range(200):
+        db = random_instance(rng, random_query(rng), max_repairs=1 << 8)
+        assert db._parts.keys() == db.schema.keys()
+        for name, (singles, conflicts) in db._parts.items():
+            key = itemgetter(slice(db.schema[name].key_width))
+            size = Counter(map(key, db._rows[name]))
+            assert sorted([*singles, *(row for rows in conflicts for row in rows)]) == [
+                *db._rows[name]]
+            assert all(size[key(row)] == 1 for row in singles)
+            for rows in conflicts:
+                assert len({*map(key, rows)}) == 1 and len(rows) == size[key(rows[0])] > 1
+            firsts = [*map(key, singles)], [key(rows[0]) for rows in conflicts]
+            assert all(keys == sorted(keys) for keys in firsts)
+        for repair in enumerate_repairs(db):
+            assert repair.is_consistent() and repair_count(repair) == 1
 
 
 def test_repair_count_and_enumeration_employee():
