@@ -149,15 +149,14 @@ class FuxmanGraph(Digraph):
 def fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
     """Edge R -> S whenever a bound non-key variable of R occurs in S."""
     bound = set(q.bound_vars)
-    edges: set[tuple[str, str]] = set()
-    for r in q.atoms:
-        carried = r.nonkey_vars & bound
-        if not carried:
-            continue
-        for s in q.atoms:
-            if s is not r and not carried.isdisjoint(s.variables):
-                edges.add((r.name, s.name))
-    return FuxmanGraph((a.name for a in q.atoms), edges)
+    names = [a.name for a in q.atoms]
+    holders: dict[str, list[str]] = {}  # variable -> the atoms it occurs in
+    for a, name in zip(q.atoms, names):
+        for v in a.variables:
+            holders.setdefault(v, []).append(name)
+    edges = {(name, s) for a, name in zip(q.atoms, names) for v in a.nonkey_vars & bound
+             for s in holders[v] if s != name}
+    return FuxmanGraph(names, edges)
 
 
 def in_cforest(q: ConjunctiveQuery) -> bool:

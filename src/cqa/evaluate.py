@@ -24,10 +24,12 @@ agreement.  A step is in it when it holds every variable bound before it
 that it or a later step reads, or when its atom fixes the next step's
 key, whose entry brings the variables it lacks.  The same walk also
 collects each step's plain reads, so when the whole order is so decided
-the plain answers need no join.  Otherwise the join gives the plain
-answers, and a forward pass per answer covers the steps before the
-suffix, each through a per-call index of its relation's usable blocks,
-ending in a membership test.
+the plain answers need no join.  A key with an entry has that entry as
+its only plain read, so a fact that finds an entry is read once, and
+plain reads are kept and looked up only under keys without one.
+Otherwise the join gives the plain answers, and a forward pass per answer
+covers the steps before the suffix, each through a per-call index of its
+relation's usable blocks, ending in a membership test.
 """
 
 from __future__ import annotations
@@ -140,9 +142,10 @@ class _Step(NamedTuple):
     # the next step's entry -> what `reads` gives; fact row -> what the fact
     # shares with the next step's read, the key of the next step's entries,
     # which `keyof` reads off an entry when the fact lacks some of that read
+    # (one shared value bare then, as `probe` gives it)
     mine: Callable[[tuple], tuple] | None = None
-    ahead: Callable[[tuple], tuple] | None = None
-    keyof: Callable[[tuple], tuple] | None = None
+    ahead: Callable[[tuple], object] | None = None
+    keyof: Callable[[tuple], object] | None = None
 
 
 def _compile_steps(
@@ -187,6 +190,8 @@ def _compile_steps(
             ahead = _values([first[v] for v in shared]) if nxt else None
             if len(shared) < len(after):  # key-joined: the rest of `read` is in the next entry
                 keyof = _values([after.index(v) for v in shared])
+                if len(shared) == 1:  # one value keyed bare, as `probe` and `own` do
+                    ahead, keyof = itemgetter(first[shared[0]]), itemgetter(after.index(shared[0]))
         steps.append(_Step(atom, _test(atom, consts, repeats, first), probe, own, new, reads,
                            mine, ahead, keyof))
     return tuple(steps)
@@ -316,13 +321,22 @@ def _walk(
     loop (at the last step, one `map` whose reads are both entries and
     plain reads), and only blocks of two or more facts compare their reads.
     Each fact finds the next step's entry by what it shares with the next
-    read and is read together with that entry: a pass-through-free step's
-    fact holds the whole next read, and a key-joined step's fact fixes the
-    next key, the entry bringing the earlier variables the fact lacks.  The
-    plain reads of a step are those of every fact that passes the test,
-    read together with each plain read of the next step under the same key
-    (several under a conflicting block).  Both are found by the previous
-    step under the same key.
+    read (one shared variable bare) and is read together with that entry: a
+    pass-through-free step's fact holds the whole next read, and a
+    key-joined step's fact fixes the next key, the entry bringing the
+    earlier variables the fact lacks.  The plain reads of a step are those
+    of every fact that passes the test, read together with each plain read
+    of the next step under the same key (several under a conflicting
+    block).  Both are found by the previous step under the same key.
+
+    When a key has an entry, that entry is its only plain read.  At the
+    last step each fact has one read.  A block has an entry only when all
+    its facts pass the test, each finds a next entry and all agree on the
+    read; each of them then has one plain read by induction, the agreed
+    one.  The key a key-joined step finds entries by holds the next atom's
+    key, so one key is one block; any other step's key is the whole read.  So a fact that
+    finds an entry takes its read as its one plain read, and the next
+    step's plain reads are kept, and probed, only under keys without one.
     """
     entries: dict[tuple, tuple] = {(): ()}
     found: set[tuple] = {()}
@@ -342,11 +356,13 @@ def _walk(
         else:
             for row in singles:
                 at = ahead(row)
-                if (rest := nexts.get(at)) is not None:
+                if (rest := nexts.get(at)) is not None:  # the entry is the key's one plain read
                     read = mine(row + rest)
                     entries[by(read) if by else read] = read
-                for other in below.get(at, ()):  # the entry is one of them, its read reused
-                    add(read if other is rest else mine(row + other))
+                    add(read)
+                else:
+                    for other in below.get(at, ()):
+                        add(mine(row + other))
         for rows in conflicts:
             agreed = None  # the block's read; False once a fact rules it out
             for row in rows:
@@ -354,9 +370,13 @@ def _walk(
                     read = False
                 elif ahead:
                     at = ahead(row)
-                    read = False if (rest := nexts.get(at)) is None else mine(row + rest)
-                    for other in below.get(at, ()):  # the entry is one of them, its read reused
-                        add(read if other is rest else mine(row + other))
+                    if (rest := nexts.get(at)) is not None:
+                        read = mine(row + rest)
+                        add(read)
+                    else:
+                        read = False
+                        for other in below.get(at, ()):
+                            add(mine(row + other))
                 else:
                     read = mine(row)
                     add(read)
@@ -366,10 +386,11 @@ def _walk(
                     agreed = False
             if agreed is not False:
                 entries[by(agreed) if by else agreed] = agreed
-        if i > start:
+        if i > start:  # plain reads only under keys without an entry
             below = {}
             for read in found:
-                below.setdefault(by(read) if by else read, []).append(read)
+                if (key := by(read) if by else read) not in entries:
+                    below.setdefault(key, []).append(read)
     return entries, found
 
 

@@ -940,7 +940,7 @@ def test_count_and_classify_answer_400_atom_chain_and_star(tmp_path, capsys, bod
     assert err == ""
 
 
-@pytest.mark.parametrize("name", ["employee", "forward", "blocks"])
+@pytest.mark.parametrize("name", ["employee", "forward", "blocks", "joined"])
 def test_shipped_bundles_count_as_their_goldens(capsys, name):
     # the goldens CI diffs the installed script against, here through main
     root = Path(__file__).resolve().parents[1] / "examples" / name

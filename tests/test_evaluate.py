@@ -882,7 +882,8 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
          "not certain", "wholly bottom-up", "forward prefix", "key-joined level",
          "forward step with a fixed key", "plain through an unusable block",
          "key-joined fan-out", "walked relation with single and conflicting blocks",
-         "conflicting block fits but disagrees on the read"), 0)
+         "conflicting block fits but disagrees on the read", "key-joined on one shared variable",
+         "key-joined on two or more shared variables"), 0)
     for i in range(3500):
         while True:
             if i % 50 == 0:
@@ -921,10 +922,17 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
         seen["forward prefix"] += "forward" in shape
         seen["key-joined level"] += "joined" in shape
         bound, fixed = set(q.free_vars), False  # by the head, then by earlier levels
-        for name, level in zip(graph.topological_order(), shape):
-            fixed |= level == "forward" and q.atom(name).key_vars <= bound
-            bound |= q.atom(name).variables
+        order, joined = [q.atom(name) for name in graph.topological_order()], set()
+        for k, (atom, level) in enumerate(zip(order, shape)):
+            fixed |= level == "forward" and atom.key_vars <= bound
+            bound |= atom.variables
+            if level == "joined":  # walked: no "joined" level comes before a "forward" one
+                # what the atom shares with the next read: its variables that later atoms read
+                shared = atom.variables & set().union(*(a.variables for a in order[k + 1:]))
+                joined.add(min(len(shared), 2))
         seen["forward step with a fixed key"] += fixed
+        seen["key-joined on one shared variable"] += 1 in joined
+        seen["key-joined on two or more shared variables"] += 2 in joined
         for case in _bottom_up_cases(q, db, graph, want[0]) | _partition_cases(q, db, graph):
             seen[case] += 1
     assert min(seen.values()) >= 50, seen
@@ -952,7 +960,8 @@ def test_plain_and_certain_equals_reference_at_benchmark_scale():
     # the gate draws a few facts per relation; here blocks number in the
     # hundreds, each query widened to its id-set as the parsimonious route
     # does, and the chain's plan joins two levels on the next key in a row;
-    # the last query's first level is decided by the forward pass
+    # the forward query's first level is decided by the forward pass, and
+    # the last query joins on a two-variable key, then on a bare one
     rng = random.Random(2037)
     employees, depts = 800, 90
     employee = {
@@ -970,10 +979,16 @@ def test_plain_and_certain_equals_reference_at_benchmark_scale():
     # `rng`, so the cases before keep their instances
     forward = {"R": [(f"a{i}", f"x{i * 7 % 131}") for i in range(800)],
                "S": [(f"b{i}", f"x{i * 11 % 131}") for i in range(800)]}
+    # A meets B on the pair (y, v), 205 of them over 41 x 5 values, and B
+    # meets C on z alone; also drawn without `rng`
+    pairs = {"A": [(f"x{i}", f"y{i * 7 % 41}", f"v{i % 5}") for i in range(300)],
+             "B": [(f"y{i % 41}", f"v{i % 5}", f"z{i * 3 % 160}") for i in range(200)],
+             "C": [(f"z{i}", f"w{i * 13 % 60}") for i in range(150)]}
     cases = [("q(z) :- E(x | 'F', y), D(y | z).", employee, ["joined", "free"]),
              ("q(z) :- E(x | z).", lookup, ["free"]),
              ("q(w) :- A(x | y), B(y | z), C(z | w).", chain, ["joined", "joined", "free"]),
-             ("q(a, b) :- R(a | x), S(b | x).", forward, ["forward", "free"])]
+             ("q(a, b) :- R(a | x), S(b | x).", forward, ["forward", "free"]),
+             ("q(w) :- A(x | y, v), B(y, v | z), C(z | w).", pairs, ["joined", "joined", "free"])]
     for text, rows, shape in cases:
         q = parse_query(text)
         graph = support.attack_graph(q)
