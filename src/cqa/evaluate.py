@@ -16,20 +16,18 @@ the variables it binds first.  Bindings are tuples of variable values in
 binding order.  The join binds key-bound atoms first, then those with the
 most bound variables, and reads a hash index per step over the rows of
 its relation that pass the test.  The certainty check binds the head,
-then follows the attack graph's topological order over key blocks.  It
-decides a suffix of that order bottom-up, one set per step from one walk
-over its relation: the rows of single-fact blocks in one flat pass, and
-only the blocks of two or more facts, where repairs differ, checked for
-agreement.  A step is in it when it holds every variable bound before it
-that it or a later step reads, or when its atom fixes the next step's
-key, whose entry brings the variables it lacks.  The same walk also
-collects each step's plain reads, so when the whole order is so decided
-the plain answers need no join.  A key with an entry has that entry as
-its only plain read, so a fact that finds an entry is read once, and
-plain reads are kept and looked up only under keys without one.
-Otherwise the join gives the plain answers, and a forward pass per answer
-covers the steps before the suffix, each through a per-call index of its
-relation's usable blocks, ending in a membership test.
+then follows the attack graph's topological order over key blocks, and
+decides every step bottom-up, one set of certain reads and one of plain
+reads per step, from one walk over its relation; it runs no join.  Each
+fact finds the next step's reads by what it shares with them (one shared
+variable bare) and is read together with them.  After the last step that
+fans out, one whose atom neither holds every variable of its read nor
+fixes the next step's key, a key holds at most one certain read: there
+the walk keeps single reads as entries, runs the rows of single-fact
+blocks in one flat pass, checks only blocks of two or more facts for
+agreement, and reads a fact that finds an entry once.  Up to that step a
+key can hold several, and a block's certain reads are the intersection
+over its facts.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from operator import itemgetter, le
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -136,16 +134,15 @@ class _Step(NamedTuple):
     probe: Callable[[tuple], object] | None  # binding -> the atom's variables bound earlier
     own: Callable[[tuple], object] | None  # fact row -> the same variables
     new: Callable[[tuple], tuple]  # fact row -> the variables first bound here
-    # certainty steps only: binding -> what this step and later ones read
-    reads: Callable[[tuple], tuple] | None = None
-    # certainty steps decided bottom-up (see `_walk`): fact row plus
-    # the next step's entry -> what `reads` gives; fact row -> what the fact
-    # shares with the next step's read, the key of the next step's entries,
-    # which `keyof` reads off an entry when the fact lacks some of that read
-    # (one shared value bare then, as `probe` gives it)
+    # certainty steps only: fact row plus a read of the next step -> what
+    # this step and later ones read; fact row -> what the fact shares with
+    # the next step's read, which `keyof` reads off such a read when the
+    # fact lacks some of it (one shared value bare then, as `probe` gives
+    # it); and whether the step fans out (see `_plain_and_certain`)
     mine: Callable[[tuple], tuple] | None = None
     ahead: Callable[[tuple], object] | None = None
     keyof: Callable[[tuple], object] | None = None
+    fans: bool = False
 
 
 def _compile_steps(
@@ -153,8 +150,8 @@ def _compile_steps(
 ) -> tuple[_Step, ...]:
     """One step per atom of `order`; `slots` maps the variables bound up front
     to their slots, and each step appends the variables it binds first.
-    Steps of the certainty check also get `reads`, and `mine`, `ahead` and
-    `keyof` where `_walk` decides them bottom-up."""
+    Steps of the certainty check also get `mine`, `ahead`, `keyof` and
+    `fans`."""
     later = [*accumulate((a.variables for a in reversed(order)), frozenset.union)][::-1]
     steps = []
     for k, atom in enumerate(order):
@@ -167,10 +164,7 @@ def _compile_steps(
                 repeats.append(i)
             else:
                 first[t.symbol] = i
-        reads = mine = ahead = keyof = None
-        if certainty:
-            read = [v for v in slots if v in later[k]]  # `slots` is in slot order
-            reads = _values([slots[v] for v in read])
+        read = [v for v in slots if v in later[k]] if certainty else []  # in slot order
         bound = [v for v in first if v in slots]
         fresh = [v for v in first if v not in slots]
         # hash keys: one value bare, several as a tuple, no index for none
@@ -179,21 +173,24 @@ def _compile_steps(
         for v in fresh:
             slots[v] = len(slots)
         new = _values([first[v] for v in fresh])
-        nxt = order[k + 1] if k + 1 < len(order) else None
-        # bottom-up when every variable of `read` is the atom's own (always at
-        # the last step) or when the atom fixes the next step's key
-        if certainty and (nxt is None or nxt.key_vars <= first.keys() or {*read} <= first.keys()):
+        mine = ahead = keyof = None
+        fans = False
+        if certainty:
+            nxt = order[k + 1] if k + 1 < len(order) else None
             after = [v for v in slots if v in later[k + 1]] if nxt else []  # the next read
             shared = [v for v in after if v in first]
             mine = _values([first[v] if v in first else len(atom.args) + after.index(v)
                             for v in read])
             ahead = _values([first[v] for v in shared]) if nxt else None
-            if len(shared) < len(after):  # key-joined: the rest of `read` is in the next entry
+            if len(shared) < len(after):  # the rest of `read` is in the next step's read
                 keyof = _values([after.index(v) for v in shared])
                 if len(shared) == 1:  # one value keyed bare, as `probe` and `own` do
                     ahead, keyof = itemgetter(first[shared[0]]), itemgetter(after.index(shared[0]))
-        steps.append(_Step(atom, _test(atom, consts, repeats, first), probe, own, new, reads,
-                           mine, ahead, keyof))
+            # it fans out when some variable of `read` is not the atom's own
+            # (never at the last step) and the atom does not fix the next key
+            fans = not {*read} <= first.keys() and not nxt.key_vars <= first.keys()
+        steps.append(_Step(atom, _test(atom, consts, repeats, first), probe, own, new,
+                           mine, ahead, keyof, fans))
     return tuple(steps)
 
 
@@ -309,11 +306,11 @@ def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, .
 
 
 def _walk(
-    plan: tuple[_Step, ...], start: int, db: DatabaseInstance
+    plan: Sequence[_Step], db: DatabaseInstance
 ) -> tuple[dict[tuple, tuple], set[tuple]]:
-    """The entries and the plain reads of step `start` of `plan`, from one
-    walk over the relation of each step from `start` on, the last first
-    (with no step, the empty read is both).
+    """The entries and the plain reads of the first step of `plan`, no step
+    of which fans out, from one walk over the relation of each step, the
+    last first (with no step, the empty read is both).
 
     A step's entries are one read per block whose facts pass the test, lead
     each to an entry of the next step and agree on what the step reads.  A
@@ -341,7 +338,7 @@ def _walk(
     entries: dict[tuple, tuple] = {(): ()}
     found: set[tuple] = {()}
     below: dict[tuple, list[tuple]] = {}  # the next step's plain reads by key
-    for i in range(len(plan) - 1, start - 1, -1):
+    for i in range(len(plan) - 1, -1, -1):
         step, by = plan[i], plan[i - 1].keyof if i else None  # how step i - 1 finds entries
         test, mine, ahead = step.test, step.mine, step.ahead
         nexts, entries, found = entries, {}, set()
@@ -386,7 +383,7 @@ def _walk(
                     agreed = False
             if agreed is not False:
                 entries[by(agreed) if by else agreed] = agreed
-        if i > start:  # plain reads only under keys without an entry
+        if i:  # plain reads only under keys without an entry
             below = {}
             for read in found:
                 if (key := by(read) if by else read) not in entries:
@@ -405,55 +402,46 @@ def _plain_and_certain(
     agrees with the binding on the atom's bound variables.  Certainty at a
     step depends only on what it and later steps read.
 
-    The steps after the last one without `mine` are decided by one `_walk`.
-    When that is every step, the plain answers are the first step's plain
-    reads and the certain ones its entries (every head variable is in some
-    atom, so the first read is the head).  Otherwise the join gives the
-    plain answers, and a forward pass over the steps before keeps one
-    binding per distinct read at each step (a plain answer at the first)
-    and, per usable block, the reads its facts lead to, and ends in a
-    membership test in the entries.  Each step indexes its relation's
-    usable blocks on each call by the bound variables their facts agree
-    on.  Certainty is then decided from that test back, without recursion.
+    `_walk` decides the steps after the last one that `fans` out.  When that
+    is every step, the plain answers are the first step's plain reads and
+    the certain ones its entries (every head variable is in some atom, so
+    the first read is the head).  Each step before groups the next step's
+    certain and plain reads by `keyof` (by the whole read without one) and
+    walks its relation's blocks once.  A fact's certain reads are its reads
+    with each certain read under its key, and its plain reads likewise; a
+    block's certain reads are those all its facts have, none once one fails
+    the test.  So the first-order rewriting runs set at a time, with one
+    fan-out level per step.
     """
     plan = _elimination_plan(q, graph)
     _check_schema(q, db)
-    start = max((i + 1 for i, step in enumerate(plan) if step.mine is None), default=0)
-    entries, plain = _walk(plan, start, db)
-    if not start:
-        return plain, entries.keys()
-    join = _compile_join(q.atoms, q.free_vars)
-    plain = _join(join, _relations(join, db))
-    level: dict[object, tuple] = dict(zip(plain, plain))
-    passes: list[tuple[dict, list[tuple[object, list]]]] = []
-    for step, after in zip(plan[:start], plan[1:]):
-        test, probe, own, new, read = step.test, step.probe, step.own, step.new, after.reads
-        index: dict[object, list[tuple]] = {}  # usable blocks by what their facts agree on
+    start = max((i + 1 for i, step in enumerate(plan) if step.fans), default=0)
+    entries, plain = _walk(plan[start:], db)
+    certain: AbstractSet[tuple] = entries.keys()
+    for step in reversed(plan[:start]):
+        test, mine, ahead, keyof = step.test, step.mine, step.ahead, step.keyof
+        sure: dict[object, list[tuple]] = {}  # the next step's certain reads by key
+        every: dict[object, list[tuple]] = {}  # its plain reads by key
+        for read in certain:
+            sure.setdefault(keyof(read) if keyof else read, []).append(read)
+        for read in plain:
+            every.setdefault(keyof(read) if keyof else read, []).append(read)
+        certain, plain = set(), set()
         for rows in db._blocks[step.atom.name].values():
-            owns = {*map(own, rows)} if own else {None}
-            if len(owns) == 1 and (not test or all(map(test, rows))):
-                index.setdefault(owns.pop(), []).append(rows)
-        found: list = []  # per usable block, its binding and the reads of its facts
-        reach: dict[object, tuple] = {}  # the next step's read -> a binding with it
-        for at, slots in level.items():
-            for rows in index.get(probe(slots) if probe else None, ()):
-                reads = []
-                for row in rows:
-                    row = slots + new(row)
-                    r = read(row)
-                    reach[r] = row
-                    reads.append(r)
-                found.append((at, reads))
-        passes.append((level, found))
-        level = reach
-    known = entries.__contains__
-    for level, found in reversed(passes):
-        certain = dict.fromkeys(level, False)
-        for at, reads in found:
-            if all(map(known, reads)):
-                certain[at] = True
-        known = certain.__getitem__
-    return plain, frozenset(compress(certain, certain.values()))
+            agreed: set[tuple] | None = None  # the reads every fact so far is certain of
+            for row in rows:
+                if test and not test(row):
+                    agreed = set()
+                    continue
+                at = ahead(row)
+                plain.update([mine(row + other) for other in every.get(at, ())])
+                if agreed is None:
+                    agreed = {mine(row + other) for other in sure.get(at, ())}
+                elif agreed:
+                    agreed &= {mine(row + other) for other in sure.get(at, ())}
+            if agreed:
+                certain |= agreed
+    return plain, certain
 
 
 def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:

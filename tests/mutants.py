@@ -1,0 +1,276 @@
+"""Standing mutants: each one is a known fault that some test must catch.
+
+Run from anywhere with `python tests/mutants.py`; it needs pytest and
+nothing else outside the standard library.  It copies `src/`, `tests/`,
+`examples/` and `pyproject.toml` into a temporary directory and checks
+that the union of the named tests passes there.  Then it applies one
+mutant at a time (the exact old text of one file replaced by new text)
+and runs that mutant's tests with `-x` under `PYTHONHASHSEED=0`, one
+process after another.  It exits 1 when a mutant's old text does not
+occur exactly once in its file (restate the mutant after a refactor), or
+when a mutant's tests pass (the mutant survives).  A known-equivalent
+mutant cannot change any answer; it is listed with its argument, and only
+its old text is checked.
+
+pytest does not collect this file: its name does not start with `test_`.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "examples", "pyproject.toml")
+
+EVALUATE = "src/cqa/evaluate.py"
+RANDOM_PAIRS = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_on_random_pairs"
+SCALE = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_at_benchmark_scale"
+GOLDENS = "tests/test_cli.py::test_shipped_bundles_count_as_their_goldens"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
+
+
+class Equivalent(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    why: str
+
+
+MUTANTS = (
+    # the fan-out steps of the certainty check
+    Mutant(
+        "fan-out: a block's certain reads are the union over its facts",
+        EVALUATE,
+        "agreed &= {mine(row + other) for other in sure.get(at, ())}",
+        "agreed |= {mine(row + other) for other in sure.get(at, ())}",
+        (RANDOM_PAIRS, SCALE),
+    ),
+    Mutant(
+        "fan-out: a fact that fails the test is skipped, not emptying its block",
+        EVALUATE,
+        "                if test and not test(row):\n"
+        "                    agreed = set()\n"
+        "                    continue\n",
+        "                if test and not test(row):\n"
+        "                    continue\n",
+        (RANDOM_PAIRS,),
+    ),
+    Mutant(
+        "fan-out: a fact's plain reads taken from the certain reads under its key",
+        EVALUATE,
+        "plain.update([mine(row + other) for other in every.get(at, ())])",
+        "plain.update([mine(row + other) for other in sure.get(at, ())])",
+        (RANDOM_PAIRS, SCALE),
+    ),
+    Mutant(
+        "fan-out: the walk's entries keyed by the fanning step's keyof, one per key",
+        EVALUATE,
+        "certain: AbstractSet[tuple] = entries.keys()",
+        "certain: AbstractSet[tuple] = (\n"
+        "        {plan[start - 1].keyof(r): r for r in entries}.values() if start else entries.keys())",
+        (SCALE, RANDOM_PAIRS),
+    ),
+    # the walk after the last step that fans out
+    Mutant(
+        "walk: no plain read added on the entry branch of the single-fact loop",
+        EVALUATE,
+        "                    entries[by(read) if by else read] = read\n"
+        "                    add(read)\n",
+        "                    entries[by(read) if by else read] = read\n",
+        ("tests/test_evaluate.py::test_parsimonious_employee", RANDOM_PAIRS),
+    ),
+    Mutant(
+        "walk: no plain read added on the entry branch of the conflicting-block loop",
+        EVALUATE,
+        "                        read = mine(row + rest)\n"
+        "                        add(read)\n",
+        "                        read = mine(row + rest)\n",
+        (RANDOM_PAIRS, SCALE),
+    ),
+    Mutant(
+        "walk: `ahead` bare while `keyof` stays a 1-tuple",
+        EVALUATE,
+        "ahead, keyof = itemgetter(first[shared[0]]), itemgetter(after.index(shared[0]))",
+        "ahead = itemgetter(first[shared[0]])",
+        ("tests/test_evaluate.py::test_certain_answers_employee", RANDOM_PAIRS),
+    ),
+    Mutant(
+        "walk: only the first plain read added on the miss branch of the single-fact loop",
+        EVALUATE,
+        "                else:\n"
+        "                    for other in below.get(at, ()):\n",
+        "                else:\n"
+        "                    for other in below.get(at, ())[:1]:\n",
+        (SCALE, RANDOM_PAIRS),
+    ),
+    Mutant(
+        "walk: only the first plain read added on the miss branch of the conflicting-block loop",
+        EVALUATE,
+        "                        read = False\n"
+        "                        for other in below.get(at, ()):\n",
+        "                        read = False\n"
+        "                        for other in below.get(at, ())[:1]:\n",
+        (SCALE, RANDOM_PAIRS),
+    ),
+    Mutant(
+        "walk: a conflicting block's facts not compared (agreement dropped)",
+        EVALUATE,
+        "                elif read != agreed:\n",
+        "                elif read is False:\n",
+        ("tests/test_evaluate.py::test_certain_answers_employee", RANDOM_PAIRS),
+    ),
+    Mutant(
+        "walk: single-fact rows not tested against the atom",
+        EVALUATE,
+        "        if test:\n"
+        "            singles = filter(test, singles)\n",
+        "",
+        (SCALE, RANDOM_PAIRS),
+    ),
+    Mutant(
+        "steps: a lone constant compared one position too far",
+        EVALUATE,
+        "return lambda row: row[i] == c",
+        "return lambda row: row[i + 1] == c",
+        ("tests/test_evaluate.py::test_certain_answers_employee",),
+    ),
+    Mutant(
+        "walk: the empty read not seeded as a plain read",
+        EVALUATE,
+        "    found: set[tuple] = {()}\n",
+        "    found: set[tuple] = set()\n",
+        (RANDOM_PAIRS,),
+    ),
+    # what the answers are built from
+    Mutant(
+        "parsimonious: lower bounds counted from the plain answers",
+        EVALUATE,
+        "upper, lower = _tally(plain, width), _tally(certain, width)",
+        "upper, lower = _tally(plain, width), _tally(plain, width)",
+        ("tests/test_evaluate.py::test_parsimonious_employee",),
+    ),
+    Mutant(
+        "parsimonious: the m >= 1 half of the bounds guard dropped",
+        EVALUATE,
+        "if min(counts, default=1) < 1 or not all(map(le, counts, uppers)):",
+        "if not all(map(le, counts, uppers)):",
+        ("tests/test_evaluate.py::test_parsimonious_inconsistent_bounds_are_internal_errors",),
+    ),
+    Mutant(
+        "parsimonious: the m <= n half of the bounds guard dropped",
+        EVALUATE,
+        "if min(counts, default=1) < 1 or not all(map(le, counts, uppers)):",
+        "if min(counts, default=1) < 1:",
+        ("tests/test_evaluate.py::test_parsimonious_inconsistent_bounds_are_internal_errors",),
+    ),
+    Mutant(
+        "pessimistic check against the plain answers",
+        EVALUATE,
+        "certain = _plain_and_certain(fixed, db, attack_graph(fixed))[1]",
+        "certain = _plain_and_certain(fixed, db, attack_graph(fixed))[0]",
+        ("tests/test_evaluate.py::test_optimistic_pessimistic_chain_matrix",),
+    ),
+    Mutant(
+        "oracle: a group kept when some repair produces it",
+        EVALUATE,
+        "if hits == repairs",
+        "if hits > 0",
+        ("tests/test_evaluate.py::test_oracle_twin_lookup_instances",
+         "tests/test_evaluate.py::test_oracle_equals_reference_on_random_pairs"),
+    ),
+    Mutant(
+        "bundles: a leading byte-order mark kept",
+        "src/cqa/instances.py",
+        'data = path.read_bytes().removeprefix(b"\\xef\\xbb\\xbf")',
+        "data = path.read_bytes()",
+        ("tests/test_cli.py::test_files_starting_with_a_byte_order_mark_read_as_without",),
+    ),
+)
+
+EQUIVALENT = (
+    Equivalent(
+        "walk: `below` built for every key, not only for keys without an entry",
+        EVALUATE,
+        "                if (key := by(read) if by else read) not in entries:\n"
+        "                    below.setdefault(key, []).append(read)\n",
+        "                key = by(read) if by else read\n"
+        "                below.setdefault(key, []).append(read)\n",
+        "`below` is read only after `nexts.get(at)` misses, and `nexts` holds exactly the "
+        "entries of the step that built `below`, so `at` is then a key without an entry; "
+        "the lists under keys with an entry are never read.",
+    ),
+)
+
+
+def _pytest(copy: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(copy / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+
+
+def _tail(run: subprocess.CompletedProcess, lines: int = 15) -> str:
+    return "\n".join((run.stdout + run.stderr).splitlines()[-lines:])
+
+
+def main() -> int:
+    stale = [m.name for m in (*MUTANTS, *EQUIVALENT)
+             if (ROOT / m.path).read_text(encoding="utf-8").count(m.old) != 1]
+    for name in stale:
+        print(f"STALE     {name}: its old text does not occur exactly once")
+    if stale:
+        return 1
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="cqa-mutants-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(source, copy / name)
+        every = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        clean = _pytest(copy, every)
+        if clean.returncode != 0:
+            print(f"the unmutated copy fails its tests:\n{_tail(clean)}")
+            return 1
+        survivors = 0
+        for m in MUTANTS:
+            target = copy / m.path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            t0 = time.perf_counter()
+            run = _pytest(copy, m.tests)
+            target.write_text(text, encoding="utf-8")
+            killed = run.returncode == 1  # tests failed; any other code kills nothing
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED':<9} {m.name} "
+                  f"({time.perf_counter() - t0:.1f} s)")
+            if not killed:
+                print(f"  pytest exit {run.returncode}:\n{_tail(run)}")
+        for e in EQUIVALENT:
+            print(f"{'equiv.':<9} {e.name}: {e.why}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed, "
+          f"{len(EQUIVALENT)} known-equivalent, in {time.perf_counter() - started:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

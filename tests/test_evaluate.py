@@ -493,11 +493,11 @@ def test_parsimonious_route_skips_cforest_and_refuses_with_full_report(monkeypat
     assert got == {RangeAnswer(("A",), 1, 3), RangeAnswer(("B",), 1, 3)}
 
 
-def test_wholly_bottom_up_plan_runs_no_join_and_tests_each_row_once(monkeypatch):
-    # the widened employee plan E (key-joined) -> D is decided bottom-up at
-    # every step, so one walk per relation reads the plain answers too: no
-    # join, and E's test runs once per E row; the forward-prefix plan of
-    # q(a, b) :- R(a | x), S(b | x) still takes its plain answers from the join
+def test_certainty_plan_runs_no_join_and_tests_each_row_once(monkeypatch):
+    # the certainty check reads the plain answers off its own walk, one pass
+    # per relation: no join, and E's test runs once per E row on the widened
+    # employee plan E (key-joined) -> D; the plan of q(a, b) :- R(a | x),
+    # S(b | x), whose first step fans out, runs no join either
     evaluate_module = importlib.import_module("cqa.evaluate")
     joins, tested = [], collections.Counter()
     join, test = evaluate_module._join, evaluate_module._test
@@ -525,7 +525,7 @@ def test_wholly_bottom_up_plan_runs_no_join_and_tests_each_row_once(monkeypatch)
                "S": [(f"b{i}", f"x{i % 5}") for i in range(40)]}
     q = parse_query("q(a, b) :- R(a | x), S(b | x).")
     assert cqacount_parsimonious(q, _scaled_instance(rng, q, forward))
-    assert len(joins) == 1
+    assert len(joins) == 0
 
 
 def test_boolean_grouping_yields_single_answer():
@@ -841,6 +841,37 @@ def _partition_cases(q, db, graph):
     return cases
 
 
+def _fan_out_cases(q, db, graph):
+    """The case the intersection decides on this pair, from the atoms and the
+    reference alone: at a "forward" level, a block of two or more facts that
+    all fit the atom, where the facts' sets of the level's reads differ.  A
+    fact's reads are its values with each certain answer of the later atoms
+    that agrees with it, the variables those atoms read from earlier levels
+    and this one made free."""
+    order = [q.atom(name) for name in graph.topological_order()]
+    bound = set(q.free_vars)
+    for i, (atom, level) in enumerate(zip(order, _plan_shape(q, graph))):
+        if level != "forward":
+            break
+        read = sorted(bound & set().union(*(a.variables for a in order[i:])))
+        bound |= atom.variables
+        blocks = [b.members for b in db.blocks() if b.relation == atom.name and len(b.members) > 1
+                  and all(support._unify(atom, f, {}) is not None for f in b.members)]
+        if not blocks:
+            continue
+        rest = order[i + 1:]
+        after = tuple(sorted(bound & set().union(*(a.variables for a in rest))))
+        later = ConjunctiveQuery(tuple(rest), after)
+        certain = support.reference_plain_and_certain(later, db, support.attack_graph(later))[1]
+        for facts in blocks:
+            sets = {frozenset(tuple(b[v] for v in read) for r in certain
+                              if (b := support._unify(atom, f, dict(zip(after, r)))) is not None)
+                    for f in facts}
+            if len(sets) > 1:
+                return {"fan-out block decided by the intersection"}
+    return set()
+
+
 def _key_joined_query(rng):
     """A chain R1(x1 | x2), R2(x2 | x3), ... of two or three atoms ending in
     w, with s at a non-key position of two or more atoms and both free (x1
@@ -883,7 +914,8 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
          "forward step with a fixed key", "plain through an unusable block",
          "key-joined fan-out", "walked relation with single and conflicting blocks",
          "conflicting block fits but disagrees on the read", "key-joined on one shared variable",
-         "key-joined on two or more shared variables"), 0)
+         "key-joined on two or more shared variables",
+         "fan-out block decided by the intersection"), 0)
     for i in range(3500):
         while True:
             if i % 50 == 0:
@@ -933,7 +965,8 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
         seen["forward step with a fixed key"] += fixed
         seen["key-joined on one shared variable"] += 1 in joined
         seen["key-joined on two or more shared variables"] += 2 in joined
-        for case in _bottom_up_cases(q, db, graph, want[0]) | _partition_cases(q, db, graph):
+        for case in (_bottom_up_cases(q, db, graph, want[0]) | _partition_cases(q, db, graph)
+                     | _fan_out_cases(q, db, graph)):
             seen[case] += 1
     assert min(seen.values()) >= 50, seen
 
@@ -960,7 +993,8 @@ def test_plain_and_certain_equals_reference_at_benchmark_scale():
     # the gate draws a few facts per relation; here blocks number in the
     # hundreds, each query widened to its id-set as the parsimonious route
     # does, and the chain's plan joins two levels on the next key in a row;
-    # the forward query's first level is decided by the forward pass, and
+    # the forward query's first level fans out, its facts meeting several
+    # certain reads of the next level under one shared value, and
     # the last query joins on a two-variable key, then on a bare one
     rng = random.Random(2037)
     employees, depts = 800, 90
