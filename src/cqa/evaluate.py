@@ -2,9 +2,10 @@
 
 Two routes compute the same answers on purpose: `cqacount_parsimonious`
 counts distinct id-set tuples over the answers of the widened query and
-the certain ones among them (first-order passes only, no repairs), while `cqacount_oracle` joins every repair of the query's
-relations, one fact per key block, and aggregates min/max counts per
-group.  The oracle is the ground truth the fast route is checked against.
+the certain ones among them (first-order passes only, no repairs), while
+`cqacount_oracle` joins every repair of the query's relations, one fact
+per key block, and aggregates min/max counts per group.  The oracle is the
+ground truth the fast route is checked against.
 
 Both first-order passes run steps compiled once per query by one builder
 from an atom order and the variables bound up front.  A step reads fact
@@ -17,17 +18,17 @@ binding order.  The join binds key-bound atoms first, then those with the
 most bound variables, and reads a hash index per step over the rows of
 its relation that pass the test.  The certainty check binds the head,
 then follows the attack graph's topological order over key blocks, and
-decides every step bottom-up, one set of certain reads and one of plain
-reads per step, from one walk over its relation; it runs no join.  Each
-fact finds the next step's reads by what it shares with them (one shared
+decides every step bottom-up from one walk over its relation into its
+certain reads and its other plain reads; it runs no join.  Each fact
+finds the next step's reads by what it shares with them (one shared
 variable bare) and is read together with them.  After the last step that
 fans out, one whose atom neither holds every variable of its read nor
 fixes the next step's key, a key holds at most one certain read: there
-the walk keeps single reads as entries, runs the rows of single-fact
-blocks in one flat pass, checks only blocks of two or more facts for
-agreement, and reads a fact that finds an entry once.  Up to that step a
-key can hold several, and a block's certain reads are the intersection
-over its facts.
+the walk runs the rows of single-fact blocks in one flat pass, checks
+only blocks of two or more facts for agreement, and reads a fact that
+finds a certain read once.  Up to that step a key can hold several, and
+a block's certain reads are the intersection over its facts.  The first
+step's reads are the certain answers and the other plain answers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import replace
 from functools import partial
 from itertools import accumulate, repeat
 from operator import itemgetter, le
-from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .attacks import AttackGraph, attack_graph
 from .classify import ClassificationReport, CyclicAttackGraphError, _report, in_cforest
@@ -131,18 +132,22 @@ class _Step(NamedTuple):
 
     atom: Atom
     test: Callable[[tuple], bool] | None  # fact row -> fits constants and repeats
-    probe: Callable[[tuple], object] | None  # binding -> the atom's variables bound earlier
-    own: Callable[[tuple], object] | None  # fact row -> the same variables
-    new: Callable[[tuple], tuple]  # fact row -> the variables first bound here
+    # join steps only: binding -> the atom's variables bound earlier; fact
+    # row -> the same variables; fact row -> the variables first bound here
+    probe: Callable[[tuple], object] | None = None
+    own: Callable[[tuple], object] | None = None
+    new: Callable[[tuple], tuple] | None = None
     # certainty steps only: fact row plus a read of the next step -> what
     # this step and later ones read; fact row -> what the fact shares with
     # the next step's read, which `keyof` reads off such a read when the
-    # fact lacks some of it (one shared value bare then, as `probe` gives
-    # it); and whether the step fans out (see `_plain_and_certain`)
+    # fact lacks some of it (one shared value bare then); whether the step
+    # fans out (see `_plain_and_certain`); and whether the read holds every
+    # key variable of the atom, so that two blocks never give one read
     mine: Callable[[tuple], tuple] | None = None
     ahead: Callable[[tuple], object] | None = None
     keyof: Callable[[tuple], object] | None = None
     fans: bool = False
+    holds: bool = True
 
 
 def _compile_steps(
@@ -150,8 +155,8 @@ def _compile_steps(
 ) -> tuple[_Step, ...]:
     """One step per atom of `order`; `slots` maps the variables bound up front
     to their slots, and each step appends the variables it binds first.
-    Steps of the certainty check also get `mine`, `ahead`, `keyof` and
-    `fans`."""
+    Join steps get `probe`, `own` and `new`; steps of the certainty check
+    get `mine`, `ahead`, `keyof`, `fans` and `holds` instead."""
     later = [*accumulate((a.variables for a in reversed(order)), frozenset.union)][::-1]
     steps = []
     for k, atom in enumerate(order):
@@ -164,33 +169,34 @@ def _compile_steps(
                 repeats.append(i)
             else:
                 first[t.symbol] = i
+        test = _test(atom, consts, repeats, first)
         read = [v for v in slots if v in later[k]] if certainty else []  # in slot order
         bound = [v for v in first if v in slots]
         fresh = [v for v in first if v not in slots]
-        # hash keys: one value bare, several as a tuple, no index for none
-        probe = itemgetter(*[slots[v] for v in bound]) if bound else None
-        own = itemgetter(*[first[v] for v in bound]) if bound else None
         for v in fresh:
             slots[v] = len(slots)
-        new = _values([first[v] for v in fresh])
-        mine = ahead = keyof = None
-        fans = False
-        if certainty:
-            nxt = order[k + 1] if k + 1 < len(order) else None
-            after = [v for v in slots if v in later[k + 1]] if nxt else []  # the next read
-            shared = [v for v in after if v in first]
-            mine = _values([first[v] if v in first else len(atom.args) + after.index(v)
-                            for v in read])
-            ahead = _values([first[v] for v in shared]) if nxt else None
-            if len(shared) < len(after):  # the rest of `read` is in the next step's read
-                keyof = _values([after.index(v) for v in shared])
-                if len(shared) == 1:  # one value keyed bare, as `probe` and `own` do
-                    ahead, keyof = itemgetter(first[shared[0]]), itemgetter(after.index(shared[0]))
-            # it fans out when some variable of `read` is not the atom's own
-            # (never at the last step) and the atom does not fix the next key
-            fans = not {*read} <= first.keys() and not nxt.key_vars <= first.keys()
-        steps.append(_Step(atom, _test(atom, consts, repeats, first), probe, own, new,
-                           mine, ahead, keyof, fans))
+        if not certainty:
+            # hash keys: one value bare, several as a tuple, no index for none
+            probe = itemgetter(*[slots[v] for v in bound]) if bound else None
+            own = itemgetter(*[first[v] for v in bound]) if bound else None
+            steps.append(_Step(atom, test, probe, own, _values([first[v] for v in fresh])))
+            continue
+        nxt = order[k + 1] if k + 1 < len(order) else None
+        after = [v for v in slots if v in later[k + 1]] if nxt else []  # the next read
+        shared = [v for v in after if v in first]
+        mine = _values([first[v] if v in first else len(atom.args) + after.index(v)
+                        for v in read])
+        ahead = _values([first[v] for v in shared]) if nxt else None
+        keyof = None
+        if len(shared) < len(after):  # the rest of `read` is in the next step's read
+            keyof = _values([after.index(v) for v in shared])
+            if len(shared) == 1:  # one value keyed bare, as a join probe is
+                ahead, keyof = itemgetter(first[shared[0]]), itemgetter(after.index(shared[0]))
+        # it fans out when some variable of `read` is not the atom's own
+        # (never at the last step) and the atom does not fix the next key
+        fans = not {*read} <= first.keys() and not nxt.key_vars <= first.keys()
+        steps.append(_Step(atom, test, mine=mine, ahead=ahead, keyof=keyof, fans=fans,
+                           holds=atom.key_vars <= {*read}))
     return tuple(steps)
 
 
@@ -259,10 +265,15 @@ def _group_counts(tuples: AbstractSet[tuple[str, ...]], width: int) -> dict[tupl
     return {(g,): n for g, n in counts.items()} if width == 1 else counts
 
 
-def _tally(tuples: Iterable[tuple[str, ...]], width: int) -> Mapping[object, int]:
-    """`_group_counts` in one C-level `Counter` pass, leaving one group
-    value bare: wrap the keys with `zip` at width 1."""
-    return Counter(map(itemgetter(0) if width == 1 else itemgetter(slice(width)), tuples))
+def _tally(
+    tuples: Iterable[tuple[str, ...]], width: int, start: Mapping[object, int] | None = None
+) -> Counter:
+    """`_group_counts` of duplicate-free `tuples`, added to a copy of the
+    counts `start`, in one C-level `Counter` pass, leaving one group value
+    bare: wrap the keys with `zip` at width 1."""
+    counts = Counter(start)
+    counts.update(map(itemgetter(0) if width == 1 else itemgetter(slice(width)), tuples))
+    return counts
 
 
 def _counting_join(q_full: ConjunctiveQuery, group_vars: tuple[str, ...]) -> _Join:
@@ -307,61 +318,59 @@ def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, .
 
 def _walk(
     plan: Sequence[_Step], db: DatabaseInstance
-) -> tuple[dict[tuple, tuple], set[tuple]]:
-    """The entries and the plain reads of the first step of `plan`, no step
-    of which fans out, from one walk over the relation of each step, the
-    last first (with no step, the empty read is both).
+) -> tuple[Collection[tuple], Collection[tuple]]:
+    """The certain reads and the other plain reads of the first step of
+    `plan`, no step of which fans out, from one walk over the relation of
+    each step, the last first (with no step, the empty read is certain).
+    Neither collection repeats a read, and no read is in both.
 
-    A step's entries are one read per block whose facts pass the test, lead
-    each to an entry of the next step and agree on what the step reads.  A
-    single-fact block needs no agreement, so those rows go through one flat
-    loop (at the last step, one `map` whose reads are both entries and
-    plain reads), and only blocks of two or more facts compare their reads.
-    Each fact finds the next step's entry by what it shares with the next
-    read (one shared variable bare) and is read together with that entry: a
-    pass-through-free step's fact holds the whole next read, and a
-    key-joined step's fact fixes the next key, the entry bringing the
-    earlier variables the fact lacks.  The plain reads of a step are those
-    of every fact that passes the test, read together with each plain read
-    of the next step under the same key (several under a conflicting
-    block).  Both are found by the previous step under the same key.
+    A step's certain reads are one read per block whose facts pass the
+    test, lead each to a certain read of the next step and agree on what
+    the step reads; only blocks of two or more facts compare reads, so the
+    rows of single-fact blocks go through one flat loop (one `map` at the
+    last step).  Each fact finds the next step's certain read by what it
+    shares with the next read (one shared variable bare) and is read
+    together with it: a pass-through-free step's fact holds the whole next
+    read, and a key-joined step's fact fixes the next key, the certain read
+    bringing the earlier variables the fact lacks.  A fact that finds none
+    is read with each other plain read of the next step under its key.
 
-    When a key has an entry, that entry is its only plain read.  At the
-    last step each fact has one read.  A block has an entry only when all
-    its facts pass the test, each finds a next entry and all agree on the
-    read; each of them then has one plain read by induction, the agreed
-    one.  The key a key-joined step finds entries by holds the next atom's
-    key, so one key is one block; any other step's key is the whole read.  So a fact that
-    finds an entry takes its read as its one plain read, and the next
-    step's plain reads are kept, and probed, only under keys without one.
+    By induction from the last step, where each fact has one read, a block
+    with a certain read has it as its only plain read, so a key with one
+    holds no other (a key-joined step's key holds the next atom's key, so
+    one key is one block; any other key is the whole read).  A step's read
+    holds each variable of the next read that its atom lacks, so one
+    fact's reads are distinct, and a block of two or more facts dedups its
+    reads in one set.  When the read also holds the atom's key variables
+    (`holds`), two blocks never give one read, and both collections are
+    lists; otherwise they become sets, and the certain reads leave the
+    other ones.
     """
-    entries: dict[tuple, tuple] = {(): ()}
-    found: set[tuple] = {()}
-    below: dict[tuple, list[tuple]] = {}  # the next step's plain reads by key
-    for i in range(len(plan) - 1, -1, -1):
-        step, by = plan[i], plan[i - 1].keyof if i else None  # how step i - 1 finds entries
-        test, mine, ahead = step.test, step.mine, step.ahead
-        nexts, entries, found = entries, {}, set()
-        add = found.add
+    certain: Collection[tuple] = [()]
+    other: Collection[tuple] = []
+    for step in reversed(plan):
+        test, mine, ahead, keyof = step.test, step.mine, step.ahead, step.keyof
         singles, conflicts = db._parts[step.atom.name]
         if test:
             singles = filter(test, singles)
-        if not ahead:  # the last step: each passing row's read is an entry and a plain read
-            reads = [*map(mine, singles)]
-            found.update(reads)
-            entries.update(zip(map(by, reads) if by else reads, reads))
+        if not ahead:  # the last step: each passing single-fact row's read is certain
+            certain, other = [*map(mine, singles)], []
         else:
+            nexts = dict(zip(map(keyof, certain), certain) if keyof else zip(certain, certain))
+            below: dict[object, list[tuple]] = {}  # the next step's other plain reads by key
+            for read in other:
+                below.setdefault(keyof(read) if keyof else read, []).append(read)
+            certain, other = [], []
+            keep = certain.append
             for row in singles:
                 at = ahead(row)
-                if (rest := nexts.get(at)) is not None:  # the entry is the key's one plain read
-                    read = mine(row + rest)
-                    entries[by(read) if by else read] = read
-                    add(read)
+                if (rest := nexts.get(at)) is not None:  # the key's one plain read
+                    keep(mine(row + rest))
                 else:
-                    for other in below.get(at, ()):
-                        add(mine(row + other))
+                    other += [mine(row + plain) for plain in below.get(at, ())]
         for rows in conflicts:
             agreed = None  # the block's read; False once a fact rules it out
+            reads: set[tuple] = set()  # the block's plain reads
             for row in rows:
                 if test and not test(row):
                     read = False
@@ -369,32 +378,32 @@ def _walk(
                     at = ahead(row)
                     if (rest := nexts.get(at)) is not None:
                         read = mine(row + rest)
-                        add(read)
+                        reads.add(read)
                     else:
                         read = False
-                        for other in below.get(at, ()):
-                            add(mine(row + other))
+                        reads.update([mine(row + plain) for plain in below.get(at, ())])
                 else:
                     read = mine(row)
-                    add(read)
+                    reads.add(read)
                 if agreed is None:
                     agreed = read
                 elif read != agreed:
                     agreed = False
-            if agreed is not False:
-                entries[by(agreed) if by else agreed] = agreed
-        if i:  # plain reads only under keys without an entry
-            below = {}
-            for read in found:
-                if (key := by(read) if by else read) not in entries:
-                    below.setdefault(key, []).append(read)
-    return entries, found
+            if agreed is not False:  # its only plain read
+                certain.append(agreed)
+            else:
+                other += reads
+        if not step.holds:  # two blocks can give one read
+            certain = {*certain}
+            other = {*other} - certain
+    return certain, other
 
 
 def _plain_and_certain(
     q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph
-) -> tuple[set[tuple[str, ...]], AbstractSet[tuple[str, ...]]]:
-    """The plain answers of `q` and the certain ones among them (a set view).
+) -> tuple[Collection[tuple[str, ...]], Collection[tuple[str, ...]]]:
+    """The certain answers of `q` and its other plain answers, two
+    collections that repeat no answer and share none.
 
     A binding is certain at step i when some usable block under it has
     every fact certain at step i + 1 (at the last step, when there is such
@@ -403,21 +412,22 @@ def _plain_and_certain(
     step depends only on what it and later steps read.
 
     `_walk` decides the steps after the last one that `fans` out.  When that
-    is every step, the plain answers are the first step's plain reads and
-    the certain ones its entries (every head variable is in some atom, so
-    the first read is the head).  Each step before groups the next step's
-    certain and plain reads by `keyof` (by the whole read without one) and
-    walks its relation's blocks once.  A fact's certain reads are its reads
-    with each certain read under its key, and its plain reads likewise; a
-    block's certain reads are those all its facts have, none once one fails
-    the test.  So the first-order rewriting runs set at a time, with one
-    fan-out level per step.
+    is every step, its certain and other plain reads are the answers (every
+    head variable is in some atom, so the first read is the head).  Each
+    step before groups the next step's certain and plain reads by `keyof`
+    (by the whole read without one) and walks its relation's blocks once.
+    A fact's certain reads are its reads with each certain read under its
+    key, and its plain reads likewise; a block's certain reads are those all
+    its facts have, none once one fails the test.  So the first-order
+    rewriting runs set at a time, with one fan-out level per step.
     """
     plan = _elimination_plan(q, graph)
     _check_schema(q, db)
     start = max((i + 1 for i, step in enumerate(plan) if step.fans), default=0)
-    entries, plain = _walk(plan[start:], db)
-    certain: AbstractSet[tuple] = entries.keys()
+    certain, other = _walk(plan[start:], db)
+    if not start:
+        return certain, other
+    plain: Collection[tuple] = [*certain, *other]
     for step in reversed(plan[:start]):
         test, mine, ahead, keyof = step.test, step.mine, step.ahead, step.keyof
         sure: dict[object, list[tuple]] = {}  # the next step's certain reads by key
@@ -441,16 +451,16 @@ def _plain_and_certain(
                     agreed &= {mine(row + other) for other in sure.get(at, ())}
             if agreed:
                 certain |= agreed
-    return plain, certain
+    return certain, plain - certain
 
 
 def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     """Tuples true in every repair, by the compiled first-order rewriting.
 
-    Requires an acyclic attack graph; candidates come from the plain
-    answers (a sound superset) and are filtered by one elimination plan.
+    Requires an acyclic attack graph, whose elimination order one walk
+    decides (see `_plain_and_certain`).
     """
-    return AnswerSet(q.free_vars, frozenset(_plain_and_certain(q, db, attack_graph(q))[1]))
+    return AnswerSet(q.free_vars, frozenset(_plain_and_certain(q, db, attack_graph(q))[0]))
 
 
 # --- range-consistent counting ----------------------------------------------
@@ -495,17 +505,19 @@ def cqacount_parsimonious(
 
     Upper bounds count distinct id-set tuples among the plain answers of
     the widened query; lower bounds count them among the certain ones, a
-    subset of the plain answers (see `_plain_and_certain`).  The answer groups
-    are the groups with a lower bound.  Raises NotInCparsimonyError (with
-    the classifier's certificate) when the query is outside the class.
+    subset of the plain answers, so they are counted first and the other
+    plain answers added to them (see `_plain_and_certain`).  The answer
+    groups are the groups with a lower bound.  Raises NotInCparsimonyError
+    (with the classifier's certificate) when the query is outside the class.
     """
     graph = attack_graph(q)
     report = _report(q, graph)
     if not report.in_cparsimony:
         raise NotInCparsimonyError(replace(report, in_cforest=in_cforest(q)))
     width = len(q.free_vars)
-    plain, certain = _plain_and_certain(make_free(q, report.id_set or ()), db, graph)
-    upper, lower = _tally(plain, width), _tally(certain, width)
+    certain, other = _plain_and_certain(make_free(q, report.id_set or ()), db, graph)
+    lower = _tally(certain, width)
+    upper = _tally(other, width, lower)
     counts = lower.values()
     uppers = [*map(upper.get, lower, repeat(0))]
     out = frozenset(map(_range_answer, zip(zip(lower) if width == 1 else lower, counts, uppers)))
@@ -552,8 +564,8 @@ def is_pessimistic_repair(
 ) -> bool:
     """Does every answer on the repair hold in all repairs (for this group)?"""
     fixed, join = _pinned(repair, db, query, group)
-    certain = _plain_and_certain(fixed, db, attack_graph(fixed))[1]
-    return _join(join, _relations(join, repair)) <= certain
+    certain = _plain_and_certain(fixed, db, attack_graph(fixed))[0]
+    return _join(join, _relations(join, repair)) <= {*certain}
 
 
 # --- result emission -----------------------------------------------------------

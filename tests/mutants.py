@@ -32,7 +32,7 @@ COPIED = ("src", "tests", "examples", "pyproject.toml")
 EVALUATE = "src/cqa/evaluate.py"
 RANDOM_PAIRS = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_on_random_pairs"
 SCALE = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_at_benchmark_scale"
-GOLDENS = "tests/test_cli.py::test_shipped_bundles_count_as_their_goldens"
+PARTKEY = "tests/test_cli.py::test_shipped_bundles_count_as_their_goldens[partkey]"
 
 
 class Mutant(NamedTuple):
@@ -78,27 +78,26 @@ MUTANTS = (
         (RANDOM_PAIRS, SCALE),
     ),
     Mutant(
-        "fan-out: the walk's entries keyed by the fanning step's keyof, one per key",
+        "fan-out: the walk's certain reads keyed by the fanning step's keyof, one per key",
         EVALUATE,
-        "certain: AbstractSet[tuple] = entries.keys()",
-        "certain: AbstractSet[tuple] = (\n"
-        "        {plan[start - 1].keyof(r): r for r in entries}.values() if start else entries.keys())",
+        "    plain: Collection[tuple] = [*certain, *other]\n",
+        "    plain: Collection[tuple] = [*certain, *other]\n"
+        "    certain = {plan[start - 1].keyof(r): r for r in certain}.values()\n",
         (SCALE, RANDOM_PAIRS),
     ),
     # the walk after the last step that fans out
     Mutant(
-        "walk: no plain read added on the entry branch of the single-fact loop",
+        "walk: a single-fact row that finds a next certain read kept as another plain read",
         EVALUATE,
-        "                    entries[by(read) if by else read] = read\n"
-        "                    add(read)\n",
-        "                    entries[by(read) if by else read] = read\n",
+        "keep(mine(row + rest))",
+        "other.append(mine(row + rest))",
         ("tests/test_evaluate.py::test_parsimonious_employee", RANDOM_PAIRS),
     ),
     Mutant(
-        "walk: no plain read added on the entry branch of the conflicting-block loop",
+        "walk: no plain read added on the certain branch of the conflicting-block loop",
         EVALUATE,
         "                        read = mine(row + rest)\n"
-        "                        add(read)\n",
+        "                        reads.add(read)\n",
         "                        read = mine(row + rest)\n",
         (RANDOM_PAIRS, SCALE),
     ),
@@ -112,19 +111,15 @@ MUTANTS = (
     Mutant(
         "walk: only the first plain read added on the miss branch of the single-fact loop",
         EVALUATE,
-        "                else:\n"
-        "                    for other in below.get(at, ()):\n",
-        "                else:\n"
-        "                    for other in below.get(at, ())[:1]:\n",
+        "other += [mine(row + plain) for plain in below.get(at, ())]",
+        "other += [mine(row + plain) for plain in below.get(at, ())[:1]]",
         (SCALE, RANDOM_PAIRS),
     ),
     Mutant(
         "walk: only the first plain read added on the miss branch of the conflicting-block loop",
         EVALUATE,
-        "                        read = False\n"
-        "                        for other in below.get(at, ()):\n",
-        "                        read = False\n"
-        "                        for other in below.get(at, ())[:1]:\n",
+        "reads.update([mine(row + plain) for plain in below.get(at, ())])",
+        "reads.update([mine(row + plain) for plain in below.get(at, ())[:1]])",
         (SCALE, RANDOM_PAIRS),
     ),
     Mutant(
@@ -150,18 +145,52 @@ MUTANTS = (
         ("tests/test_evaluate.py::test_certain_answers_employee",),
     ),
     Mutant(
-        "walk: the empty read not seeded as a plain read",
+        "walk: the empty read not seeded as certain",
         EVALUATE,
-        "    found: set[tuple] = {()}\n",
-        "    found: set[tuple] = set()\n",
+        "    certain: Collection[tuple] = [()]\n",
+        "    certain: Collection[tuple] = []\n",
         (RANDOM_PAIRS,),
+    ),
+    # the two collections the walk returns: no read twice, none in both
+    Mutant(
+        "walk: cross-block dedup skipped when the read lacks part of its atom's key",
+        EVALUATE,
+        "        if not step.holds:  # two blocks can give one read\n"
+        "            certain = {*certain}\n"
+        "            other = {*other} - certain\n",
+        "",
+        (PARTKEY, RANDOM_PAIRS),
+    ),
+    Mutant(
+        "walk: a conflicting block's plain reads kept in a list, not a set",
+        EVALUATE,
+        "reads: set[tuple] = set()  # the block's plain reads",
+        'reads = type("Reads", (list,), {"add": list.append, "update": list.extend})()',
+        (RANDOM_PAIRS, SCALE),
+    ),
+    Mutant(
+        "walk: a conflicting block's agreed read also left among its other plain reads",
+        EVALUATE,
+        "                certain.append(agreed)\n"
+        "            else:\n"
+        "                other += reads\n",
+        "                certain.append(agreed)\n"
+        "            other += reads\n",
+        (SCALE, RANDOM_PAIRS),
+    ),
+    Mutant(
+        "walk: the key-holding test read off the last step for every step",
+        EVALUATE,
+        "if not step.holds:",
+        "if not plan[-1].holds:",
+        (PARTKEY, RANDOM_PAIRS),
     ),
     # what the answers are built from
     Mutant(
         "parsimonious: lower bounds counted from the plain answers",
         EVALUATE,
-        "upper, lower = _tally(plain, width), _tally(certain, width)",
-        "upper, lower = _tally(plain, width), _tally(plain, width)",
+        "lower = _tally(certain, width)",
+        "lower = _tally([*certain, *other], width)",
         ("tests/test_evaluate.py::test_parsimonious_employee",),
     ),
     Mutant(
@@ -179,10 +208,10 @@ MUTANTS = (
         ("tests/test_evaluate.py::test_parsimonious_inconsistent_bounds_are_internal_errors",),
     ),
     Mutant(
-        "pessimistic check against the plain answers",
+        "pessimistic check against the other plain answers",
         EVALUATE,
-        "certain = _plain_and_certain(fixed, db, attack_graph(fixed))[1]",
         "certain = _plain_and_certain(fixed, db, attack_graph(fixed))[0]",
+        "certain = _plain_and_certain(fixed, db, attack_graph(fixed))[1]",
         ("tests/test_evaluate.py::test_optimistic_pessimistic_chain_matrix",),
     ),
     Mutant(
@@ -204,15 +233,13 @@ MUTANTS = (
 
 EQUIVALENT = (
     Equivalent(
-        "walk: `below` built for every key, not only for keys without an entry",
+        "walk: a block that agrees adds its set of plain reads to the certain reads",
         EVALUATE,
-        "                if (key := by(read) if by else read) not in entries:\n"
-        "                    below.setdefault(key, []).append(read)\n",
-        "                key = by(read) if by else read\n"
-        "                below.setdefault(key, []).append(read)\n",
-        "`below` is read only after `nexts.get(at)` misses, and `nexts` holds exactly the "
-        "entries of the step that built `below`, so `at` is then a key without an entry; "
-        "the lists under keys with an entry are never read.",
+        "                certain.append(agreed)\n",
+        "                certain += reads\n",
+        "a block agrees only when every fact passes the test and, before the last step, "
+        "finds a next certain read; each such fact adds exactly its read, the agreed one, "
+        "to `reads`, so `reads` is `{agreed}` there.",
     ),
 )
 
