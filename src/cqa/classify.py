@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .attacks import AttackGraph, attack_graph, frozen_vars
 from .errors import AnalysisRefusal
-from .graphs import Digraph, joined, path_to
+from .graphs import Digraph, path_to
 from .queries import ConjunctiveQuery, _check_bound
 
 
@@ -168,6 +168,3 @@ def in_cforest(q: ConjunctiveQuery) -> bool:
         (q.atom(t).key_vars - free) <= q.atom(s).nonkey_vars for (s, t) in fg.edges
     )
 
-
-def fuxman_graph_dot(fg: FuxmanGraph) -> str:
-    return joined(fg.dot("fuxman_graph"))

@@ -25,6 +25,7 @@ from .evaluate import (
 from .fds import fdset
 from .instances import (
     DEFAULT_REPAIR_CAP,
+    _count_text,
     _read_utf8,
     build_3dm_instance,
     enumerate_repairs,
@@ -105,8 +106,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    # each line is written as it is made, never the whole text (the lines
-    # that `attack_graph_dot` and its siblings join)
+    # each line is written as it is made, never joined as `attack_graph_dot` does
     q = _load_query(args.query)
     if args.kind == "attack":
         g = attack_graph(q)
@@ -136,7 +136,7 @@ def cmd_repairs(args: argparse.Namespace) -> int:
     db = load_bundle(args.db)
     count = repair_count(db)
     shown = count if args.limit is None else min(args.limit, count)
-    print(f"{count} repairs")
+    print(f"{_count_text(count)} repairs")
     # Enumeration is lazy, so the cap only guards a full dump.
     for i, repair in enumerate(enumerate_repairs(db, cap if args.limit is None else count), 1):
         if i > shown:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter, le
 from typing import AbstractSet, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -437,7 +437,8 @@ def _plain_and_certain(
         for read in plain:
             every.setdefault(keyof(read) if keyof else read, []).append(read)
         certain, plain = set(), set()
-        for rows in db._blocks[step.atom.name].values():
+        singles, conflicts = db._parts[step.atom.name]
+        for rows in chain(zip(singles), conflicts):  # a single-fact row as a one-row block
             agreed: set[tuple] | None = None  # the reads every fact so far is certain of
             for row in rows:
                 if test and not test(row):
@@ -482,10 +483,10 @@ def cqacount_oracle(
     group_vars = tuple(group_vars)
     plan = _counting_join(q_full, group_vars)
     _check_schema(q_full, db)
-    blocks = [db._blocks[step.atom.name].values() for step in plan.steps]
+    parts = [db._parts[step.atom.name] for step in plan.steps]
     stats: dict[tuple[str, ...], tuple[int, int, int]] = {}
     repairs = 0
-    for picks in _picks(blocks, cap):
+    for picks in _picks([(*zip(singles), *conflicts) for singles, conflicts in parts], cap):
         repairs += 1
         counts = _group_counts(_join(plan, picks), len(group_vars))
         for group, count in counts.items():

@@ -14,6 +14,7 @@ import io
 import itertools
 import math
 import re
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,9 +36,17 @@ class BundleError(InputError, ValueError):
     pass
 
 
+def _count_text(count: int) -> str:
+    """`count` in decimal, or the power of two it reaches when `str` cannot convert it."""
+    try:
+        return str(count)
+    except ValueError:  # over 4,300 digits, by default
+        return f"at least 2^{count.bit_length() - 1}"
+
+
 class RepairSpaceOverflow(AnalysisRefusal):
     def __init__(self, count: int, cap: int):
-        super().__init__(f"{count} repairs exceed the cap of {cap}")
+        super().__init__(f"{_count_text(count)} repairs exceed the cap of {cap}")
         self.count = count
         self.cap = cap
 
@@ -108,22 +117,16 @@ class DatabaseInstance:
         return db
 
     @cached_property
-    def _blocks(self) -> dict[str, dict[Row, tuple[Row, ...]]]:
-        """Per relation: key -> rows, in key order; grouped from the rows on first use."""
-        return {
-            name: {key: tuple(members) for key, members in
-                   itertools.groupby(self._rows[name], itemgetter(slice(0, sig.key_width)))}
-            for name, sig in self.schema.items()
-        }
-
-    @cached_property
     def _parts(self) -> dict[str, tuple[tuple[Row, ...], tuple[tuple[Row, ...], ...]]]:
-        """Per relation: the rows of its single-fact blocks, then its blocks of
-        two or more facts, the only ones in which repairs differ; each part in
-        key order, and every row in exactly one of them."""
-        return {name: (tuple(rows[0] for rows in by_key.values() if len(rows) == 1),
-                       tuple(rows for rows in by_key.values() if len(rows) > 1))
-                for name, by_key in self._blocks.items()}
+        """Per relation: the rows of its single-fact blocks, then its blocks of two
+        or more facts, the only ones in which repairs differ; each in key order."""
+        parts = {}
+        for name, sig in self.schema.items():
+            blocks = [tuple(rows) for _, rows in
+                      itertools.groupby(self._rows[name], itemgetter(slice(0, sig.key_width)))]
+            parts[name] = (tuple(rows[0] for rows in blocks if len(rows) == 1),
+                           tuple(rows for rows in blocks if len(rows) > 1))
+        return parts
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -148,13 +151,16 @@ class DatabaseInstance:
         return tuple(Fact(name, row) for row in self._rows.get(name, ()))
 
     def block(self, name: str, key: tuple[str, ...]) -> tuple[Fact, ...]:
-        return tuple(Fact(name, row) for row in self._blocks.get(name, {}).get(key, ()))
+        sig = self.schema.get(name)
+        rows = self._rows[name] if sig is not None and len(key) == sig.key_width else ()
+        end = bisect_right(rows, key, key=itemgetter(slice(0, len(key))))
+        return tuple(Fact(name, row) for row in rows[bisect_left(rows, key):end])
 
     def blocks(self) -> tuple[Block, ...]:
         return tuple(
             Block(name, key, tuple(Fact(name, row) for row in rows))
-            for name, by_key in self._blocks.items()
-            for key, rows in by_key.items()
+            for name, sig in self.schema.items()
+            for key, rows in itertools.groupby(self._rows[name], itemgetter(slice(0, sig.key_width)))
         )
 
     def is_consistent(self) -> bool:
@@ -186,9 +192,9 @@ def enumerate_repairs(
 
     Refuses spaces larger than `cap` outright: sampling would break the
     tight-bound guarantee the enumeration exists to provide.  Each repair
-    keeps rows only, one per block; rows chosen in block order are already sorted.
+    keeps rows only, one per block; picked in key order, they are already sorted.
     """
-    for rows in _picks([by_key.values() for by_key in db._blocks.values()], cap):
+    for rows in _picks([sorted((*zip(singles), *conflicts)) for singles, conflicts in db._parts.values()], cap):
         yield DatabaseInstance._from_rows(db.schema, dict(zip(db.schema, rows)))
 
 
@@ -197,7 +203,7 @@ def is_repair_of(candidate: DatabaseInstance, db: DatabaseInstance) -> bool:
         candidate.schema == db.schema
         and all(set(rows) <= set(db._rows[name]) for name, rows in candidate._rows.items())
         and candidate.is_consistent()
-        and sum(map(len, candidate._rows.values())) == sum(map(len, db._blocks.values()))
+        and sum(map(len, candidate._rows.values())) == sum(map(len, itertools.chain(*db._parts.values())))
     )
 
 

@@ -25,7 +25,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import InputError
-from .graphs import Digraph, joined
+from .graphs import Digraph
 
 
 class QueryError(InputError, ValueError):
@@ -228,10 +228,6 @@ def query_graph(q: ConjunctiveQuery) -> QueryGraph:
             for b in here[i + 1 :]:
                 edges.add((a, b))
     return QueryGraph(bound, edges)
-
-
-def query_graph_dot(g: QueryGraph) -> str:
-    return joined(g.dot("query_graph"))
 
 
 # --- text format ---------------------------------------------------------

@@ -30,9 +30,14 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "examples", "pyproject.toml")
 
 EVALUATE = "src/cqa/evaluate.py"
+INSTANCES = "src/cqa/instances.py"
 RANDOM_PAIRS = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_on_random_pairs"
 SCALE = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_at_benchmark_scale"
 PARTKEY = "tests/test_cli.py::test_shipped_bundles_count_as_their_goldens[partkey]"
+PARTS = "tests/test_instances.py::test_parts_put_each_row_in_one_part_in_key_order"
+ROW_STORE = "tests/test_instances.py::test_row_store_equals_fact_store_on_random_bundles"
+ORACLE_PAIRS = "tests/test_evaluate.py::test_oracle_equals_reference_on_random_pairs"
+LONG_COUNT = "tests/test_cli.py::test_a_repair_count_too_long_for_str_exits_cleanly"
 
 
 class Mutant(NamedTuple):
@@ -222,9 +227,61 @@ MUTANTS = (
         ("tests/test_evaluate.py::test_oracle_twin_lookup_instances",
          "tests/test_evaluate.py::test_oracle_equals_reference_on_random_pairs"),
     ),
+    # the single-fact rows read as one-row blocks
+    Mutant(
+        "fan-out: single-fact rows left out of the blocks walked",
+        EVALUATE,
+        "for rows in chain(zip(singles), conflicts):",
+        "for rows in conflicts:",
+        (RANDOM_PAIRS, SCALE),
+    ),
+    Mutant(
+        "oracle: single-fact rows left out of the picks",
+        EVALUATE,
+        "_picks([(*zip(singles), *conflicts) for singles, conflicts in parts], cap)",
+        "_picks([conflicts for singles, conflicts in parts], cap)",
+        ("tests/test_evaluate.py::test_oracle_twin_lookup_instances", ORACLE_PAIRS),
+    ),
+    # the partition of each relation's rows, and what reads it
+    Mutant(
+        "partition: a single-fact block put among the conflicting blocks",
+        INSTANCES,
+        "tuple(rows for rows in blocks if len(rows) > 1)",
+        "tuple(rows for rows in blocks if len(rows) > 0)",
+        (PARTS, ROW_STORE),
+    ),
+    Mutant(
+        "partition: the last block of a relation dropped",
+        INSTANCES,
+        "                      itertools.groupby(self._rows[name], itemgetter(slice(0, sig.key_width)))]\n",
+        "                      itertools.groupby(self._rows[name], itemgetter(slice(0, sig.key_width)))][:-1]\n",
+        (PARTS, ROW_STORE),
+    ),
+    Mutant(
+        "repairs: the one-row and conflicting blocks not merged back in key order",
+        INSTANCES,
+        "_picks([sorted((*zip(singles), *conflicts))",
+        "_picks([(*zip(singles), *conflicts)",
+        (ROW_STORE, "tests/test_cli.py::test_repairs_dump_golden"),
+    ),
+    # counts too long for `str`
+    Mutant(
+        "refusal: the repair count formatted with plain `str`",
+        INSTANCES,
+        'super().__init__(f"{_count_text(count)} repairs exceed the cap of {cap}")',
+        'super().__init__(f"{count} repairs exceed the cap of {cap}")',
+        (LONG_COUNT,),
+    ),
+    Mutant(
+        "repairs: the repair count printed with plain `str`",
+        "src/cqa/cli.py",
+        'print(f"{_count_text(count)} repairs")',
+        'print(f"{count} repairs")',
+        (LONG_COUNT,),
+    ),
     Mutant(
         "bundles: a leading byte-order mark kept",
-        "src/cqa/instances.py",
+        INSTANCES,
         'data = path.read_bytes().removeprefix(b"\\xef\\xbb\\xbf")',
         "data = path.read_bytes()",
         ("tests/test_cli.py::test_files_starting_with_a_byte_order_mark_read_as_without",),

@@ -642,7 +642,8 @@ def _scan(step: _RefStep, db: DatabaseInstance) -> _Scan:
     matches: list[tuple[str, ...]] = []
     blocks: list[tuple[tuple[str, ...], ...]] = []
     match = _ref_matcher(step.atom)
-    for rows in db._blocks[step.atom.name].values():
+    key = itemgetter(slice(0, db.schema[step.atom.name].key_width))
+    for rows in (tuple(group) for _, group in itertools.groupby(db._rows[step.atom.name], key)):
         got = [m for row in rows if (m := match(row)) is not None]
         matches += got
         if len(got) == len(rows):

@@ -9,11 +9,11 @@ from cqa.classify import (
     CyclicAttackGraphError,
     candidate_id_set,
     fuxman_graph,
-    fuxman_graph_dot,
     in_cforest,
     in_cparsimony,
     is_id_set,
 )
+from cqa.graphs import joined
 from cqa.queries import QueryError, parse_query
 
 
@@ -151,7 +151,7 @@ def test_fuxman_forest_rejects_shared_target():
 
 
 def test_fuxman_graph_dot():
-    dot = fuxman_graph_dot(fuxman_graph(support.employee_query()))
+    dot = joined(fuxman_graph(support.employee_query()).dot("fuxman_graph"))
     assert '  "E" -> "D";' in dot
 
 

@@ -570,6 +570,24 @@ def test_repairs_limit_ignores_cap(tmp_path, capsys, monkeypatch):
     assert "4 repairs exceed the cap of 2" in capsys.readouterr().err
 
 
+def test_a_repair_count_too_long_for_str_exits_cleanly(tmp_path):
+    # 2^14300 repairs has 4,305 digits, over the 4,300 that `str` converts
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "schema.txt").write_text("R arity=2 key=1\n")
+    (root / "R.csv").write_text("".join(f"k{i},a\nk{i},b\n" for i in range(14_300)))
+    qpath = write_query(tmp_path, parse_query("q(v) :- R(k | v)."))
+    for mode in ("oracle", "both"):
+        proc = _run_cli("count", "--db", str(root), "--query", qpath, "--mode", mode, "--cap", "9")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "refused: at least 2^14300 repairs exceed the cap of 9\n"
+    proc = _run_cli("repairs", "--db", str(root), "--limit", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["at least 2^14300 repairs", "repair 1:", "  R(k0, a)"]
+    assert len(lines) == 2 + 14_300 and lines[-1] == "  R(k9999, a)"
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     schema=st.lists(

@@ -5,6 +5,7 @@ import pytest
 import generators
 import support
 from cqa.evaluate import evaluate
+from cqa.graphs import joined
 from cqa.queries import (
     Atom,
     ConjunctiveQuery,
@@ -16,7 +17,6 @@ from cqa.queries import (
     make_free,
     parse_query,
     query_graph,
-    query_graph_dot,
     serialize_query,
     substitute,
 )
@@ -221,7 +221,7 @@ def test_query_graph_vertices_are_exactly_bound_vars():
 
 
 def test_query_graph_dot_is_deterministic():
-    dot = query_graph_dot(query_graph(support.two_component_query()))
+    dot = joined(query_graph(support.two_component_query()).dot("query_graph"))
     assert dot.startswith("graph query_graph {")
     assert '  "v" -- "w";' in dot
 
