@@ -25,12 +25,19 @@ from typing import (
     Sequence,
 )
 
-from cqa.attacks import AttackGraph, AttackWitness, FrozenVariables, attack_graph, keycl
+from cqa.attacks import (
+    AttackGraph,
+    AttackWitness,
+    FrozenVariables,
+    attack_graph,
+    frozen_vars,
+    keycl,
+)
 from cqa.classify import (
     ClassificationReport,
     CyclicAttackGraphError,
-    candidate_id_set,
-    is_id_set,
+    IdSetViolation,
+    fuxman_graph,
 )
 from cqa.evaluate import AnswerSet, EvaluationError, RangeAnswer, _check_schema, evaluate
 from cqa.fds import FunctionalDependencySet, SequentialProof, fdset
@@ -51,6 +58,7 @@ from cqa.queries import (
     QuerySyntaxError,
     RelationSignature,
     Term,
+    _check_bound,
     parse_query,
     serialize_query,
 )
@@ -275,7 +283,7 @@ def exhaustive_id_set(q: ConjunctiveQuery):
     graph = attack_graph(q)
     for size in range(len(q.bound_vars) + 1):
         for subset in combinations(q.bound_vars, size):
-            ok, _ = is_id_set(q, subset, graph)
+            ok, _ = reference_is_id_set(q, subset, graph)
             if ok:
                 return subset
     return None
@@ -1004,6 +1012,68 @@ def reference_in_cforest(q: ConjunctiveQuery) -> bool:
     )
 
 
+# --- the id-set tests and the Cforest test of the per-step analysis -----------
+# Kept verbatim (renamed) as the one-pass classification is checked against:
+# a Kahn sort per acyclicity test, frozen variables from one sequential proof
+# per bound variable, atom tuples per component, and a built Fuxman graph.
+
+def reference_candidate_id_set(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> frozenset[str]:
+    """Bound key variables of unattacked atoms that occur at no non-key position.
+
+    When the query has any id-set at all, this set is the unique minimal one.
+    """
+    g = graph if graph is not None else attack_graph(q)
+    if not g.is_acyclic():
+        raise CyclicAttackGraphError("attack graph is cyclic; no id-set exists")
+    nonkey = set().union(*(a.nonkey_vars for a in q.atoms)) if q.atoms else set()
+    bound = set(q.bound_vars)
+    out: set[str] = set()
+    for atom in g.unattacked_atoms():
+        out |= (atom.key_vars & bound) - nonkey
+    return frozenset(out)
+
+
+def reference_is_id_set(
+    q: ConjunctiveQuery,
+    xs: Iterable[str],
+    graph: AttackGraph | None = None,
+) -> tuple[bool, IdSetViolation | None]:
+    """Check the two id-set conditions for the tuple xs; on failure the
+    violation names the offending atom (and separating path, if any)."""
+    xs = _check_bound(q, xs)
+    g = graph if graph is not None else attack_graph(q)
+
+    # (1) every component owns an unattacked atom whose key xs determines
+    unattacked = {a.name for a in g.unattacked_atoms()}
+    closure = g.fds.closure(xs)
+    for comp in g.components():
+        sources = [a for a in comp if a.name in unattacked]
+        if not any(a.key_vars <= closure for a in sources):
+            return False, IdSetViolation(atom=sources[0].name if sources else comp[0].name, path=None)
+
+    # (2) no query-graph path from a non-key variable to xs may dodge both
+    # the atom's key and the frozen variables
+    frozen = frozen_vars(q, g).vars
+    qg = g.query_graph
+    targets = set(xs)
+    for atom in q.atoms:
+        parent = qg.reach(atom.nonkey_vars, qg.vertices - atom.key_vars - frozen)
+        hit = next((v for v in parent if v in targets), None)
+        if hit is not None:
+            return False, IdSetViolation(atom=atom.name, path=path_to(parent, hit))
+    return True, None
+
+
+def fuxman_graph_in_cforest(q: ConjunctiveQuery) -> bool:
+    fg = fuxman_graph(q)
+    if not fg.is_forest():
+        return False
+    free = set(q.free_vars)
+    return all(
+        (q.atom(t).key_vars - free) <= q.atom(s).nonkey_vars for (s, t) in fg.edges
+    )
+
+
 def reference_report(
     q: ConjunctiveQuery, g: ReferenceAttackGraph, cforest: bool = False
 ) -> ClassificationReport:
@@ -1013,8 +1083,8 @@ def reference_report(
     strong = tuple((e.source.name, e.target.name) for e in g.strong_edges())
     if not acyclic or strong:
         return ClassificationReport(acyclic, strong, None, None, False, cforest)
-    candidate = tuple(sorted(candidate_id_set(q, g)))
-    ok, violation = is_id_set(q, candidate, g)
+    candidate = tuple(sorted(reference_candidate_id_set(q, g)))
+    ok, violation = reference_is_id_set(q, candidate, g)
     return ClassificationReport(
         acyclic=acyclic,
         strong_attacks=strong,

@@ -12,7 +12,7 @@ from cqa.attacks import (
     frozen_vars,
     keycl,
 )
-from cqa.classify import fuxman_graph, in_cparsimony
+from cqa.classify import fuxman_graph, in_cforest, in_cparsimony, is_id_set
 from cqa.fds import FunctionalDependencySet, fdset, sequential_proof
 from cqa.graphs import joined
 from cqa.queries import (
@@ -314,6 +314,10 @@ def test_analysis_equals_reference_on_random_and_long_queries():
             map(fuxman_want.in_degree, fuxman_want.vertices), default=0) == 2
         report = support.reference_report(q, want, support.reference_in_cforest(q))
         assert in_cparsimony(q).to_json_dict() == report.to_json_dict(), where  # with cforest
+        assert in_cforest(q) == support.fuxman_graph_in_cforest(q), where
+        pick = random.Random(i)  # any bound tuple, not only the candidate; own rng, same corpus
+        xs = pick.sample(q.bound_vars, pick.randint(0, min(3, len(q.bound_vars))))
+        assert is_id_set(q, xs, g) == support.reference_is_id_set(q, xs, want), where
         strong = set(g.strong_edges())
         assert {k: (k in strong, g.witness(*k)) for k in g.edges} == {
             k: (e.strong, e.witness) for k, e in want.edges.items()}, where

@@ -967,6 +967,15 @@ def test_shipped_bundles_count_as_their_goldens(capsys, name):
     assert capsys.readouterr().out == (root / "count-both.tsv").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["employee", "forward", "blocks", "joined", "partkey"])
+def test_shipped_bundles_classify_as_their_goldens(capsys, name):
+    # the classify goldens CI diffs the installed script against, as text and JSON
+    root = Path(__file__).resolve().parents[1] / "examples" / name
+    for flags, golden in (((), "classify.txt"), (("--json",), "classify.json")):
+        assert main(["classify", str(root / "query.cq"), *flags]) == 0
+        assert capsys.readouterr().out == (root / golden).read_text(encoding="utf-8")
+
+
 def _with_bom(path: Path) -> None:
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
 
