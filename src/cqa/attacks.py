@@ -32,7 +32,8 @@ class AttackGraph(Digraph):
     """Digraph over the atom names of one query, with the set of its strong
     attacks: those (source, target) where key(source) does not determine
     key(target).  It keeps the query's FD set and query graph it was built
-    from, for later analysis of the same query.
+    from, for later analysis of the same query, and its topological order
+    (None on a cycle), sorted once.
     `reached` maps each atom name, in name order, to the BFS parent links of
     `attack_graph` over the variables it attacks."""
 
@@ -51,6 +52,7 @@ class AttackGraph(Digraph):
         self.fds = fds
         self.query_graph = qg
         self._reached = reached
+        self._order = super().topological_order()
 
     def attacks(self, source: str, target: str) -> bool:
         return target in self.successors(source)
@@ -75,8 +77,11 @@ class AttackGraph(Digraph):
     def strong_edges(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self._strong))
 
+    def topological_order(self) -> tuple[str, ...] | None:
+        return self._order
+
     def is_acyclic(self) -> bool:
-        return self.topological_order() is not None
+        return self._order is not None
 
     def unattacked_atoms(self) -> tuple[Atom, ...]:
         return tuple(self.query.atom(n) for n in sorted(self.vertices) if not self.in_degree(n))

@@ -10,9 +10,9 @@ older forest-shaped criterion for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .attacks import AttackGraph, attack_graph, frozen_vars
+from .attacks import AttackGraph, attack_graph
 from .errors import AnalysisRefusal
 from .graphs import Digraph, path_to
 from .queries import ConjunctiveQuery, _check_bound
@@ -95,16 +95,17 @@ def is_id_set(
     g = graph if graph is not None else attack_graph(q)
 
     # (1) every component owns an unattacked atom whose key xs determines
-    unattacked = {a.name for a in g.unattacked_atoms()}
     closure = g.fds.closure(xs)
-    for comp in g.components():
-        sources = [a for a in comp if a.name in unattacked]
-        if not any(a.key_vars <= closure for a in sources):
-            return False, IdSetViolation(atom=sources[0].name if sources else comp[0].name, path=None)
+    for comp in Digraph.components(g):
+        sources = [n for n in comp if not g.in_degree(n)]
+        if not any(q.atom(n).key_vars <= closure for n in sources):
+            return False, IdSetViolation(atom=(sources or comp)[0], path=None)
 
     # (2) no query-graph path from a non-key variable to xs may dodge both
-    # the atom's key and the frozen variables
-    frozen = frozen_vars(q, g).vars
+    # the atom's key and the frozen variables: the bound variables the head
+    # determines (those with a sequential proof from no base) that no atom
+    # attacks, which `frozen_vars` certifies one by one
+    frozen = g.fds.closure(()) - g.fds.free - set().union(*g._reached.values())
     qg = g.query_graph
     targets = set(xs)
     for atom in q.atoms:
@@ -146,25 +147,43 @@ class FuxmanGraph(Digraph):
         return self.topological_order() is not None and all(n <= 1 for n in self._in.values())
 
 
+def _fuxman_edges(q: ConjunctiveQuery) -> Iterator[tuple[str, str]]:
+    """Edge R -> S whenever a bound non-key variable of R occurs in S, once
+    per such variable."""
+    bound = set(q.bound_vars)
+    holders: dict[str, list[str]] = {}  # variable -> the atoms it occurs in
+    for a in q.atoms:
+        for v in a.variables:
+            holders.setdefault(v, []).append(a.name)
+    return ((a.name, s) for a in q.atoms for v in a.nonkey_vars & bound
+            for s in holders[v] if s != a.name)
+
+
 def fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
     """Edge R -> S whenever a bound non-key variable of R occurs in S."""
-    bound = set(q.bound_vars)
-    names = [a.name for a in q.atoms]
-    holders: dict[str, list[str]] = {}  # variable -> the atoms it occurs in
-    for a, name in zip(q.atoms, names):
-        for v in a.variables:
-            holders.setdefault(v, []).append(name)
-    edges = {(name, s) for a, name in zip(q.atoms, names) for v in a.nonkey_vars & bound
-             for s in holders[v] if s != name}
-    return FuxmanGraph(names, edges)
+    return FuxmanGraph((a.name for a in q.atoms), set(_fuxman_edges(q)))
 
 
 def in_cforest(q: ConjunctiveQuery) -> bool:
-    fg = fuxman_graph(q)
-    if not fg.is_forest():
-        return False
+    """Is the Fuxman graph a forest whose every edge R -> S has the bound
+    key variables of S among the non-key variables of R?  Read off the edges
+    without building the graph: at most one parent per atom, then a walk up
+    the parents from each atom finds any cycle."""
+    parent: dict[str, str] = {}
+    for s, t in _fuxman_edges(q):
+        if parent.setdefault(t, s) != s:
+            return False
+    done: set[str] = set()  # atoms whose walk reached a root or a done atom
+    for start in parent:
+        v, path = start, set()
+        while v in parent and v not in done:
+            if v in path:
+                return False
+            path.add(v)
+            v = parent[v]
+        done |= path
     free = set(q.free_vars)
     return all(
-        (q.atom(t).key_vars - free) <= q.atom(s).nonkey_vars for (s, t) in fg.edges
+        (q.atom(t).key_vars - free) <= q.atom(s).nonkey_vars for t, s in parent.items()
     )
 

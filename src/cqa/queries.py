@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable
 
@@ -111,6 +110,25 @@ class Atom:
         return self.args[self.relation.key_width :]
 
 
+_VARIABLES = attrgetter("variables")
+
+
+class _lazy:
+    """A field computed on first read and stored in the instance dict,
+    where later reads find it before this descriptor, which defines no
+    `__set__`.  Unlike `functools.cached_property` it takes no lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ConjunctiveQuery:
     atoms: tuple[Atom, ...]
@@ -118,27 +136,23 @@ class ConjunctiveQuery:
     name: str = "q"
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for atom in self.atoms:
-            if atom.name in seen:
-                raise QueryError(f"self-join on relation {atom.name} is not supported")
-            seen.add(atom.name)
+        names = [atom.relation.name for atom in self.atoms]
+        if len(set(names)) != len(names):
+            name = next(n for i, n in enumerate(names) if n in names[:i])
+            raise QueryError(f"self-join on relation {name} is not supported")
         if len(set(self.free_vars)) != len(self.free_vars):
             raise QueryError(f"duplicate variable in head {self.free_vars}")
-        occurring = frozenset().union(*(a.variables for a in self.atoms)) if self.atoms else frozenset()
-        dangling = set(self.free_vars) - occurring
+        dangling = set(self.free_vars).difference(*map(_VARIABLES, self.atoms))
         if dangling:
             raise QueryError(
                 f"free variable(s) {sorted(dangling)} occur in no atom"
             )
 
-    @cached_property
+    @_lazy
     def variables(self) -> frozenset[str]:
-        if not self.atoms:
-            return frozenset(self.free_vars)
-        return frozenset(self.free_vars).union(*(a.variables for a in self.atoms))
+        return frozenset(self.free_vars).union(*map(_VARIABLES, self.atoms))
 
-    @cached_property
+    @_lazy
     def bound_vars(self) -> tuple[str, ...]:
         """Non-head variables, in first-occurrence order."""
         free = set(self.free_vars)
@@ -146,7 +160,7 @@ class ConjunctiveQuery:
             t.symbol for a in self.atoms for t in a.args if t.is_var and t.symbol not in free
         ))
 
-    @cached_property
+    @_lazy
     def _by_name(self) -> dict[str, Atom]:
         return {a.name: a for a in self.atoms}
 

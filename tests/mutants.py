@@ -31,6 +31,8 @@ COPIED = ("src", "tests", "examples", "pyproject.toml")
 
 EVALUATE = "src/cqa/evaluate.py"
 INSTANCES = "src/cqa/instances.py"
+ATTACKS = "src/cqa/attacks.py"
+CLASSIFY = "src/cqa/classify.py"
 RANDOM_PAIRS = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_on_random_pairs"
 SCALE = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_at_benchmark_scale"
 PARTKEY = "tests/test_cli.py::test_shipped_bundles_count_as_their_goldens[partkey]"
@@ -38,6 +40,8 @@ PARTS = "tests/test_instances.py::test_parts_put_each_row_in_one_part_in_key_ord
 ROW_STORE = "tests/test_instances.py::test_row_store_equals_fact_store_on_random_bundles"
 ORACLE_PAIRS = "tests/test_evaluate.py::test_oracle_equals_reference_on_random_pairs"
 LONG_COUNT = "tests/test_cli.py::test_a_repair_count_too_long_for_str_exits_cleanly"
+ANALYSIS = "tests/test_attacks.py::test_analysis_equals_reference_on_random_and_long_queries"
+CYCLIC = "tests/test_classify.py::test_candidate_id_set_rejects_cyclic"
 
 
 class Mutant(NamedTuple):
@@ -285,6 +289,43 @@ MUTANTS = (
         'data = path.read_bytes().removeprefix(b"\\xef\\xbb\\xbf")',
         "data = path.read_bytes()",
         ("tests/test_cli.py::test_files_starting_with_a_byte_order_mark_read_as_without",),
+    ),
+    # one-pass classification
+    Mutant(
+        "id-set: the frozen variables keep the attacked ones",
+        CLASSIFY,
+        "frozen = g.fds.closure(()) - g.fds.free - set().union(*g._reached.values())",
+        "frozen = g.fds.closure(()) - g.fds.free",
+        (ANALYSIS,),
+    ),
+    Mutant(
+        "Cforest: an atom accepts a second parent",
+        CLASSIFY,
+        "        if parent.setdefault(t, s) != s:\n"
+        "            return False\n",
+        "        parent[t] = s\n",
+        (ANALYSIS, "tests/test_classify.py::test_fuxman_forest_rejects_shared_target"),
+    ),
+    Mutant(
+        "Cforest: the walk up the parents skipped",
+        CLASSIFY,
+        "    for start in parent:\n",
+        "    for start in ():\n",
+        (ANALYSIS, "tests/test_classify.py::test_classification_sorts_once_and_builds_no_fuxman_graph"),
+    ),
+    Mutant(
+        "attack graph: an empty order stored for a cyclic graph",
+        ATTACKS,
+        "self._order = super().topological_order()",
+        "self._order = super().topological_order() or ()",
+        (CYCLIC, ANALYSIS),
+    ),
+    Mutant(
+        "attack graph: a stale order stored, the vertices in name order",
+        ATTACKS,
+        "self._order = super().topological_order()",
+        "self._order = tuple(sorted(self.vertices))",
+        (CYCLIC, ANALYSIS, RANDOM_PAIRS),
     ),
 )
 

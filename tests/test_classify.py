@@ -1,3 +1,5 @@
+import collections
+import importlib
 import random
 
 import pytest
@@ -13,8 +15,9 @@ from cqa.classify import (
     in_cparsimony,
     is_id_set,
 )
-from cqa.graphs import joined
-from cqa.queries import QueryError, parse_query
+from cqa.evaluate import cqacount_parsimonious
+from cqa.graphs import Digraph, joined
+from cqa.queries import QueryError, parse_query, serialize_query
 
 
 def test_candidate_id_set_star_share():
@@ -148,6 +151,10 @@ def test_fuxman_forest_rejects_shared_target():
     fg = fuxman_graph(q)
     assert fg.in_degree("T") == 2
     assert not fg.is_forest()
+    assert not in_cforest(q)
+    # T has parents R and S and feeds R back: the edges S -> T and T -> R
+    # alone would form a forest that meets the key condition
+    assert not in_cforest(parse_query("q() :- R(| v), T(w | v), S(y | w)."))
 
 
 def test_fuxman_graph_dot():
@@ -232,3 +239,38 @@ def test_unattacked_connected_sources_share_id_set_keys():
             sources = [a for a in comp if a.name in unattacked]
             picks = {frozenset(a.key_vars & xs) for a in sources}
             assert len(picks) <= 1
+
+
+def test_classification_sorts_once_and_builds_no_fuxman_graph(monkeypatch):
+    # one attack graph (with its query graph) and one Kahn sort per call: the
+    # acyclicity test, the candidate id-set and the certainty plan read the
+    # stored order, frozen variables come from one closure and the Cforest
+    # test reads the edges; a parsimonious count sorts once too
+    built, sorts, proofs = collections.Counter(), [], []
+    init, order = Digraph.__init__, Digraph.topological_order
+
+    def counted_init(self, *args, **kwargs):
+        built[type(self).__name__] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Digraph, "__init__", counted_init)
+    monkeypatch.setattr(Digraph, "topological_order", lambda g: sorts.append(1) or order(g))
+    for name in ("cqa.attacks", "cqa.fds"):
+        module = importlib.import_module(name)
+        proof = module.sequential_proof
+        monkeypatch.setattr(module, "sequential_proof",
+                            lambda *args, proof=proof: proofs.append(1) or proof(*args))
+    queries = [support.employee_query(), support.two_component_query(),
+               support.guarded_cycle_query(), support.square_share_query(),
+               support.lookup_pair_query(), support.mutual_attack_query(),
+               parse_query("q() :- R(x | y), S(y | x)."), parse_query("q(z) :- R(| x), S(x | z).")]
+    for q in queries:
+        built.clear(), sorts.clear(), proofs.clear()
+        in_cparsimony(q)
+        assert built == {"AttackGraph": 1, "QueryGraph": 1}, serialize_query(q)
+        assert (len(sorts), len(proofs)) == (1, 0), serialize_query(q)
+    assert not in_cparsimony(queries[-2]).in_cforest  # a Fuxman cycle, read without a graph
+    built.clear(), sorts.clear()
+    cqacount_parsimonious(support.employee_query(), support.employee_db())
+    assert built == {"AttackGraph": 1, "QueryGraph": 1}
+    assert len(sorts) == 1

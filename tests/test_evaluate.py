@@ -902,8 +902,10 @@ def _split_equals_reference(q, db, graph, context):
     """`_plain_and_certain` on this pair: its certain answers, and their
     union with its other plain answers, equal the reference's, and neither
     collection repeats an answer or holds one of the other.  Returns the
-    reference's plain and certain answers."""
-    plain, certain = want = support.reference_plain_and_certain(q, db, graph)
+    reference's plain and certain answers, whose plan takes its order from
+    the reference attack graph of the query `graph` was built for."""
+    order = support.reference_attack_graph(graph.query)
+    plain, certain = want = support.reference_plain_and_certain(q, db, order)
     got, other = evaluate_module._plain_and_certain(q, db, graph)
     sure, rest = {*got}, {*other}
     assert (len(sure), len(rest)) == (len(got), len(other)), context  # no answer twice

@@ -82,6 +82,23 @@ def test_parse_rejections(bad):
         parse_query(bad)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("q() :- R(x), S(y), R(z), S(w).", "self-join on relation R is not supported"),
+        ("q() :- R(x), S(y), S(z), R(w).", "self-join on relation S is not supported"),
+        ("q(a, a) :- R(a), R(b).", "self-join on relation R is not supported"),
+        ("q(b, a, x) :- R(x).", "free variable(s) ['a', 'b'] occur in no atom"),
+        ("q(a) :- .", "free variable(s) ['a'] occur in no atom"),
+    ],
+)
+def test_query_errors_name_the_first_repeated_relation_and_every_dangling_variable(text, message):
+    # a query's own checks, which the reference parser shares: their order and texts
+    with pytest.raises(QueryError) as err:
+        parse_query(text)
+    assert str(err.value) == message
+
+
 def test_atom_key_nonkey_partition_with_repeats_and_constants():
     # R(c, x, x, y | y, z, c): key vars {x, y}, non-key vars {z}
     sig = RelationSignature("R", 7, 4)
