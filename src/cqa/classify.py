@@ -102,9 +102,8 @@ def is_id_set(
             return False, IdSetViolation(atom=(sources or comp)[0], path=None)
 
     # (2) no query-graph path from a non-key variable to xs may dodge both
-    # the atom's key and the frozen variables: the bound variables the head
-    # determines (those with a sequential proof from no base) that no atom
-    # attacks, which `frozen_vars` certifies one by one
+    # the atom's key and the frozen variables: the bound variables that the
+    # head determines and no atom attacks (`frozen_vars` proves each one)
     frozen = g.fds.closure(()) - g.fds.free - set().union(*g._reached.values())
     qg = g.query_graph
     targets = set(xs)

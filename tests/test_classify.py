@@ -265,12 +265,14 @@ def test_classification_sorts_once_and_builds_no_fuxman_graph(monkeypatch):
                support.lookup_pair_query(), support.mutual_attack_query(),
                parse_query("q() :- R(x | y), S(y | x)."), parse_query("q(z) :- R(| x), S(x | z).")]
     for q in queries:
-        built.clear(), sorts.clear(), proofs.clear()
+        built.clear()
+        del sorts[:], proofs[:]
         in_cparsimony(q)
         assert built == {"AttackGraph": 1, "QueryGraph": 1}, serialize_query(q)
         assert (len(sorts), len(proofs)) == (1, 0), serialize_query(q)
     assert not in_cparsimony(queries[-2]).in_cforest  # a Fuxman cycle, read without a graph
-    built.clear(), sorts.clear()
+    built.clear()
+    del sorts[:]
     cqacount_parsimonious(support.employee_query(), support.employee_db())
     assert built == {"AttackGraph": 1, "QueryGraph": 1}
     assert len(sorts) == 1
