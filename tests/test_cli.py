@@ -976,6 +976,15 @@ def test_shipped_bundles_classify_as_their_goldens(capsys, name):
         assert capsys.readouterr().out == (root / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["employee", "forward", "blocks", "joined", "partkey"])
+@pytest.mark.parametrize("kind", ["attack", "query", "fuxman"])
+def test_shipped_bundles_graph_as_their_goldens(capsys, name, kind):
+    # the graph goldens CI diffs the installed script against
+    root = Path(__file__).resolve().parents[1] / "examples" / name
+    assert main(["graph", str(root / "query.cq"), "--kind", kind]) == 0
+    assert capsys.readouterr().out == (root / f"graph-{kind}.dot").read_text(encoding="utf-8")
+
+
 def _with_bom(path: Path) -> None:
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
 
