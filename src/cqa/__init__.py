@@ -13,7 +13,6 @@ from .attacks import (
 from .classify import (
     ClassificationReport,
     CyclicAttackGraphError,
-    FuxmanGraph,
     IdSetViolation,
     candidate_id_set,
     fuxman_graph,
@@ -61,7 +60,6 @@ from .queries import (
     Atom,
     ConjunctiveQuery,
     QueryError,
-    QueryGraph,
     RelationSignature,
     Term,
     make_bound,

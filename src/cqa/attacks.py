@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 from .fds import FunctionalDependencySet, SequentialProof, fdset, keycl, sequential_proof
 from .graphs import Digraph, joined, path_to
-from .queries import Atom, ConjunctiveQuery, QueryGraph, query_graph
+from .queries import Atom, ConjunctiveQuery, query_graph
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class AttackGraph(Digraph):
         strong: set[tuple[str, str]],
         reached: Mapping[str, Mapping[str, str | None]],
         fds: FunctionalDependencySet,
-        qg: QueryGraph,
+        qg: Digraph,
     ):
         super().__init__((a.name for a in query.atoms), edges)
         self.query = query
@@ -86,10 +86,6 @@ class AttackGraph(Digraph):
     def unattacked_atoms(self) -> tuple[Atom, ...]:
         return tuple(self.query.atom(n) for n in sorted(self.vertices) if not self.in_degree(n))
 
-    def components(self) -> tuple[tuple[Atom, ...], ...]:
-        """Maximal weakly connected components, each sorted by relation name."""
-        return tuple(tuple(self.query.atom(n) for n in comp) for comp in super().components())
-
 
 def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
     """One keycl closure and one BFS per atom, and one key closure per
@@ -125,24 +121,23 @@ class FrozenVariables:
     certificates: Mapping[str, SequentialProof]
 
 
-def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> FrozenVariables:
-    """A bound x is frozen when fdset over the atoms not attacking x yields {} -> x.
+def _frozen(g: AttackGraph) -> frozenset[str]:
+    """The bound variables that the head determines and no atom attacks.
 
-    An attacked x never is: a proof over atoms other than an attacker a would
-    put x in keycl(a), which the attack of a avoids.  So the proof runs over
-    every atom of q, and only for the variables no atom attacks.
-    """
+    A bound x is frozen when fdset over the atoms not attacking x yields
+    {} -> x.  An attacked x never is: a proof over atoms other than an
+    attacker a would put x in keycl(a), which the attack of a avoids.  So
+    the closure runs over every atom of q, and the attacked variables go."""
+    return g.fds.closure(()) - g.fds.free - set().union(*g._reached.values())
+
+
+def frozen_vars(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> FrozenVariables:
+    """The frozen variables, each with its sequential proof from no base,
+    which exists since the variable is in the closure of the head."""
     g = graph if graph is not None else attack_graph(q)
-    attacked: set[str] = set()
-    for atom in q.atoms:
-        attacked |= g.attacked_variables(atom.name)
-    certs: dict[str, SequentialProof] = {}
-    for x in q.bound_vars:
-        if x not in attacked:
-            proof = sequential_proof(q, (), x)
-            if proof is not None:
-                certs[x] = proof
-    return FrozenVariables(frozenset(certs), certs)
+    frozen = _frozen(g)
+    certs = {x: sequential_proof(q, (), x) for x in q.bound_vars if x in frozen}
+    return FrozenVariables(frozen, certs)
 
 
 def attack_graph_dot(g: AttackGraph) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .attacks import AttackGraph, attack_graph
+from .attacks import AttackGraph, _frozen, attack_graph
 from .errors import AnalysisRefusal
 from .graphs import Digraph, path_to
 from .queries import ConjunctiveQuery, _check_bound
@@ -96,15 +96,14 @@ def is_id_set(
 
     # (1) every component owns an unattacked atom whose key xs determines
     closure = g.fds.closure(xs)
-    for comp in Digraph.components(g):
+    for comp in g.components():
         sources = [n for n in comp if not g.in_degree(n)]
         if not any(q.atom(n).key_vars <= closure for n in sources):
             return False, IdSetViolation(atom=(sources or comp)[0], path=None)
 
     # (2) no query-graph path from a non-key variable to xs may dodge both
-    # the atom's key and the frozen variables: the bound variables that the
-    # head determines and no atom attacks (`frozen_vars` proves each one)
-    frozen = g.fds.closure(()) - g.fds.free - set().union(*g._reached.values())
+    # the atom's key and the frozen variables
+    frozen = _frozen(g)
     qg = g.query_graph
     targets = set(xs)
     for atom in q.atoms:
@@ -139,13 +138,6 @@ def _report(q: ConjunctiveQuery, g: AttackGraph, cforest: bool = False) -> Class
     )
 
 
-class FuxmanGraph(Digraph):
-    """Digraph over the atom names of one query."""
-
-    def is_forest(self) -> bool:
-        return self.topological_order() is not None and all(n <= 1 for n in self._in.values())
-
-
 def _fuxman_edges(q: ConjunctiveQuery) -> Iterator[tuple[str, str]]:
     """Edge R -> S whenever a bound non-key variable of R occurs in S, once
     per such variable."""
@@ -158,9 +150,10 @@ def _fuxman_edges(q: ConjunctiveQuery) -> Iterator[tuple[str, str]]:
             for s in holders[v] if s != a.name)
 
 
-def fuxman_graph(q: ConjunctiveQuery) -> FuxmanGraph:
-    """Edge R -> S whenever a bound non-key variable of R occurs in S."""
-    return FuxmanGraph((a.name for a in q.atoms), set(_fuxman_edges(q)))
+def fuxman_graph(q: ConjunctiveQuery) -> Digraph:
+    """Digraph over the atom names of q: edge R -> S whenever a bound
+    non-key variable of R occurs in S."""
+    return Digraph((a.name for a in q.atoms), set(_fuxman_edges(q)))
 
 
 def in_cforest(q: ConjunctiveQuery) -> bool:

@@ -78,9 +78,10 @@ class Term:
 
 @dataclass(frozen=True)
 class Atom:
-    """One atom of a query.  Its variable sets are built with it, since
-    every analysis reads them: `key_vars`, `nonkey_vars` (variables at
-    non-key positions that do not also appear in the key) and `variables`."""
+    """One atom of a query.  Its name and variable sets are built with it,
+    since every analysis reads them: `name` (the relation's), `key_vars`,
+    `nonkey_vars` (variables at non-key positions that do not also appear
+    in the key) and `variables`."""
 
     relation: RelationSignature
     args: tuple[Term, ...]
@@ -94,12 +95,9 @@ class Atom:
         key_vars = frozenset([t.symbol for t in self.key_args if t.kind == _VAR])
         variables = frozenset([t.symbol for t in self.args if t.kind == _VAR])
         self.__dict__.update(
-            key_vars=key_vars, nonkey_vars=variables - key_vars, variables=variables
+            name=self.relation.name, key_vars=key_vars, nonkey_vars=variables - key_vars,
+            variables=variables,
         )
-
-    @property
-    def name(self) -> str:
-        return self.relation.name
 
     @property
     def key_args(self) -> tuple[Term, ...]:
@@ -136,7 +134,7 @@ class ConjunctiveQuery:
     name: str = "q"
 
     def __post_init__(self):
-        names = [atom.relation.name for atom in self.atoms]
+        names = [atom.name for atom in self.atoms]
         if len(set(names)) != len(names):
             name = next(n for i, n in enumerate(names) if n in names[:i])
             raise QueryError(f"self-join on relation {name} is not supported")
@@ -226,14 +224,8 @@ def substitute(
     )
 
 
-class QueryGraph(Digraph):
+def query_graph(q: ConjunctiveQuery) -> Digraph:
     """Undirected co-occurrence graph over the bound variables."""
-
-    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
-        super().__init__(vertices, edges, directed=False)
-
-
-def query_graph(q: ConjunctiveQuery) -> QueryGraph:
     bound = frozenset(q.bound_vars)
     edges: set[tuple[str, str]] = set()
     for atom in q.atoms:
@@ -241,7 +233,7 @@ def query_graph(q: ConjunctiveQuery) -> QueryGraph:
         for i, a in enumerate(here):
             for b in here[i + 1 :]:
                 edges.add((a, b))
-    return QueryGraph(bound, edges)
+    return Digraph(bound, edges, directed=False)
 
 
 # --- text format ---------------------------------------------------------
@@ -358,7 +350,7 @@ def _term_text(atom: Atom, t: Term) -> str:
 def serialize_query(q: ConjunctiveQuery) -> str:
     """Canonical form: single spaces, atoms in input order.  Refuses a name
     or a constant that the text format cannot write."""
-    names = [q.name, *map(attrgetter("relation.name"), q.atoms), *q.free_vars, *q.bound_vars]
+    names = [q.name, *map(attrgetter("name"), q.atoms), *q.free_vars, *q.bound_vars]
     # ASCII Python identifiers are exactly what `_TOKEN_RE` reads as `ident`
     if not (all(map(str.isidentifier, names)) and "".join(names).isascii()):
         i = next(i for i, n in enumerate(names) if not (n.isidentifier() and n.isascii()))

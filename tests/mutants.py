@@ -293,9 +293,9 @@ MUTANTS = (
     # one-pass classification
     Mutant(
         "id-set: the frozen variables keep the attacked ones",
-        CLASSIFY,
-        "frozen = g.fds.closure(()) - g.fds.free - set().union(*g._reached.values())",
-        "frozen = g.fds.closure(()) - g.fds.free",
+        ATTACKS,
+        "return g.fds.closure(()) - g.fds.free - set().union(*g._reached.values())",
+        "return g.fds.closure(()) - g.fds.free",
         (ANALYSIS,),
     ),
     Mutant(
@@ -312,6 +312,13 @@ MUTANTS = (
         "    for start in parent:\n",
         "    for start in ():\n",
         (ANALYSIS, "tests/test_classify.py::test_classification_sorts_once_and_builds_no_fuxman_graph"),
+    ),
+    Mutant(
+        "query graph: built directed, each co-occurrence walked one way only",
+        "src/cqa/queries.py",
+        "return Digraph(bound, edges, directed=False)",
+        "return Digraph(bound, edges)",
+        (ANALYSIS, "tests/test_cli.py::test_shipped_bundles_graph_as_their_goldens[query-joined]"),
     ),
     Mutant(
         "attack graph: an empty order stored for a cyclic graph",

@@ -30,14 +30,12 @@ from cqa.attacks import (
     AttackWitness,
     FrozenVariables,
     attack_graph,
-    frozen_vars,
     keycl,
 )
 from cqa.classify import (
     ClassificationReport,
     CyclicAttackGraphError,
     IdSetViolation,
-    fuxman_graph,
 )
 from cqa.evaluate import AnswerSet, EvaluationError, RangeAnswer, _check_schema, evaluate
 from cqa.fds import FunctionalDependencySet, SequentialProof, fdset
@@ -280,7 +278,7 @@ def intersection_certain(q: ConjunctiveQuery, db: DatabaseInstance, cap: int = 1
 
 def exhaustive_id_set(q: ConjunctiveQuery):
     """Smallest id-set found by trying every subset of bound variables."""
-    graph = attack_graph(q)
+    graph = reference_attack_graph(q)
     for size in range(len(q.bound_vars) + 1):
         for subset in combinations(q.bound_vars, size):
             ok, _ = reference_is_id_set(q, subset, graph)
@@ -1012,10 +1010,13 @@ def reference_in_cforest(q: ConjunctiveQuery) -> bool:
     )
 
 
-# --- the id-set tests and the Cforest test of the per-step analysis -----------
-# Kept verbatim (renamed) as the one-pass classification is checked against:
-# a Kahn sort per acyclicity test, frozen variables from one sequential proof
-# per bound variable, atom tuples per component, and a built Fuxman graph.
+# --- the id-set tests of the per-step analysis ---------------------------------
+# Kept (renamed) as the one-pass classification is checked against: a Kahn
+# sort per acyclicity test, frozen variables from one sequential proof per
+# bound variable over the atoms that do not attack it, and atom tuples per
+# component.  `reference_is_id_set` reads the reference attack graph and
+# `reference_frozen_vars`, so no fault in `attack_graph` or the frozen set
+# of `cqa.attacks` reaches it.
 
 def reference_candidate_id_set(q: ConjunctiveQuery, graph: AttackGraph | None = None) -> frozenset[str]:
     """Bound key variables of unattacked atoms that occur at no non-key position.
@@ -1036,12 +1037,12 @@ def reference_candidate_id_set(q: ConjunctiveQuery, graph: AttackGraph | None = 
 def reference_is_id_set(
     q: ConjunctiveQuery,
     xs: Iterable[str],
-    graph: AttackGraph | None = None,
+    graph: ReferenceAttackGraph | None = None,
 ) -> tuple[bool, IdSetViolation | None]:
     """Check the two id-set conditions for the tuple xs; on failure the
     violation names the offending atom (and separating path, if any)."""
     xs = _check_bound(q, xs)
-    g = graph if graph is not None else attack_graph(q)
+    g = graph if graph is not None else reference_attack_graph(q)
 
     # (1) every component owns an unattacked atom whose key xs determines
     unattacked = {a.name for a in g.unattacked_atoms()}
@@ -1053,7 +1054,7 @@ def reference_is_id_set(
 
     # (2) no query-graph path from a non-key variable to xs may dodge both
     # the atom's key and the frozen variables
-    frozen = frozen_vars(q, g).vars
+    frozen = reference_frozen_vars(q, g).vars
     qg = g.query_graph
     targets = set(xs)
     for atom in q.atoms:
@@ -1062,16 +1063,6 @@ def reference_is_id_set(
         if hit is not None:
             return False, IdSetViolation(atom=atom.name, path=path_to(parent, hit))
     return True, None
-
-
-def fuxman_graph_in_cforest(q: ConjunctiveQuery) -> bool:
-    fg = fuxman_graph(q)
-    if not fg.is_forest():
-        return False
-    free = set(q.free_vars)
-    return all(
-        (q.atom(t).key_vars - free) <= q.atom(s).nonkey_vars for (s, t) in fg.edges
-    )
 
 
 def reference_report(
