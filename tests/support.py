@@ -10,6 +10,7 @@ import heapq
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 from operator import itemgetter
@@ -730,6 +731,22 @@ def reference_plain_and_certain(
     scans = _scans(join, db)
     plain = _ref_join(join, [scans[step.atom.name].matches for step in join.steps])
     return plain, _certain_among(plan, plain, scans)
+
+
+# --- the per-group counting that the walk's group values replaced ------------
+# Kept verbatim as the counts `cqacount_parsimonious` takes off the group
+# values of its first step are checked against: the group prefix of every
+# whole answer, taken in a second pass.
+
+def _tally(
+    tuples: Iterable[tuple[str, ...]], width: int, start: Mapping[object, int] | None = None
+) -> Counter:
+    """`_group_counts` of duplicate-free `tuples`, added to a copy of the
+    counts `start`, in one C-level `Counter` pass, leaving one group value
+    bare: wrap the keys with `zip` at width 1."""
+    counts = Counter(start)
+    counts.update(map(itemgetter(0) if width == 1 else itemgetter(slice(width)), tuples))
+    return counts
 
 
 # --- the query analysis that one closure and one BFS per atom replaced --------

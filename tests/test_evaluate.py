@@ -942,25 +942,14 @@ def _covering_instance(rng, q):
     return DatabaseInstance((a.relation for a in q.atoms), facts)
 
 
-def test_plain_and_certain_equals_reference_on_random_pairs():
-    # the certainty check against the shared-scan one it replaced, on queries
-    # with acyclic attack graphs as they are, widened by their id-set when in
-    # Cparsimony, and with random bound variables made free; the last 500 are
-    # key-joined chains over every key, where a step shares more than the key;
-    # the certain answers and the other plain answers come as two collections
-    # that repeat no answer and share none
+def _random_pairs():
+    """The seeded pairs of the certainty gates: 3,500 queries with acyclic
+    attack graphs as they are, widened by their id-set when in Cparsimony
+    (`how` is "widened"), and with random bound variables made free ("made
+    free"); the last 500 are key-joined chains over every key, where a step
+    shares more than the key.  Yields `(q, db, graph, how)`, `graph` being
+    the attack graph of the query before widening."""
     rng = random.Random(2031)
-    seen = dict.fromkeys(
-        ("bound key", "constant in a bound key", "repeated key variable", "key width 0",
-         "unbound key", "no block under the key", "fact fails the atom",
-         "bound non-key variable disagrees", "empty plan", "widened", "made free", "certain",
-         "not certain", "wholly bottom-up", "forward prefix", "key-joined level",
-         "forward step with a fixed key", "plain through an unusable block",
-         "key-joined fan-out", "walked relation with single and conflicting blocks",
-         "conflicting block fits but disagrees on the read", "key-joined on one shared variable",
-         "key-joined on two or more shared variables",
-         "fan-out block decided by the intersection",
-         "first read lacks part of its atom's key and two blocks give one answer"), 0)
     for i in range(3500):
         while True:
             if i % 50 == 0:
@@ -977,16 +966,38 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
             graph = support.attack_graph(q)
             if graph.is_acyclic():
                 break
+        how = None
         if i % 3 == 1 and (report := in_cparsimony(q)).in_cparsimony:
-            q = make_free(q, report.id_set or ())
-            seen["widened"] += 1
+            q, how = make_free(q, report.id_set or ()), "widened"
         elif i % 3 == 2 and q.bound_vars:
             q = make_free(q, rng.sample(q.bound_vars, rng.randint(1, len(q.bound_vars))))
-            seen["made free"] += 1
+            how = "made free"
         if i >= 3000:
             db = _covering_instance(rng, q)
         else:
             db = _oracle_instance(rng, q, 64)[0] if i % 4 == 3 else _certainty_instance(rng, q)
+        yield q, db, graph, how
+
+
+def test_plain_and_certain_equals_reference_on_random_pairs():
+    # the certainty check against the shared-scan one it replaced, on the
+    # seeded pairs of `_random_pairs`; the certain answers and the other
+    # plain answers come as two collections that repeat no answer and share
+    # none
+    seen = dict.fromkeys(
+        ("bound key", "constant in a bound key", "repeated key variable", "key width 0",
+         "unbound key", "no block under the key", "fact fails the atom",
+         "bound non-key variable disagrees", "empty plan", "widened", "made free", "certain",
+         "not certain", "wholly bottom-up", "forward prefix", "key-joined level",
+         "forward step with a fixed key", "plain through an unusable block",
+         "key-joined fan-out", "walked relation with single and conflicting blocks",
+         "conflicting block fits but disagrees on the read", "key-joined on one shared variable",
+         "key-joined on two or more shared variables",
+         "fan-out block decided by the intersection",
+         "first read lacks part of its atom's key and two blocks give one answer"), 0)
+    for q, db, graph, how in _random_pairs():
+        if how:
+            seen[how] += 1
         want = _split_equals_reference(q, db, graph, (serialize_query(q), db.facts))
         for case in _certainty_cases(q, db, graph, want[0]):
             seen[case] += 1
@@ -1032,13 +1043,15 @@ def _scaled_instance(rng, q, rows):
     return DatabaseInstance((a.relation for a in q.atoms), facts)
 
 
-def test_plain_and_certain_equals_reference_at_benchmark_scale():
-    # the gate draws a few facts per relation; here blocks number in the
-    # hundreds, each query widened to its id-set as the parsimonious route
-    # does, and the chain's plan joins two levels on the next key in a row;
-    # the forward query's first level fans out, its facts meeting several
-    # certain reads of the next level under one shared value, and
-    # the last query joins on a two-variable key, then on a bare one
+def _scale_pairs():
+    """Pairs whose blocks number in the hundreds, each query widened to its
+    id-set as the parsimonious route does: the employee and lookup shapes;
+    a chain whose plan joins two levels on the next key in a row; the
+    forward query, whose first level fans out, its facts meeting several
+    certain reads of the next level under one shared value; and a query
+    that joins on a two-variable key, then on a bare one.  Yields `(text,
+    wide, db, graph, shape)`: the query's text, the widened query, the
+    instance, the attack graph of the query and the expected plan shape."""
     rng = random.Random(2037)
     employees, depts = 800, 90
     employee = {
@@ -1069,8 +1082,48 @@ def test_plain_and_certain_equals_reference_at_benchmark_scale():
     for text, rows, shape in cases:
         q = parse_query(text)
         graph = support.attack_graph(q)
-        wide = make_free(q, in_cparsimony(q).id_set)
+        yield text, make_free(q, in_cparsimony(q).id_set), _scaled_instance(rng, q, rows), graph, shape
+
+
+def test_plain_and_certain_equals_reference_at_benchmark_scale():
+    # the gate draws a few facts per relation; here blocks number in the
+    # hundreds (see `_scale_pairs`)
+    for text, wide, db, graph, shape in _scale_pairs():
         assert _plan_shape(wide, graph) == shape, text
-        db = _scaled_instance(rng, q, rows)
         plain, certain = _split_equals_reference(wide, db, graph, text)
         assert len(certain) > 50 and len(plain - certain) > 50, (text, len(plain), len(certain))
+
+
+def _walk_groups(q, db, graph, width):
+    """The group values, the first `width` values of each answer (bare at
+    width 1), of the certain answers and of the other plain answers that
+    the certainty check gives for `q`."""
+    certain, other = evaluate_module._plain_and_certain(q, db, graph)
+    pick = (lambda a: a[0]) if width == 1 else (lambda a: a[:width])
+    return map(pick, certain), map(pick, other)
+
+
+def test_group_counts_equal_reference_at_every_width():
+    # the per-group counts of the certain answers and of the plain answers,
+    # taken off the certainty check's group values at every width from 0 to
+    # the head's, against the shared-scan check's answers counted by the
+    # frozen `_tally`, on the random pairs and at benchmark scale
+    seen = dict.fromkeys(("first step holds", "first step does not hold", "fan-out",
+                          "no fan-out", "width 0", "width 1", "width 2 or more"), 0)
+    pairs = [(q, db, graph) for q, db, graph, _ in _random_pairs()]
+    pairs += [(wide, db, graph) for _, wide, db, graph, _ in _scale_pairs()]
+    for q, db, graph in pairs:
+        order = support.reference_attack_graph(graph.query)
+        plain, certain = support.reference_plain_and_certain(q, db, order)
+        plan = evaluate_module._elimination_plan(q, graph)
+        cases = ["fan-out" if any(step.fans for step in plan) else "no fan-out"]
+        if plan:
+            cases.append("first step holds" if plan[0].holds else "first step does not hold")
+        for width in range(len(q.free_vars) + 1):
+            lower = support._tally(certain, width)
+            upper = support._tally(plain - certain, width, lower)
+            sure, other = map(collections.Counter, _walk_groups(q, db, graph, width))
+            assert (sure, sure + other) == (lower, upper), (serialize_query(q), width, db.facts)
+            for case in (*cases, f"width {width}" if width < 2 else "width 2 or more"):
+                seen[case] += 1
+    assert min(seen.values()) >= 50, seen
