@@ -28,7 +28,9 @@ the walk runs the rows of single-fact blocks in one flat pass, checks
 only blocks of two or more facts for agreement, and reads a fact that
 finds a certain read once.  Up to that step a key can hold several, and
 a block's certain reads are the intersection over its facts.  The first
-step's reads are the certain answers and the other plain answers.
+step's reads are the certain answers and the other plain answers; a count
+takes the group value of each, straight off a single-fact row when no
+step fans out and the first read holds its atom's key.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import itemgetter, le
+from operator import add, itemgetter, le
 from typing import AbstractSet, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .attacks import AttackGraph, attack_graph
@@ -108,6 +110,12 @@ def _values(positions: list[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*positions)
 
 
+def _grouper(positions: list[int]) -> Callable[[tuple], object]:
+    """The group value of a row at `positions`: one value bare, as its hash is
+    cached, several as a tuple and none as `()` (see `_values`)."""
+    return itemgetter(positions[0]) if len(positions) == 1 else _values(positions)
+
+
 def _test(
     atom: Atom, consts: list[int], repeats: list[int], first: Mapping[str, int]
 ) -> Callable[[tuple], bool] | None:
@@ -141,22 +149,27 @@ class _Step(NamedTuple):
     # this step and later ones read; fact row -> what the fact shares with
     # the next step's read, which `keyof` reads off such a read when the
     # fact lacks some of it (one shared value bare then); whether the step
-    # fans out (see `_plain_and_certain`); and whether the read holds every
-    # key variable of the atom, so that two blocks never give one read
+    # fans out (see `_plain_and_certain`); whether the read holds every
+    # key variable of the atom, so that two blocks never give one read; and,
+    # at the first step of a count, the same argument as `mine` -> the group
+    # value of the read, its first `width` values (see `_grouper`)
     mine: Callable[[tuple], tuple] | None = None
     ahead: Callable[[tuple], object] | None = None
     keyof: Callable[[tuple], object] | None = None
     fans: bool = False
     holds: bool = True
+    group: Callable[[tuple], object] | None = None
 
 
 def _compile_steps(
-    order: Sequence[Atom], slots: dict[str, int], certainty: bool = False
+    order: Sequence[Atom], slots: dict[str, int], certainty: bool = False,
+    width: int | None = None,
 ) -> tuple[_Step, ...]:
     """One step per atom of `order`; `slots` maps the variables bound up front
     to their slots, and each step appends the variables it binds first.
     Join steps get `probe`, `own` and `new`; steps of the certainty check
-    get `mine`, `ahead`, `keyof`, `fans` and `holds` instead."""
+    get `mine`, `ahead`, `keyof`, `fans` and `holds` instead, and with a
+    `width` the first of them gets `group` as well."""
     later = [*accumulate((a.variables for a in reversed(order)), frozenset.union)][::-1]
     steps = []
     for k, atom in enumerate(order):
@@ -184,8 +197,10 @@ def _compile_steps(
         nxt = order[k + 1] if k + 1 < len(order) else None
         after = [v for v in slots if v in later[k + 1]] if nxt else []  # the next read
         shared = [v for v in after if v in first]
-        mine = _values([first[v] if v in first else len(atom.args) + after.index(v)
-                        for v in read])
+        positions = [first[v] if v in first else len(atom.args) + after.index(v) for v in read]
+        mine = _values(positions)
+        # the first read is the head, so a group is its first `width` values
+        group = _grouper(positions[:width]) if k == 0 and width is not None else None
         ahead = _values([first[v] for v in shared]) if nxt else None
         keyof = None
         if len(shared) < len(after):  # the rest of `read` is in the next step's read
@@ -196,7 +211,7 @@ def _compile_steps(
         # (never at the last step) and the atom does not fix the next key
         fans = not {*read} <= first.keys() and not nxt.key_vars <= first.keys()
         steps.append(_Step(atom, test, mine=mine, ahead=ahead, keyof=keyof, fans=fans,
-                           holds=atom.key_vars <= {*read}))
+                           holds=atom.key_vars <= {*read}, group=group))
     return tuple(steps)
 
 
@@ -265,17 +280,6 @@ def _group_counts(tuples: AbstractSet[tuple[str, ...]], width: int) -> dict[tupl
     return {(g,): n for g, n in counts.items()} if width == 1 else counts
 
 
-def _tally(
-    tuples: Iterable[tuple[str, ...]], width: int, start: Mapping[object, int] | None = None
-) -> Counter:
-    """`_group_counts` of duplicate-free `tuples`, added to a copy of the
-    counts `start`, in one C-level `Counter` pass, leaving one group value
-    bare: wrap the keys with `zip` at width 1."""
-    counts = Counter(start)
-    counts.update(map(itemgetter(0) if width == 1 else itemgetter(slice(width)), tuples))
-    return counts
-
-
 def _counting_join(q_full: ConjunctiveQuery, group_vars: tuple[str, ...]) -> _Join:
     """The join of a full query with the grouping variables leading its answers."""
     if q_full.bound_vars:
@@ -299,9 +303,12 @@ def count_by(
 
 # --- certain answers --------------------------------------------------------
 
-def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, ...]:
+def _elimination_plan(
+    q: ConjunctiveQuery, graph: AttackGraph, width: int | None = None
+) -> tuple[_Step, ...]:
     """A topological order of `graph`, the attack graph of `q` or of the query
-    `q` widens, computed once per query.
+    `q` widens, computed once per query; with a `width`, its first step
+    takes the group value of each read (see `_compile_steps`).
 
     Grounding the variables of an unattacked atom or making variables free
     only removes attacks, so the order stays valid for the widened query and
@@ -313,16 +320,19 @@ def _elimination_plan(q: ConjunctiveQuery, graph: AttackGraph) -> tuple[_Step, .
             "attack graph is cyclic: no first-order certainty check; use the repair oracle"
         )
     slots = {v: i for i, v in enumerate(q.free_vars)}
-    return _compile_steps([q.atom(n) for n in names], slots, certainty=True)
+    return _compile_steps([q.atom(n) for n in names], slots, certainty=True, width=width)
 
 
 def _walk(
-    plan: Sequence[_Step], db: DatabaseInstance
-) -> tuple[Collection[tuple], Collection[tuple]]:
+    plan: Sequence[_Step], db: DatabaseInstance, pick: Callable[[tuple], object] | None = None
+) -> tuple[Iterable, Iterable]:
     """The certain reads and the other plain reads of the first step of
     `plan`, no step of which fans out, from one walk over the relation of
     each step, the last first (with no step, the empty read is certain).
-    Neither collection repeats a read, and no read is in both.
+    Neither collection repeats a read, and no read is in both.  With `pick`,
+    a read -> its group value, they hold the group value of each read: a
+    first step that holds (below) takes a single-fact row's straight, by its
+    `group`, and the others through `pick`, once its reads are deduped.
 
     A step's certain reads are one read per block whose facts pass the
     test, lead each to a certain read of the next step and agree on what
@@ -346,15 +356,18 @@ def _walk(
     lists; otherwise they become sets, and the certain reads leave the
     other ones.
     """
-    certain: Collection[tuple] = [()]
-    other: Collection[tuple] = []
+    certain: Collection = [()]
+    other: Collection = []
+    grouped = False
     for step in reversed(plan):
         test, mine, ahead, keyof = step.test, step.mine, step.ahead, step.keyof
+        grouped = step.group is not None and step.holds  # each read given once
+        emit = step.group if grouped else mine
         singles, conflicts = db._parts[step.atom.name]
         if test:
             singles = filter(test, singles)
         if not ahead:  # the last step: each passing single-fact row's read is certain
-            certain, other = [*map(mine, singles)], []
+            certain, other = [*map(emit, singles)], []
         else:
             nexts = dict(zip(map(keyof, certain), certain) if keyof else zip(certain, certain))
             below: dict[object, list[tuple]] = {}  # the next step's other plain reads by key
@@ -365,9 +378,9 @@ def _walk(
             for row in singles:
                 at = ahead(row)
                 if (rest := nexts.get(at)) is not None:  # the key's one plain read
-                    keep(mine(row + rest))
+                    keep(emit(row + rest))
                 else:
-                    other += [mine(row + plain) for plain in below.get(at, ())]
+                    other += [emit(row + plain) for plain in below.get(at, ())]
         for rows in conflicts:
             agreed = None  # the block's read; False once a fact rules it out
             reads: set[tuple] = set()  # the block's plain reads
@@ -390,20 +403,24 @@ def _walk(
                 elif read != agreed:
                     agreed = False
             if agreed is not False:  # its only plain read
-                certain.append(agreed)
+                certain.append(pick(agreed) if grouped else agreed)
             else:
-                other += reads
+                other += map(pick, reads) if grouped else reads
         if not step.holds:  # two blocks can give one read
             certain = {*certain}
             other = {*other} - certain
+    if pick and not grouped:  # the first step's reads, deduped above
+        return map(pick, certain), map(pick, other)
     return certain, other
 
 
 def _plain_and_certain(
-    q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph
-) -> tuple[Collection[tuple[str, ...]], Collection[tuple[str, ...]]]:
+    q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph, width: int | None = None
+) -> tuple[Iterable, Iterable]:
     """The certain answers of `q` and its other plain answers, two
-    collections that repeat no answer and share none.
+    collections that repeat no answer and share none; with a `width`, the
+    group value of each answer instead (its first `width` values, one bare,
+    see `_grouper`), once per answer.
 
     A binding is certain at step i when some usable block under it has
     every fact certain at step i + 1 (at the last step, when there is such
@@ -419,14 +436,16 @@ def _plain_and_certain(
     A fact's certain reads are its reads with each certain read under its
     key, and its plain reads likewise; a block's certain reads are those all
     its facts have, none once one fails the test.  So the first-order
-    rewriting runs set at a time, with one fan-out level per step.
+    rewriting runs set at a time, with one fan-out level per step.  The
+    group values of a plan that fans out are taken off its answer sets.
     """
-    plan = _elimination_plan(q, graph)
+    plan = _elimination_plan(q, graph, width)
     _check_schema(q, db)
     start = max((i + 1 for i, step in enumerate(plan) if step.fans), default=0)
-    certain, other = _walk(plan[start:], db)
+    pick = None if width is None else _grouper([*range(width)])
     if not start:
-        return certain, other
+        return _walk(plan, db, pick)
+    certain, other = _walk(plan[start:], db)
     plain: Collection[tuple] = [*certain, *other]
     for step in reversed(plan[:start]):
         test, mine, ahead, keyof = step.test, step.mine, step.ahead, step.keyof
@@ -452,6 +471,8 @@ def _plain_and_certain(
                     agreed &= {mine(row + other) for other in sure.get(at, ())}
             if agreed:
                 certain |= agreed
+    if pick:
+        return map(pick, certain), map(pick, plain - certain)
     return certain, plain - certain
 
 
@@ -506,21 +527,22 @@ def cqacount_parsimonious(
 
     Upper bounds count distinct id-set tuples among the plain answers of
     the widened query; lower bounds count them among the certain ones, a
-    subset of the plain answers, so they are counted first and the other
-    plain answers added to them (see `_plain_and_certain`).  The answer
-    groups are the groups with a lower bound.  Raises NotInCparsimonyError
-    (with the classifier's certificate) when the query is outside the class.
+    subset of the plain answers.  `_plain_and_certain` gives the group value
+    of each answer once, so a group's lower bound is the count of its value
+    among the certain answers, and its upper bound that count plus the
+    count among the other plain answers.  The answer groups are the groups
+    with a lower bound.  Raises NotInCparsimonyError (with the classifier's
+    certificate) when the query is outside the class.
     """
     graph = attack_graph(q)
     report = _report(q, graph)
     if not report.in_cparsimony:
         raise NotInCparsimonyError(replace(report, in_cforest=in_cforest(q)))
     width = len(q.free_vars)
-    certain, other = _plain_and_certain(make_free(q, report.id_set or ()), db, graph)
-    lower = _tally(certain, width)
-    upper = _tally(other, width, lower)
+    certain, other = _plain_and_certain(make_free(q, report.id_set or ()), db, graph, width)
+    lower, more = Counter(certain), Counter(other)
     counts = lower.values()
-    uppers = [*map(upper.get, lower, repeat(0))]
+    uppers = [*map(add, counts, map(more.get, lower, repeat(0)))]
     out = frozenset(map(_range_answer, zip(zip(lower) if width == 1 else lower, counts, uppers)))
     if min(counts, default=1) < 1 or not all(map(le, counts, uppers)):
         group, m, n = min(a for a in out if not 1 <= a.lower <= a.upper)

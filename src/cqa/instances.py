@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import AnalysisRefusal, InputError
 from .queries import ConjunctiveQuery, RelationSignature, parse_query
@@ -82,6 +82,35 @@ def _schema(sigs: Iterable[RelationSignature]) -> dict[str, RelationSignature]:
     return dict(sorted(out.items()))
 
 
+_Part = tuple[tuple[Row, ...], tuple[tuple[Row, ...], ...]]
+
+
+class _Partition(Mapping[str, _Part]):
+    """Per relation of an instance, in schema order: the rows of its single-fact
+    blocks, then its blocks of two or more facts, the only ones in which
+    repairs differ; each in key order.  A relation is grouped when it is
+    first read, so a relation that no reader asks for is never grouped."""
+
+    def __init__(self, schema: dict[str, RelationSignature], rows: dict[str, tuple[Row, ...]]):
+        self._schema, self._rows = schema, rows
+        self._done: dict[str, _Part] = {}
+
+    def __getitem__(self, name: str) -> _Part:
+        part = self._done.get(name)
+        if part is None:
+            key = itemgetter(slice(0, self._schema[name].key_width))
+            blocks = [tuple(rows) for _, rows in itertools.groupby(self._rows[name], key)]
+            part = self._done[name] = (tuple(rows[0] for rows in blocks if len(rows) == 1),
+                                       tuple(rows for rows in blocks if len(rows) > 1))
+        return part
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._schema)
+
+    def __len__(self) -> int:
+        return len(self._schema)
+
+
 class DatabaseInstance:
     """Immutable set of facts over a fixed schema, indexed by key.
 
@@ -117,16 +146,8 @@ class DatabaseInstance:
         return db
 
     @cached_property
-    def _parts(self) -> dict[str, tuple[tuple[Row, ...], tuple[tuple[Row, ...], ...]]]:
-        """Per relation: the rows of its single-fact blocks, then its blocks of two
-        or more facts, the only ones in which repairs differ; each in key order."""
-        parts = {}
-        for name, sig in self.schema.items():
-            blocks = [tuple(rows) for _, rows in
-                      itertools.groupby(self._rows[name], itemgetter(slice(0, sig.key_width)))]
-            parts[name] = (tuple(rows[0] for rows in blocks if len(rows) == 1),
-                           tuple(rows for rows in blocks if len(rows) > 1))
-        return parts
+    def _parts(self) -> _Partition:
+        return _Partition(self.schema, self._rows)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -35,6 +35,7 @@ ATTACKS = "src/cqa/attacks.py"
 CLASSIFY = "src/cqa/classify.py"
 RANDOM_PAIRS = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_on_random_pairs"
 SCALE = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_at_benchmark_scale"
+GROUPS = "tests/test_evaluate.py::test_group_counts_equal_reference_at_every_width"
 PARTKEY = "tests/test_cli.py::test_shipped_bundles_count_as_their_goldens[partkey]"
 PARTS = "tests/test_instances.py::test_parts_put_each_row_in_one_part_in_key_order"
 ROW_STORE = "tests/test_instances.py::test_row_store_equals_fact_store_on_random_bundles"
@@ -98,8 +99,8 @@ MUTANTS = (
     Mutant(
         "walk: a single-fact row that finds a next certain read kept as another plain read",
         EVALUATE,
-        "keep(mine(row + rest))",
-        "other.append(mine(row + rest))",
+        "keep(emit(row + rest))",
+        "other.append(emit(row + rest))",
         ("tests/test_evaluate.py::test_parsimonious_employee", RANDOM_PAIRS),
     ),
     Mutant(
@@ -120,8 +121,8 @@ MUTANTS = (
     Mutant(
         "walk: only the first plain read added on the miss branch of the single-fact loop",
         EVALUATE,
-        "other += [mine(row + plain) for plain in below.get(at, ())]",
-        "other += [mine(row + plain) for plain in below.get(at, ())[:1]]",
+        "other += [emit(row + plain) for plain in below.get(at, ())]",
+        "other += [emit(row + plain) for plain in below.get(at, ())[:1]]",
         (SCALE, RANDOM_PAIRS),
     ),
     Mutant(
@@ -156,8 +157,8 @@ MUTANTS = (
     Mutant(
         "walk: the empty read not seeded as certain",
         EVALUATE,
-        "    certain: Collection[tuple] = [()]\n",
-        "    certain: Collection[tuple] = []\n",
+        "    certain: Collection = [()]\n",
+        "    certain: Collection = []\n",
         (RANDOM_PAIRS,),
     ),
     # the two collections the walk returns: no read twice, none in both
@@ -180,11 +181,11 @@ MUTANTS = (
     Mutant(
         "walk: a conflicting block's agreed read also left among its other plain reads",
         EVALUATE,
-        "                certain.append(agreed)\n"
+        "                certain.append(pick(agreed) if grouped else agreed)\n"
         "            else:\n"
-        "                other += reads\n",
-        "                certain.append(agreed)\n"
-        "            other += reads\n",
+        "                other += map(pick, reads) if grouped else reads\n",
+        "                certain.append(pick(agreed) if grouped else agreed)\n"
+        "            other += map(pick, reads) if grouped else reads\n",
         (SCALE, RANDOM_PAIRS),
     ),
     Mutant(
@@ -194,12 +195,33 @@ MUTANTS = (
         "if not plan[-1].holds:",
         (PARTKEY, RANDOM_PAIRS),
     ),
-    # what the answers are built from
+    # what the answers are built from: the group values of the walk's first step
+    Mutant(
+        "count: the group getter reads one slot short",
+        EVALUATE,
+        "group = _grouper(positions[:width]) if k == 0",
+        "group = _grouper(positions[:width - 1]) if k == 0",
+        ("tests/test_evaluate.py::test_parsimonious_employee", GROUPS),
+    ),
+    Mutant(
+        "count: group values emitted before dedup at a first step that does not hold",
+        EVALUATE,
+        "grouped = step.group is not None and step.holds",
+        "grouped = step.group is not None",
+        (PARTKEY, GROUPS),
+    ),
     Mutant(
         "parsimonious: lower bounds counted from the plain answers",
         EVALUATE,
-        "lower = _tally(certain, width)",
-        "lower = _tally([*certain, *other], width)",
+        "lower, more = Counter(certain), Counter(other)",
+        "lower, more = Counter([*certain, *other]), Counter(other)",
+        ("tests/test_evaluate.py::test_parsimonious_employee",),
+    ),
+    Mutant(
+        "parsimonious: upper bounds counted from the other plain answers alone",
+        EVALUATE,
+        "uppers = [*map(add, counts, map(more.get, lower, repeat(0)))]",
+        "uppers = [*map(more.get, lower, repeat(0))]",
         ("tests/test_evaluate.py::test_parsimonious_employee",),
     ),
     Mutant(
@@ -257,9 +279,16 @@ MUTANTS = (
     Mutant(
         "partition: the last block of a relation dropped",
         INSTANCES,
-        "                      itertools.groupby(self._rows[name], itemgetter(slice(0, sig.key_width)))]\n",
-        "                      itertools.groupby(self._rows[name], itemgetter(slice(0, sig.key_width)))][:-1]\n",
+        "blocks = [tuple(rows) for _, rows in itertools.groupby(self._rows[name], key)]",
+        "blocks = [tuple(rows) for _, rows in itertools.groupby(self._rows[name], key)][:-1]",
         (PARTS, ROW_STORE),
+    ),
+    Mutant(
+        "partition: every relation grouped on first use",
+        INSTANCES,
+        "return _Partition(self.schema, self._rows)",
+        "return dict(_Partition(self.schema, self._rows))",
+        ("tests/test_instances.py::test_count_never_groups_a_relation_the_query_does_not_read",),
     ),
     Mutant(
         "repairs: the one-row and conflicting blocks not merged back in key order",
@@ -340,8 +369,8 @@ EQUIVALENT = (
     Equivalent(
         "walk: a block that agrees adds its set of plain reads to the certain reads",
         EVALUATE,
-        "                certain.append(agreed)\n",
-        "                certain += reads\n",
+        "                certain.append(pick(agreed) if grouped else agreed)\n",
+        "                certain += map(pick, reads) if grouped else reads\n",
         "a block agrees only when every fact passes the test and, before the last step, "
         "finds a next certain read; each such fact adds exactly its read, the agreed one, "
         "to `reads`, so `reads` is `{agreed}` there.",

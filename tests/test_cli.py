@@ -337,9 +337,10 @@ def test_count_internal_error_is_exit_3(tmp_path, capsys, monkeypatch):
     import importlib
 
     evaluate_module = importlib.import_module("cqa.evaluate")
-    counts = evaluate_module._tally
+    counter = evaluate_module.Counter
+    # every per-group count two short, of the certain and of the other plain answers alike
     monkeypatch.setattr(
-        evaluate_module, "_tally", lambda *args: {g: -n for g, n in counts(*args).items()}
+        evaluate_module, "Counter", lambda groups: counter({g: n - 2 for g, n in counter(groups).items()})
     )
     qpath = write_query(tmp_path, support.employee_query())
     db = employee_bundle(tmp_path)

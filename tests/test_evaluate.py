@@ -142,13 +142,20 @@ def test_group_counts_by_width():
     assert group_counts(tuples, 1) == {("a",): 3, ("b",): 1}
     assert group_counts(tuples, 2) == {("a", "x"): 2, ("a", "y"): 1, ("b", "x"): 1}
     assert group_counts(set(), 1) == {}
-    # the parsimonious route's C-level grouping, a single group value bare
-    for width in (0, 1, 2):
-        for given in (tuples, set()):
-            tally = evaluate_module._tally(given, width)
-            assert dict(zip(zip(tally) if width == 1 else tally, tally.values())) == (
-                group_counts(given, width)
-            )
+    # the parsimonious route's group values, a single group value bare, one
+    # per answer: every tuple certain under a whole-row key, and none under
+    # the empty key, as the one block's facts disagree
+    for text in ("q(a, b, c) :- R(a, b, c).", "q(a, b, c) :- R( | a, b, c)."):
+        q = parse_query(text)
+        for width in (0, 1, 2, 3):
+            for given in (tuples, set()):
+                db = DatabaseInstance([q.atoms[0].relation], (Fact("R", t) for t in given))
+                certain, other = evaluate_module._plain_and_certain(q, db, attack_graph(q), width)
+                counts = collections.Counter(other if "|" in text else certain)
+                assert not [*(certain if "|" in text else other)], (text, width)
+                assert dict(zip(zip(counts) if width == 1 else counts, counts.values())) == (
+                    group_counts(given, width)
+                ), (text, width)
 
 
 def test_count_by_requires_full_query():
@@ -437,18 +444,20 @@ def test_parsimonious_groups_are_the_certain_answers():
 
 @pytest.mark.parametrize("fault, bounds", [
     # each breaks one half of `1 <= m <= n` alone
-    ("tally", "[0, 1]"),  # every count one short, on the instance
+    # every per-group count one short, of the certain and of the other
+    # plain answers alike, on the instance
+    ("tally", "[0, 1]"),
     # upper bounds from the other plain answers alone, on a repair, where
     # every plain answer is certain
     ("alone", "[3, 0]"),
 ])
 def test_parsimonious_inconsistent_bounds_are_internal_errors(monkeypatch, fault, bounds):
-    tally, db = evaluate_module._tally, support.employee_db()
+    counter, db = evaluate_module.Counter, support.employee_db()
     if fault == "tally":
-        monkeypatch.setattr(evaluate_module, "_tally",
-                            lambda *args: {g: n - 1 for g, n in tally(*args).items()})
+        monkeypatch.setattr(evaluate_module, "Counter",
+                            lambda groups: counter({g: n - 1 for g, n in counter(groups).items()}))
     else:
-        monkeypatch.setattr(evaluate_module, "_tally", lambda t, w, start=None: tally(t, w))
+        monkeypatch.setattr(evaluate_module, "add", lambda lower, other: other)
         db = next(enumerate_repairs(db))
     with pytest.raises(InternalError) as err:
         cqacount_parsimonious(support.employee_query(), db)
@@ -1098,9 +1107,7 @@ def _walk_groups(q, db, graph, width):
     """The group values, the first `width` values of each answer (bare at
     width 1), of the certain answers and of the other plain answers that
     the certainty check gives for `q`."""
-    certain, other = evaluate_module._plain_and_certain(q, db, graph)
-    pick = (lambda a: a[0]) if width == 1 else (lambda a: a[:width])
-    return map(pick, certain), map(pick, other)
+    return evaluate_module._plain_and_certain(q, db, graph, width)
 
 
 def test_group_counts_equal_reference_at_every_width():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -119,6 +120,23 @@ def test_count_keeps_little_memory_above_the_rows_on_a_lookup_bundle(tmp_path):
         tracemalloc.stop()
     assert [*map(len, db._parts["R"])] == [40_500, 4_500]
     assert kept <= rows / 4
+
+
+def test_count_never_groups_a_relation_the_query_does_not_read(tmp_path, monkeypatch):
+    # each relation is grouped into its partition when first read, so a
+    # relation of 10^5 rows beside the employee bundle costs the count
+    # nothing and leaves its answers as they are
+    save_bundle(support.employee_db(), tmp_path)
+    with (tmp_path / "schema.txt").open("a") as fh:
+        fh.write("U arity=2 key=1\n")
+    (tmp_path / "U.csv").write_text("".join(f"u{i // 2},{i}\n" for i in range(100_000)))
+    db, want = load_bundle(tmp_path), cqacount_parsimonious(support.employee_query(), support.employee_db())
+    grouped, groupby = [], itertools.groupby
+    monkeypatch.setattr(itertools, "groupby", lambda rows, key: grouped.append(rows) or groupby(rows, key))
+    assert cqacount_parsimonious(support.employee_query(), db) == want
+    assert [rows is db._rows["U"] for rows in grouped] == [False, False]  # D and E
+    assert len(db._parts["U"][1]) == 50_000  # read, so grouped
+    assert [rows is db._rows["U"] for rows in grouped] == [False, False, True]
 
 
 def test_repair_count_and_enumeration_employee():
