@@ -2,7 +2,8 @@
 
 Exit codes are a stable scripting contract: 0 success, 1 semantic refusal
 (query outside the class, repair space over the cap, mode mismatch),
-2 input error (syntax, schema, I/O, bad flags), 3 internal error (a bug).
+2 input or output error (syntax, schema, I/O, bad flags, a value that
+stdout cannot encode), 3 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -217,6 +218,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:  # a value the output's encoding lacks
+        bad = exc.object[exc.start : exc.end]
+        print(f"error: cannot write {bad!a} in the encoding {exc.encoding}", file=sys.stderr)
         return 2
     except AnalysisRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -7,30 +7,30 @@ the certain ones among them (first-order passes only, no repairs), while
 per key block, and aggregates min/max counts per group.  The oracle is the
 ground truth the fast route is checked against.
 
-Both first-order passes run steps compiled once per query by one builder
-from an atom order and the variables bound up front.  A step reads fact
-rows as they are stored: a test for the atom's constants and repeated
-variables (absent when it has neither, one bare compare for a lone
-constant), and C-level `itemgetter`s for the values of its bound
-variables (one value bare, several as a tuple, no index for none) and of
-the variables it binds first.  Bindings are tuples of variable values in
-binding order.  The join binds key-bound atoms first, then those with the
-most bound variables, and reads a hash index per step over the rows of
-its relation that pass the test.  The certainty check binds the head,
-then follows the attack graph's topological order over key blocks, and
-decides every step bottom-up from one walk over its relation into its
-certain reads and its other plain reads; it runs no join.  Each fact
-finds the next step's reads by what it shares with them (one shared
-variable bare) and is read together with them.  After the last step that
-fans out, one whose atom neither holds every variable of its read nor
-fixes the next step's key, a key holds at most one certain read: there
-the walk runs the rows of single-fact blocks in one flat pass, checks
-only blocks of two or more facts for agreement, and reads a fact that
-finds a certain read once.  Up to that step a key can hold several, and
-a block's certain reads are the intersection over its facts.  The first
-step's reads are the certain answers and the other plain answers; a count
-takes the group value of each, straight off a single-fact row when no
-step fans out and the first read holds its atom's key.
+Each first-order pass runs steps compiled once per query by its own
+builder, `_compile_join` or `_elimination_plan`; both scan an atom the same
+way.  A step reads fact rows as they are stored: a test for the atom's
+constants and repeated variables (absent when it has neither, one bare
+compare for a lone constant), and C-level `itemgetter`s at each variable's
+first position.  Bindings are tuples of variable values in binding order.
+The join binds key-bound atoms first, then those with the most bound
+variables, and reads a hash index per step on its bound variables (one
+value bare, several as a tuple, no index for none) over the rows of its
+relation that pass the test.  The certainty check binds the head, then
+follows the attack graph's topological order over key blocks, and decides
+every step bottom-up from one walk over its relation into its certain reads
+and its other plain reads; it runs no join.  Each fact finds the next
+step's reads by what it shares with them (one shared variable bare) and is
+read together with them.  After the last step that fans out, one whose atom
+neither holds every variable of its read nor fixes the next step's key, a
+key holds at most one certain read: there the walk runs the rows of
+single-fact blocks in one flat pass, checks only blocks of two or more
+facts for agreement, and reads a fact that finds a certain read once.  Up
+to that step a key can hold several, and a block's certain reads are the
+intersection over its facts.  The first step's reads are the certain
+answers and the other plain answers; a count takes the group value of each,
+straight off a single-fact row when no step fans out and the first read
+holds its atom's key.
 """
 
 from __future__ import annotations
@@ -133,105 +133,55 @@ def _test(
     return lambda row: at(row) == want + same(row)
 
 
-class _Step(NamedTuple):
-    """One atom of a compiled plan.  Bindings are tuples of slots: the
-    variables bound up front, then the variables each step binds first, in
-    step order.  Fact rows are read at each variable's first position."""
+def _scan(atom: Atom) -> tuple[dict[str, int], Callable[[tuple], bool] | None]:
+    """Each variable of the atom -> its first position, and the atom's row test."""
+    first: dict[str, int] = {}
+    consts, repeats = [], []
+    for i, t in enumerate(atom.args):
+        if not t.is_var:
+            consts.append(i)
+        elif t.symbol in first:
+            repeats.append(i)
+        else:
+            first[t.symbol] = i
+    return first, _test(atom, consts, repeats, first)
+
+
+class _JoinStep(NamedTuple):
+    """One atom of a compiled join.  Bindings are tuples of slots, the
+    variables each step binds first in step order; fact rows are read at
+    each variable's first position."""
 
     atom: Atom
     test: Callable[[tuple], bool] | None  # fact row -> fits constants and repeats
-    # join steps only: binding -> the atom's variables bound earlier; fact
-    # row -> the same variables; fact row -> the variables first bound here
-    probe: Callable[[tuple], object] | None = None
-    own: Callable[[tuple], object] | None = None
-    new: Callable[[tuple], tuple] | None = None
-    # certainty steps only: fact row plus a read of the next step -> what
-    # this step and later ones read; fact row -> what the fact shares with
-    # the next step's read, which `keyof` reads off such a read when the
-    # fact lacks some of it (one shared value bare then); whether the step
-    # fans out (see `_plain_and_certain`); whether the read holds every
-    # key variable of the atom, so that two blocks never give one read; and,
-    # at the first step of a count, the same argument as `mine` -> the group
-    # value of the read, its first `width` values (see `_grouper`)
-    mine: Callable[[tuple], tuple] | None = None
-    ahead: Callable[[tuple], object] | None = None
-    keyof: Callable[[tuple], object] | None = None
-    fans: bool = False
-    holds: bool = True
-    group: Callable[[tuple], object] | None = None
-
-
-def _compile_steps(
-    order: Sequence[Atom], slots: dict[str, int], certainty: bool = False,
-    width: int | None = None,
-) -> tuple[_Step, ...]:
-    """One step per atom of `order`; `slots` maps the variables bound up front
-    to their slots, and each step appends the variables it binds first.
-    Join steps get `probe`, `own` and `new`; steps of the certainty check
-    get `mine`, `ahead`, `keyof`, `fans` and `holds` instead, and with a
-    `width` the first of them gets `group` as well."""
-    later = [*accumulate((a.variables for a in reversed(order)), frozenset.union)][::-1]
-    steps = []
-    for k, atom in enumerate(order):
-        first: dict[str, int] = {}  # variable -> its first position
-        consts, repeats = [], []
-        for i, t in enumerate(atom.args):
-            if not t.is_var:
-                consts.append(i)
-            elif t.symbol in first:
-                repeats.append(i)
-            else:
-                first[t.symbol] = i
-        test = _test(atom, consts, repeats, first)
-        read = [v for v in slots if v in later[k]] if certainty else []  # in slot order
-        bound = [v for v in first if v in slots]
-        fresh = [v for v in first if v not in slots]
-        for v in fresh:
-            slots[v] = len(slots)
-        if not certainty:
-            # hash keys: one value bare, several as a tuple, no index for none
-            probe = itemgetter(*[slots[v] for v in bound]) if bound else None
-            own = itemgetter(*[first[v] for v in bound]) if bound else None
-            steps.append(_Step(atom, test, probe, own, _values([first[v] for v in fresh])))
-            continue
-        nxt = order[k + 1] if k + 1 < len(order) else None
-        after = [v for v in slots if v in later[k + 1]] if nxt else []  # the next read
-        shared = [v for v in after if v in first]
-        positions = [first[v] if v in first else len(atom.args) + after.index(v) for v in read]
-        mine = _values(positions)
-        # the first read is the head, so a group is its first `width` values
-        group = _grouper(positions[:width]) if k == 0 and width is not None else None
-        ahead = _values([first[v] for v in shared]) if nxt else None
-        keyof = None
-        if len(shared) < len(after):  # the rest of `read` is in the next step's read
-            keyof = _values([after.index(v) for v in shared])
-            if len(shared) == 1:  # one value keyed bare, as a join probe is
-                ahead, keyof = itemgetter(first[shared[0]]), itemgetter(after.index(shared[0]))
-        # it fans out when some variable of `read` is not the atom's own
-        # (never at the last step) and the atom does not fix the next key
-        fans = not {*read} <= first.keys() and not nxt.key_vars <= first.keys()
-        steps.append(_Step(atom, test, mine=mine, ahead=ahead, keyof=keyof, fans=fans,
-                           holds=atom.key_vars <= {*read}, group=group))
-    return tuple(steps)
+    probe: Callable[[tuple], object] | None  # binding -> the atom's variables bound earlier
+    own: Callable[[tuple], object] | None  # fact row -> the same variables
+    new: Callable[[tuple], tuple]  # fact row -> the variables first bound here
 
 
 class _Join(NamedTuple):
-    steps: tuple[_Step, ...]
+    steps: tuple[_JoinStep, ...]
     head: Callable[[tuple], tuple]  # binding -> answer tuple
 
 
 def _compile_join(atoms: Sequence[Atom], head: Sequence[str]) -> _Join:
     """A join order chosen once per query: atoms whose key is bound first,
     then the atom with the most bound variables, ties in query order."""
-    bound: set[str] = set()
-    order, todo = [], list(atoms)
+    slots: dict[str, int] = {}  # each variable bound so far -> its slot
+    bound, steps, todo = slots.keys(), [], list(atoms)
     while todo:
         atom = min(todo, key=lambda a: (not a.key_vars <= bound, -len(a.variables & bound)))
         todo.remove(atom)
-        order.append(atom)
-        bound |= atom.variables
-    slots: dict[str, int] = {}
-    return _Join(_compile_steps(order, slots), _values([slots[v] for v in head]))
+        first, test = _scan(atom)
+        earlier = [v for v in first if v in slots]
+        fresh = [v for v in first if v not in slots]
+        # hash keys: one value bare, several as a tuple, no index for none
+        probe = itemgetter(*[slots[v] for v in earlier]) if earlier else None
+        own = itemgetter(*[first[v] for v in earlier]) if earlier else None
+        steps.append(_JoinStep(atom, test, probe, own, _values([first[v] for v in fresh])))
+        for v in fresh:
+            slots[v] = len(slots)
+    return _Join(tuple(steps), _values([slots[v] for v in head]))
 
 
 def _relations(plan: _Join, db: DatabaseInstance) -> list[tuple[tuple[str, ...], ...]]:
@@ -303,12 +253,30 @@ def count_by(
 
 # --- certain answers --------------------------------------------------------
 
+class _Step(NamedTuple):
+    """One atom of a compiled certainty check.  The slots are the head's
+    variables, then those each step binds first; a read is some of them."""
+
+    atom: Atom
+    test: Callable[[tuple], bool] | None  # fact row -> fits constants and repeats
+    mine: Callable[[tuple], tuple]  # fact row + a next read -> what it and later steps read
+    # fact row -> what the fact shares with the next step's read, which
+    # `keyof` reads off such a read when the fact lacks some of it (one
+    # shared value bare then); None at the last step
+    ahead: Callable[[tuple], object] | None
+    keyof: Callable[[tuple], object] | None
+    fans: bool  # see `_plain_and_certain`
+    holds: bool  # the read holds every key variable, so two blocks never give one read
+    # at a count's first step: `mine`'s argument -> the read's first `width` values
+    group: Callable[[tuple], object] | None
+
+
 def _elimination_plan(
     q: ConjunctiveQuery, graph: AttackGraph, width: int | None = None
 ) -> tuple[_Step, ...]:
-    """A topological order of `graph`, the attack graph of `q` or of the query
-    `q` widens, computed once per query; with a `width`, its first step
-    takes the group value of each read (see `_compile_steps`).
+    """One step per atom in a topological order of `graph`, the attack graph
+    of `q` or of the query `q` widens, compiled once per query; with a
+    `width`, the first step takes the group value of each read.
 
     Grounding the variables of an unattacked atom or making variables free
     only removes attacks, so the order stays valid for the widened query and
@@ -319,8 +287,33 @@ def _elimination_plan(
         raise CyclicAttackGraphError(
             "attack graph is cyclic: no first-order certainty check; use the repair oracle"
         )
+    order = [q.atom(n) for n in names]
+    later = [*accumulate((a.variables for a in reversed(order)), frozenset.union)][::-1]
     slots = {v: i for i, v in enumerate(q.free_vars)}
-    return _compile_steps([q.atom(n) for n in names], slots, certainty=True, width=width)
+    steps = []
+    for k, atom in enumerate(order):
+        first, test = _scan(atom)
+        read = [v for v in slots if v in later[k]]  # in slot order
+        for v in first:
+            slots.setdefault(v, len(slots))
+        nxt = order[k + 1] if k + 1 < len(order) else None
+        after = [v for v in slots if v in later[k + 1]] if nxt else []  # the next read
+        shared = [v for v in after if v in first]
+        positions = [first[v] if v in first else len(atom.args) + after.index(v) for v in read]
+        # the first read is the head, so a group is its first `width` values
+        group = _grouper(positions[:width]) if k == 0 and width is not None else None
+        ahead = _values([first[v] for v in shared]) if nxt else None
+        keyof = None
+        if len(shared) < len(after):  # the rest of `read` is in the next step's read
+            keyof = _values([after.index(v) for v in shared])
+            if len(shared) == 1:  # one value keyed bare, as a join probe is
+                ahead, keyof = itemgetter(first[shared[0]]), itemgetter(after.index(shared[0]))
+        # it fans out when some variable of `read` is not the atom's own
+        # (never at the last step) and the atom does not fix the next key
+        fans = not {*read} <= first.keys() and not nxt.key_vars <= first.keys()
+        holds = atom.key_vars <= {*read}
+        steps.append(_Step(atom, test, _values(positions), ahead, keyof, fans, holds, group))
+    return tuple(steps)
 
 
 def _walk(

@@ -54,9 +54,6 @@ class FunctionalDependencySet:
                     grew = True
         return frozenset(closed)
 
-    def determines(self, lhs: Iterable[str], rhs: Iterable[str]) -> bool:
-        return set(rhs) <= self.closure(lhs)
-
 
 def fdset(q: ConjunctiveQuery) -> FunctionalDependencySet:
     deps = [FunctionalDependency(frozenset(), frozenset(q.free_vars))]

@@ -33,6 +33,7 @@ EVALUATE = "src/cqa/evaluate.py"
 INSTANCES = "src/cqa/instances.py"
 ATTACKS = "src/cqa/attacks.py"
 CLASSIFY = "src/cqa/classify.py"
+FDS = "src/cqa/fds.py"
 RANDOM_PAIRS = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_on_random_pairs"
 SCALE = "tests/test_evaluate.py::test_plain_and_certain_equals_reference_at_benchmark_scale"
 GROUPS = "tests/test_evaluate.py::test_group_counts_equal_reference_at_every_width"
@@ -43,6 +44,7 @@ ORACLE_PAIRS = "tests/test_evaluate.py::test_oracle_equals_reference_on_random_p
 LONG_COUNT = "tests/test_cli.py::test_a_repair_count_too_long_for_str_exits_cleanly"
 ANALYSIS = "tests/test_attacks.py::test_analysis_equals_reference_on_random_and_long_queries"
 CYCLIC = "tests/test_classify.py::test_candidate_id_set_rejects_cyclic"
+JOIN_PAIRS = "tests/test_evaluate.py::test_evaluate_equals_naive_join_on_random_pairs"
 
 
 class Mutant(NamedTuple):
@@ -146,6 +148,20 @@ MUTANTS = (
         "            singles = filter(test, singles)\n",
         "",
         (SCALE, RANDOM_PAIRS),
+    ),
+    Mutant(
+        "steps: a repeated variable recorded as a first occurrence",
+        EVALUATE,
+        "repeats.append(i)",
+        "first[t.symbol] = i",
+        (JOIN_PAIRS,),
+    ),
+    Mutant(
+        "join: a step's `own` reads binding slots, not first positions",
+        EVALUATE,
+        "own = itemgetter(*[first[v] for v in earlier]) if earlier else None",
+        "own = itemgetter(*[slots[v] for v in earlier]) if earlier else None",
+        (JOIN_PAIRS,),
     ),
     Mutant(
         "steps: a lone constant compared one position too far",
@@ -313,11 +329,44 @@ MUTANTS = (
         (LONG_COUNT,),
     ),
     Mutant(
+        "output: a value stdout cannot encode left to a traceback",
+        "src/cqa/cli.py",
+        "    except UnicodeEncodeError as exc:  # a value the output's encoding lacks\n"
+        "        bad = exc.object[exc.start : exc.end]\n"
+        '        print(f"error: cannot write {bad!a} in the encoding {exc.encoding}", '
+        "file=sys.stderr)\n"
+        "        return 2\n",
+        "",
+        ("tests/test_cli.py::test_a_value_stdout_cannot_encode_is_exit_2",),
+    ),
+    Mutant(
         "bundles: a leading byte-order mark kept",
         INSTANCES,
         'data = path.read_bytes().removeprefix(b"\\xef\\xbb\\xbf")',
         "data = path.read_bytes()",
         ("tests/test_cli.py::test_files_starting_with_a_byte_order_mark_read_as_without",),
+    ),
+    # the functional dependencies of a query
+    Mutant(
+        "FDs: the closure keeps the dependency `_skip` names",
+        FDS,
+        "if dep is not _skip and dep.lhs <= closed and not dep.rhs <= closed:",
+        "if dep.lhs <= closed and not dep.rhs <= closed:",
+        (ANALYSIS,),
+    ),
+    Mutant(
+        "FDs: the head's {} -> free(q) dependency left out",
+        FDS,
+        "deps = [FunctionalDependency(frozenset(), frozenset(q.free_vars))]",
+        "deps = []",
+        ("tests/test_fds.py::test_fdset_contains_empty_to_free", ANALYSIS),
+    ),
+    Mutant(
+        "FDs: a sequential proof takes the last ready atom, not the first",
+        FDS,
+        "atom = q.atoms[heapq.heappop(ready)]",
+        "atom = q.atoms[ready.pop()]",
+        ("tests/test_fds.py::test_sequential_proof_single_atom",),
     ),
     # one-pass classification
     Mutant(

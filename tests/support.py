@@ -211,6 +211,11 @@ MATCHING_TRIPLES = [("a", "d", "f"), ("a", "e", "g"), ("b", "e", "g")]
 
 # --- independent oracles -----------------------------------------------------
 
+def determines(fds: FunctionalDependencySet, lhs: Iterable[str], rhs: Iterable[str]) -> bool:
+    """Does `fds` give lhs -> rhs?  Only the references and the FD tests ask."""
+    return set(rhs) <= fds.closure(lhs)
+
+
 def brute_force_implies(fds: FunctionalDependencySet, lhs, target: str) -> bool:
     """Two-row tableau check: no model of the FD set may agree on lhs yet
     differ on the target."""
@@ -925,7 +930,7 @@ def reference_attack_graph(q: ConjunctiveQuery) -> ReferenceAttackGraph:
             if not hit:
                 continue
             witness = AttackWitness(atom, hit[0], paths[hit[0]])
-            strong = not fds.determines(atom.key_vars, other.key_vars)
+            strong = not determines(fds, atom.key_vars, other.key_vars)
             edges[(atom.name, other.name)] = ReferenceAttackEdge(atom, other, strong, witness)
     return ReferenceAttackGraph(q, edges, variable_paths, fds, qg)
 

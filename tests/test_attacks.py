@@ -123,7 +123,7 @@ def test_strong_label_matches_fd_definition():
         g = attack_graph(q)
         strong = set(g.strong_edges())
         for (src, dst) in g.edges:
-            weak = fds.determines(q.atom(src).key_vars, q.atom(dst).key_vars)
+            weak = support.determines(fds, q.atom(src).key_vars, q.atom(dst).key_vars)
             assert ((src, dst) in strong) == (not weak)
 
 

@@ -281,13 +281,14 @@ def test_gen3dm_bad_triples(tmp_path, capsys):
     assert main(["gen3dm", str(overlapping), "--out", str(tmp_path / "out2")]) == 2
 
 
-def _run_cli(*args):
+def _run_cli(*args, **env):
     """`python -m cqa.cli` in a subprocess that imports the `cqa` these tests
-    import: its source directory goes first on PYTHONPATH."""
+    import: its source directory goes first on PYTHONPATH.  Keyword
+    arguments are added to the child's environment."""
     path = [str(Path(cqa.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "cqa.cli", *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
 
 
@@ -587,6 +588,24 @@ def test_a_repair_count_too_long_for_str_exits_cleanly(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[:3] == ["at least 2^14300 repairs", "repair 1:", "  R(k0, a)"]
     assert len(lines) == 2 + 14_300 and lines[-1] == "  R(k9999, a)"
+
+
+def test_a_value_stdout_cannot_encode_is_exit_2(tmp_path):
+    # an ASCII stdout cannot print `é`: one error line naming it, no traceback;
+    # JSON escapes every non-ASCII character, so it still answers
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "schema.txt").write_text("R arity=2 key=1\n")
+    (root / "R.csv").write_text("k1,\u00e9\nk2,z\n", encoding="utf-8")
+    count = ("count", "--db", str(root), "--query",
+             write_query(tmp_path, parse_query("q(z) :- R(x | z).")), "--mode")
+    for args in ((*count, "parsimonious"), (*count, "both"), ("repairs", "--db", str(root))):
+        proc = _run_cli(*args, PYTHONIOENCODING="ascii")
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write '\\xe9' in the encoding ascii\n"), args
+    proc = _run_cli(*count, "both", "--json", PYTHONIOENCODING="ascii")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["parsimonious"][1] == {"group": ["\u00e9"], "m": 1, "n": 1}
 
 
 @settings(max_examples=150, deadline=None)
@@ -961,11 +980,12 @@ def test_count_and_classify_answer_400_atom_chain_and_star(tmp_path, capsys, bod
 
 @pytest.mark.parametrize("name", ["employee", "forward", "blocks", "joined", "partkey"])
 def test_shipped_bundles_count_as_their_goldens(capsys, name):
-    # the goldens CI diffs the installed script against, here through main
+    # the goldens CI diffs the installed script against, as TSV and JSON, here through main
     root = Path(__file__).resolve().parents[1] / "examples" / name
-    assert main(["count", "--db", str(root), "--query", str(root / "query.cq"),
-                 "--mode", "both"]) == 0
-    assert capsys.readouterr().out == (root / "count-both.tsv").read_text(encoding="utf-8")
+    for flags, golden in (((), "count-both.tsv"), (("--json",), "count-both.json")):
+        assert main(["count", "--db", str(root), "--query", str(root / "query.cq"),
+                     "--mode", "both", *flags]) == 0
+        assert capsys.readouterr().out == (root / golden).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", ["employee", "forward", "blocks", "joined", "partkey"])

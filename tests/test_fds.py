@@ -134,7 +134,7 @@ def test_transitivity_is_operational():
         xs = {v for v in names if rng.random() < 0.3}
         ys = {v for v in names if rng.random() < 0.3}
         w = rng.choice(names)
-        if fds.determines(xs, ys) and w in fds.closure(ys):
+        if support.determines(fds, xs, ys) and w in fds.closure(ys):
             assert w in fds.closure(xs)
 
 

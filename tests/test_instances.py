@@ -13,7 +13,7 @@ import support
 from generators import random_instance, random_query
 from cqa.classify import in_cparsimony
 from cqa.errors import InputError
-from cqa.evaluate import cqacount_oracle, cqacount_parsimonious
+from cqa.evaluate import RangeAnswer, cqacount_oracle, cqacount_parsimonious
 from cqa.instances import (
     Block,
     DatabaseInstance,
@@ -322,6 +322,24 @@ def test_build_3dm_rejects_overlapping_coordinates():
         build_3dm_instance([("a", "a", "f")])
     with pytest.raises(InputError):
         build_3dm_instance([("a", "d", "f"), ("d", "e", "g")])
+
+
+@pytest.mark.parametrize("triples, upper", [
+    ([("c", "top", "bot3"), ("a", "x", "y"), ("c", "x", "y")], 3),  # c-top-bot3, a-x-y
+    ([("c", "top", "bot3"), ("a", "top", "y"), ("c", "x", "y")], 2),  # any two share one
+])
+def test_build_3dm_renames_constants_its_triples_use(triples, upper):
+    # the group, `top` and a bottom constant, each taken by a coordinate, get
+    # a trailing `_`; the upper bound is n + 1 = 3 exactly when a perfect
+    # matching exists, and the group stays certain either way
+    db = build_3dm_instance(triples)
+    assert set(db.relation_facts("Z")) == {Fact("Z", ("c_",))}
+    padding = {f.values for i in (1, 2, 3) for f in db.relation_facts(f"R{i}")
+               if f.values[1] == "top_"}
+    assert padding == {("bot1", "top_"), ("bot2", "top_"), ("bot3_", "top_")}
+    q = threedm_query()
+    assert cqacount_oracle(make_free(q, q.bound_vars), ("z",), db) == {
+        RangeAnswer(("c_",), 1, upper)}
 
 
 def test_threedm_query_shape():
