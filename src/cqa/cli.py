@@ -86,21 +86,20 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.mode in ("oracle", "both"):
         full = make_free(q, q.bound_vars)
         results["oracle"] = cqacount_oracle(full, q.free_vars, db, cap)
+    both = args.mode == "both"
+    agree = not both or results["parsimonious"] == results["oracle"]
+    # the whole text in one write: one that stdout cannot encode writes nothing
     if args.json:
         payload = {mode: range_answers_json(ans) for mode, ans in results.items()}
-        if args.mode == "both":
-            payload["agree"] = results["parsimonious"] == results["oracle"]
-            print(json.dumps(payload, indent=2))
-        else:
-            print(json.dumps(payload[args.mode], indent=2))
+        text = json.dumps({**payload, "agree": agree} if both else payload[args.mode], indent=2)
+        text += "\n"
     else:
+        text = ""
         for mode, answers in results.items():
-            if args.mode == "both":
-                print(f"# {mode}")
             body = range_answers_tsv(answers)
-            if body:
-                print(body)
-    if args.mode == "both" and results["parsimonious"] != results["oracle"]:
+            text += (f"# {mode}\n" if both else "") + (f"{body}\n" if body else "")
+    sys.stdout.write(text)
+    if not agree:
         print("error: parsimonious and oracle results disagree", file=sys.stderr)
         return 1
     return 0

@@ -24,13 +24,13 @@ step's reads by what it shares with them (one shared variable bare) and is
 read together with them.  After the last step that fans out, one whose atom
 neither holds every variable of its read nor fixes the next step's key, a
 key holds at most one certain read: there the walk runs the rows of
-single-fact blocks in one flat pass, checks only blocks of two or more
-facts for agreement, and reads a fact that finds a certain read once.  Up
-to that step a key can hold several, and a block's certain reads are the
-intersection over its facts.  The first step's reads are the certain
-answers and the other plain answers; a count takes the group value of each,
-straight off a single-fact row when no step fans out and the first read
-holds its atom's key.
+single-fact blocks in one flat pass, and a block of two or more facts is
+certain of its read when every fact passes and finds a certain read
+(`whole`) and it has one read.  Up to that step a key can hold several,
+and a block's certain reads are the intersection over its facts.  The
+first step's reads are the certain answers and the other plain answers; a
+count takes the group value of each, straight off a single-fact row when
+no step fans out and the first read holds its atom's key.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def _values(positions: list[int]) -> Callable[[tuple], tuple]:
 
 
 def _grouper(positions: list[int]) -> Callable[[tuple], object]:
-    """The group value of a row at `positions`: one value bare, as its hash is
-    cached, several as a tuple and none as `()` (see `_values`)."""
+    """A row's group or hash key at `positions`: one value bare, as its hash
+    is cached, several as a tuple and none as `()` (see `_values`)."""
     return itemgetter(positions[0]) if len(positions) == 1 else _values(positions)
 
 
@@ -260,9 +260,9 @@ class _Step(NamedTuple):
     atom: Atom
     test: Callable[[tuple], bool] | None  # fact row -> fits constants and repeats
     mine: Callable[[tuple], tuple]  # fact row + a next read -> what it and later steps read
-    # fact row -> what the fact shares with the next step's read, which
-    # `keyof` reads off such a read when the fact lacks some of it (one
-    # shared value bare then); None at the last step
+    # fact row -> what the fact shares with the next step's read, and that
+    # read -> the same, both one value bare (see `_grouper`); `ahead` is None
+    # at the last step, and `keyof` when `ahead` gives the whole read
     ahead: Callable[[tuple], object] | None
     keyof: Callable[[tuple], object] | None
     fans: bool  # see `_plain_and_certain`
@@ -302,12 +302,10 @@ def _elimination_plan(
         positions = [first[v] if v in first else len(atom.args) + after.index(v) for v in read]
         # the first read is the head, so a group is its first `width` values
         group = _grouper(positions[:width]) if k == 0 and width is not None else None
-        ahead = _values([first[v] for v in shared]) if nxt else None
-        keyof = None
-        if len(shared) < len(after):  # the rest of `read` is in the next step's read
-            keyof = _values([after.index(v) for v in shared])
-            if len(shared) == 1:  # one value keyed bare, as a join probe is
-                ahead, keyof = itemgetter(first[shared[0]]), itemgetter(after.index(shared[0]))
+        ahead = _grouper([first[v] for v in shared]) if nxt else None
+        keyof = _grouper([after.index(v) for v in shared])
+        if shared == after and len(shared) != 1:  # `ahead` gives the whole next read
+            keyof = None
         # it fans out when some variable of `read` is not the atom's own
         # (never at the last step) and the atom does not fix the next key
         fans = not {*read} <= first.keys() and not nxt.key_vars <= first.keys()
@@ -327,16 +325,18 @@ def _walk(
     first step that holds (below) takes a single-fact row's straight, by its
     `group`, and the others through `pick`, once its reads are deduped.
 
-    A step's certain reads are one read per block whose facts pass the
-    test, lead each to a certain read of the next step and agree on what
-    the step reads; only blocks of two or more facts compare reads, so the
-    rows of single-fact blocks go through one flat loop (one `map` at the
-    last step).  Each fact finds the next step's certain read by what it
-    shares with the next read (one shared variable bare) and is read
-    together with it: a pass-through-free step's fact holds the whole next
-    read, and a key-joined step's fact fixes the next key, the certain read
-    bringing the earlier variables the fact lacks.  A fact that finds none
-    is read with each other plain read of the next step under its key.
+    Each fact finds the next step's certain read by what it shares with the
+    next read (one shared variable bare) and is read together with it: a
+    pass-through-free step's fact holds the whole next read, and a
+    key-joined step's fact fixes the next key, the certain read bringing
+    the earlier variables the fact lacks.  A fact that finds none is read
+    with each other plain read of the next step under its key.  A block's
+    reads are certain when it is `whole`, every fact passing the test and
+    (but at the last step) finding a certain read, and they are one read;
+    otherwise they are other plain reads.  A fact of a whole block adds
+    exactly its one read, so the facts agree exactly when the block has
+    one read.  The rows of single-fact blocks, which always agree, go
+    through one flat loop (one `map` at the last step).
 
     By induction from the last step, where each fact has one read, a block
     with a certain read has it as its only plain read, so a key with one
@@ -375,28 +375,22 @@ def _walk(
                 else:
                     other += [emit(row + plain) for plain in below.get(at, ())]
         for rows in conflicts:
-            agreed = None  # the block's read; False once a fact rules it out
+            whole = True  # every fact passes and, but at the last step, finds a certain read
             reads: set[tuple] = set()  # the block's plain reads
             for row in rows:
                 if test and not test(row):
-                    read = False
+                    whole = False
                 elif ahead:
                     at = ahead(row)
                     if (rest := nexts.get(at)) is not None:
-                        read = mine(row + rest)
-                        reads.add(read)
+                        reads.add(mine(row + rest))
                     else:
-                        read = False
+                        whole = False
                         reads.update([mine(row + plain) for plain in below.get(at, ())])
                 else:
-                    read = mine(row)
-                    reads.add(read)
-                if agreed is None:
-                    agreed = read
-                elif read != agreed:
-                    agreed = False
-            if agreed is not False:  # its only plain read
-                certain.append(pick(agreed) if grouped else agreed)
+                    reads.add(mine(row))
+            if whole and len(reads) == 1:  # the facts agree on the block's one read
+                certain += map(pick, reads) if grouped else reads
             else:
                 other += map(pick, reads) if grouped else reads
         if not step.holds:  # two blocks can give one read
@@ -460,10 +454,9 @@ def _plain_and_certain(
                 plain.update([mine(row + other) for other in every.get(at, ())])
                 if agreed is None:
                     agreed = {mine(row + other) for other in sure.get(at, ())}
-                elif agreed:
+                else:
                     agreed &= {mine(row + other) for other in sure.get(at, ())}
-            if agreed:
-                certain |= agreed
+            certain |= agreed
     if pick:
         return map(pick, certain), map(pick, plain - certain)
     return certain, plain - certain

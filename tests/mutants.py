@@ -8,9 +8,7 @@ mutant at a time (the exact old text of one file replaced by new text)
 and runs that mutant's tests with `-x` under `PYTHONHASHSEED=0`, one
 process after another.  It exits 1 when a mutant's old text does not
 occur exactly once in its file (restate the mutant after a refactor), or
-when a mutant's tests pass (the mutant survives).  A known-equivalent
-mutant cannot change any answer; it is listed with its argument, and only
-its old text is checked.
+when a mutant's tests pass (the mutant survives).
 
 pytest does not collect this file: its name does not start with `test_`.
 """
@@ -53,14 +51,6 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
-
-
-class Equivalent(NamedTuple):
-    name: str
-    path: str
-    old: str
-    new: str
-    why: str
 
 
 MUTANTS = (
@@ -108,16 +98,15 @@ MUTANTS = (
     Mutant(
         "walk: no plain read added on the certain branch of the conflicting-block loop",
         EVALUATE,
-        "                        read = mine(row + rest)\n"
-        "                        reads.add(read)\n",
-        "                        read = mine(row + rest)\n",
+        "                        reads.add(mine(row + rest))\n",
+        "                        pass\n",
         (RANDOM_PAIRS, SCALE),
     ),
     Mutant(
         "walk: `ahead` bare while `keyof` stays a 1-tuple",
         EVALUATE,
-        "ahead, keyof = itemgetter(first[shared[0]]), itemgetter(after.index(shared[0]))",
-        "ahead = itemgetter(first[shared[0]])",
+        "keyof = _grouper([after.index(v) for v in shared])",
+        "keyof = _values([after.index(v) for v in shared])",
         ("tests/test_evaluate.py::test_certain_answers_employee", RANDOM_PAIRS),
     ),
     Mutant(
@@ -135,11 +124,28 @@ MUTANTS = (
         (SCALE, RANDOM_PAIRS),
     ),
     Mutant(
-        "walk: a conflicting block's facts not compared (agreement dropped)",
+        "walk: a whole conflicting block certain of each of its reads (agreement dropped)",
         EVALUATE,
-        "                elif read != agreed:\n",
-        "                elif read is False:\n",
+        "if whole and len(reads) == 1:",
+        "if whole:",
         ("tests/test_evaluate.py::test_certain_answers_employee", RANDOM_PAIRS),
+    ),
+    Mutant(
+        "walk: a fact that fails the test leaves its conflicting block whole",
+        EVALUATE,
+        "                if test and not test(row):\n"
+        "                    whole = False\n",
+        "                if test and not test(row):\n"
+        "                    pass\n",
+        (RANDOM_PAIRS, SCALE),
+    ),
+    Mutant(
+        "walk: a fact that finds no next certain read leaves its conflicting block whole",
+        EVALUATE,
+        "                        whole = False\n"
+        "                        reads.update(",
+        "                        reads.update(",
+        (RANDOM_PAIRS, SCALE),
     ),
     Mutant(
         "walk: single-fact rows not tested against the atom",
@@ -197,10 +203,10 @@ MUTANTS = (
     Mutant(
         "walk: a conflicting block's agreed read also left among its other plain reads",
         EVALUATE,
-        "                certain.append(pick(agreed) if grouped else agreed)\n"
+        "                certain += map(pick, reads) if grouped else reads\n"
         "            else:\n"
         "                other += map(pick, reads) if grouped else reads\n",
-        "                certain.append(pick(agreed) if grouped else agreed)\n"
+        "                certain += map(pick, reads) if grouped else reads\n"
         "            other += map(pick, reads) if grouped else reads\n",
         (SCALE, RANDOM_PAIRS),
     ),
@@ -340,6 +346,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_a_value_stdout_cannot_encode_is_exit_2",),
     ),
     Mutant(
+        "output: `count` written a line at a time, keeping the lines before an error",
+        "src/cqa/cli.py",
+        "    sys.stdout.write(text)\n",
+        "    sys.stdout.writelines(text.splitlines(keepends=True))\n",
+        ("tests/test_cli.py::test_a_value_stdout_cannot_encode_is_exit_2",),
+    ),
+    Mutant(
         "bundles: a leading byte-order mark kept",
         INSTANCES,
         'data = path.read_bytes().removeprefix(b"\\xef\\xbb\\xbf")',
@@ -414,18 +427,6 @@ MUTANTS = (
     ),
 )
 
-EQUIVALENT = (
-    Equivalent(
-        "walk: a block that agrees adds its set of plain reads to the certain reads",
-        EVALUATE,
-        "                certain.append(pick(agreed) if grouped else agreed)\n",
-        "                certain += map(pick, reads) if grouped else reads\n",
-        "a block agrees only when every fact passes the test and, before the last step, "
-        "finds a next certain read; each such fact adds exactly its read, the agreed one, "
-        "to `reads`, so `reads` is `{agreed}` there.",
-    ),
-)
-
 
 def _pytest(copy: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(copy / "src")}
@@ -440,7 +441,7 @@ def _tail(run: subprocess.CompletedProcess, lines: int = 15) -> str:
 
 
 def main() -> int:
-    stale = [m.name for m in (*MUTANTS, *EQUIVALENT)
+    stale = [m.name for m in MUTANTS
              if (ROOT / m.path).read_text(encoding="utf-8").count(m.old) != 1]
     for name in stale:
         print(f"STALE     {name}: its old text does not occur exactly once")
@@ -475,10 +476,8 @@ def main() -> int:
                   f"({time.perf_counter() - t0:.1f} s)")
             if not killed:
                 print(f"  pytest exit {run.returncode}:\n{_tail(run)}")
-        for e in EQUIVALENT:
-            print(f"{'equiv.':<9} {e.name}: {e.why}")
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed, "
-          f"{len(EQUIVALENT)} known-equivalent, in {time.perf_counter() - started:.0f} s")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - started:.0f} s")
     return 1 if survivors else 0
 
 

@@ -592,7 +592,8 @@ def test_a_repair_count_too_long_for_str_exits_cleanly(tmp_path):
 
 def test_a_value_stdout_cannot_encode_is_exit_2(tmp_path):
     # an ASCII stdout cannot print `é`: one error line naming it, no traceback;
-    # JSON escapes every non-ASCII character, so it still answers
+    # `count` writes all of its output or none, while `repairs` streams and
+    # keeps what it wrote; JSON escapes every non-ASCII character, so it answers
     root = tmp_path / "db"
     root.mkdir()
     (root / "schema.txt").write_text("R arity=2 key=1\n")
@@ -603,6 +604,7 @@ def test_a_value_stdout_cannot_encode_is_exit_2(tmp_path):
         proc = _run_cli(*args, PYTHONIOENCODING="ascii")
         assert (proc.returncode, proc.stderr) == (
             2, "error: cannot write '\\xe9' in the encoding ascii\n"), args
+        assert (proc.stdout == "") == (args[0] == "count"), (args, proc.stdout)
     proc = _run_cli(*count, "both", "--json", PYTHONIOENCODING="ascii")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["parsimonious"][1] == {"group": ["\u00e9"], "m": 1, "n": 1}

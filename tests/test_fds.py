@@ -150,3 +150,9 @@ def test_closure_agrees_with_two_row_tableau():
             lhs = {v for v in names if rng.random() < 0.3}
             target = rng.choice(names)
             assert (target in fds.closure(lhs)) == support.brute_force_implies(fds, lhs, target)
+
+
+def test_dependencies_print_with_sorted_sides():
+    fds = fdset(parse_query("q(z) :- R(y, x | z)."))
+    assert [str(dep) for dep in fds.deps] == ["{} -> {z}", "{x y} -> {x y z}"]
+    assert repr(fds) == "FunctionalDependencySet({} -> {z}, {x y} -> {x y z})"

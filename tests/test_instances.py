@@ -443,3 +443,9 @@ def test_row_store_equals_fact_store_on_random_bundles():
             seen["cparsimony"] += 1
             assert cqacount_parsimonious(q, new) == want
     assert min(seen.values()) >= 50, seen
+
+
+def test_instance_repr_counts_relations_and_distinct_facts():
+    sigs = [RelationSignature("R", 2, 1), RelationSignature("S", 1, 1)]
+    facts = [Fact("R", ("a", "b")), Fact("R", ("a", "c")), Fact("R", ("a", "b"))]
+    assert repr(DatabaseInstance(sigs, facts)) == "DatabaseInstance(2 relations, 2 facts)"

@@ -274,3 +274,12 @@ def test_parse_equals_reference_on_random_and_mutated_texts():
         if len(expected) == 2:
             families.update(f for f in PARSE_ERROR_FAMILIES if f in expected[1])
     assert all(families[f] >= 50 for f in PARSE_ERROR_FAMILIES), families
+
+
+def test_a_term_of_unknown_kind_is_refused_and_lazy_fields_read_off_the_class():
+    with pytest.raises(QueryError, match="^bad term kind 'atom'$"):
+        Term("atom", "x")
+    lazy = ConjunctiveQuery.bound_vars  # the descriptor itself, its docstring kept
+    assert lazy is ConjunctiveQuery.__dict__["bound_vars"]
+    assert lazy.__doc__ == "Non-head variables, in first-occurrence order."
+    assert parse_query("q(z) :- R(x | y, z).").bound_vars == ("x", "y")
