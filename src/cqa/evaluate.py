@@ -18,19 +18,20 @@ variables, and reads a hash index per step on its bound variables (one
 value bare, several as a tuple, no index for none) over the rows of its
 relation that pass the test.  The certainty check binds the head, then
 follows the attack graph's topological order over key blocks, and decides
-every step bottom-up from one walk over its relation into its certain reads
-and its other plain reads; it runs no join.  Each fact finds the next
-step's reads by what it shares with them (one shared variable bare) and is
-read together with them.  After the last step that fans out, one whose atom
-neither holds every variable of its read nor fixes the next step's key, a
-key holds at most one certain read: there the walk runs the rows of
-single-fact blocks in one flat pass, and a block of two or more facts is
-certain of its read when every fact passes and finds a certain read
-(`whole`) and it has one read.  Up to that step a key can hold several,
-and a block's certain reads are the intersection over its facts.  The
-first step's reads are the certain answers and the other plain answers; a
-count takes the group value of each, straight off a single-fact row when
-no step fans out and the first read holds its atom's key.
+every step bottom-up in one loop, from one walk over its relation into its
+certain reads and its other plain reads; it runs no join.  Each fact finds
+the next step's reads by what it shares with them (one shared variable
+bare) and is read together with them.  A flag, `fanned`, is set at the
+last step that fans out, one whose atom neither holds every variable of
+its read nor fixes the next step's key.  Until then a key holds at most
+one certain read: the loop runs the rows of single-fact blocks in one flat
+pass, and a block of two or more facts is certain of its read when every
+fact passes and finds a certain read (`whole`) and it has one read.  From
+then on a key can hold several, and a block's certain reads are the
+intersection over its facts.  The first step's reads are the certain
+answers and the other plain answers; a count takes the group value of
+each, straight off a single-fact row when no step fans out and the first
+read holds its atom's key.
 """
 
 from __future__ import annotations
@@ -262,9 +263,9 @@ class _Step(NamedTuple):
     mine: Callable[[tuple], tuple]  # fact row + a next read -> what it and later steps read
     # fact row -> what the fact shares with the next step's read, and that
     # read -> the same, both one value bare (see `_grouper`); `ahead` is None
-    # at the last step, and `keyof` when `ahead` gives the whole read
+    # at the last step, and `keyof` gives the whole read when the fact holds it
     ahead: Callable[[tuple], object] | None
-    keyof: Callable[[tuple], object] | None
+    keyof: Callable[[tuple], object]
     fans: bool  # see `_plain_and_certain`
     holds: bool  # the read holds every key variable, so two blocks never give one read
     # at a count's first step: `mine`'s argument -> the read's first `width` values
@@ -304,8 +305,6 @@ def _elimination_plan(
         group = _grouper(positions[:width]) if k == 0 and width is not None else None
         ahead = _grouper([first[v] for v in shared]) if nxt else None
         keyof = _grouper([after.index(v) for v in shared])
-        if shared == after and len(shared) != 1:  # `ahead` gives the whole next read
-            keyof = None
         # it fans out when some variable of `read` is not the atom's own
         # (never at the last step) and the atom does not fix the next key
         fans = not {*read} <= first.keys() and not nxt.key_vars <= first.keys()
@@ -314,58 +313,102 @@ def _elimination_plan(
     return tuple(steps)
 
 
-def _walk(
-    plan: Sequence[_Step], db: DatabaseInstance, pick: Callable[[tuple], object] | None = None
+def _by_key(reads: Iterable[tuple], keyof: Callable[[tuple], object]) -> dict[object, list[tuple]]:
+    """The reads grouped by what `keyof` gives each."""
+    by: dict[object, list[tuple]] = {}
+    for read in reads:
+        by.setdefault(keyof(read), []).append(read)
+    return by
+
+
+def _plain_and_certain(
+    q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph, width: int | None = None
 ) -> tuple[Iterable, Iterable]:
-    """The certain reads and the other plain reads of the first step of
-    `plan`, no step of which fans out, from one walk over the relation of
-    each step, the last first (with no step, the empty read is certain).
-    Neither collection repeats a read, and no read is in both.  With `pick`,
-    a read -> its group value, they hold the group value of each read: a
-    first step that holds (below) takes a single-fact row's straight, by its
-    `group`, and the others through `pick`, once its reads are deduped.
+    """The certain answers of `q` and its other plain answers, two
+    collections that repeat no answer and share none; with a `width`, the
+    group value of each answer instead (its first `width` values, one bare,
+    see `_grouper`), once per answer.
 
-    Each fact finds the next step's certain read by what it shares with the
-    next read (one shared variable bare) and is read together with it: a
-    pass-through-free step's fact holds the whole next read, and a
-    key-joined step's fact fixes the next key, the certain read bringing
-    the earlier variables the fact lacks.  A fact that finds none is read
-    with each other plain read of the next step under its key.  A block's
-    reads are certain when it is `whole`, every fact passing the test and
-    (but at the last step) finding a certain read, and they are one read;
-    otherwise they are other plain reads.  A fact of a whole block adds
-    exactly its one read, so the facts agree exactly when the block has
-    one read.  The rows of single-fact blocks, which always agree, go
-    through one flat loop (one `map` at the last step).
+    A binding is certain at step i when some usable block under it has
+    every fact certain at step i + 1 (at the last step, when there is such
+    a block).  A block is usable when every fact passes the atom's test and
+    agrees with the binding on the atom's bound variables.  Certainty at a
+    step depends only on what it and later steps read.
 
-    By induction from the last step, where each fact has one read, a block
-    with a certain read has it as its only plain read, so a key with one
-    holds no other (a key-joined step's key holds the next atom's key, so
-    one key is one block; any other key is the whole read).  A step's read
-    holds each variable of the next read that its atom lacks, so one
-    fact's reads are distinct, and a block of two or more facts dedups its
-    reads in one set.  When the read also holds the atom's key variables
-    (`holds`), two blocks never give one read, and both collections are
-    lists; otherwise they become sets, and the certain reads leave the
-    other ones.
+    One loop decides every step of the plan, the last first, from one walk
+    over its relation into its certain reads and its other plain reads
+    (with no step, the empty read is certain); every head variable is in
+    some atom, so the first step's reads are the answers.  Each fact finds
+    the next step's reads by what it shares with them, its `ahead` against
+    their `keyof`, and is read together with them.
+
+    Until `fanned` is set, at the last step that `fans` out, a key holds
+    at most one certain read and a key with one holds no other: by
+    induction from the last step, where each fact has one read, a block
+    with a certain read has it as its only plain read (a key-joined step's
+    key holds the next atom's key, so one key is one block; any other key
+    is the whole read).  A pass-through-free step's fact holds the whole
+    next read, and a key-joined step's fact fixes the next key, the certain
+    read bringing the earlier variables the fact lacks; a fact that finds
+    no certain read is read with each other plain read under its key.  A
+    block's reads are certain when it is `whole`, every fact passing the
+    test and (but at the last step) finding a certain read, and they are
+    one read, as a fact of a whole block adds exactly its one read;
+    otherwise they are other plain reads.  The rows of single-fact blocks,
+    which always agree, go through one flat loop (one `map` at the last
+    step).  A step's read holds each variable of the next read that its
+    atom lacks, so one fact's reads are distinct, and a block of two or
+    more facts dedups its reads in one set.  When the read also holds the
+    atom's key variables (`holds`), two blocks never give one read, and
+    both collections are lists; otherwise they become sets, and the
+    certain reads leave the other ones.  A first step that holds gives a
+    single-fact row's group value straight, by its `group`, and the others
+    through `pick`; every other first step's reads go through `pick` once
+    deduped.
+
+    Once `fanned` is set, a key can hold several certain reads.  A fact's
+    certain reads are its reads with each certain read under its key, and
+    its plain reads likewise; a block's certain reads are those all its
+    facts have, none once one fails the test.  So the first-order rewriting
+    runs set at a time, with one fan-out level per step.
     """
+    plan = _elimination_plan(q, graph, width)
+    _check_schema(q, db)
+    pick = None if width is None else _grouper([*range(width)])
     certain: Collection = [()]
     other: Collection = []
-    grouped = False
+    fanned = grouped = False
     for step in reversed(plan):
         test, mine, ahead, keyof = step.test, step.mine, step.ahead, step.keyof
+        singles, conflicts = db._parts[step.atom.name]
+        fanned |= step.fans
+        if fanned:  # the intersection; a step that fans is never the last, so `ahead` is set
+            sure, every = _by_key(certain, keyof), _by_key(chain(certain, other), keyof)
+            certain, plain = set(), set()
+            for rows in chain(zip(singles), conflicts):  # a single-fact row as a one-row block
+                agreed: set[tuple] | None = None  # the reads every fact so far is certain of
+                for row in rows:
+                    if test and not test(row):
+                        agreed = set()
+                        continue
+                    at = ahead(row)
+                    plain.update([mine(row + rest) for rest in every.get(at, ())])
+                    if agreed is None:
+                        agreed = {mine(row + rest) for rest in sure.get(at, ())}
+                    else:
+                        agreed &= {mine(row + rest) for rest in sure.get(at, ())}
+                certain |= agreed
+            other = plain - certain
+            continue
         grouped = step.group is not None and step.holds  # each read given once
         emit = step.group if grouped else mine
-        singles, conflicts = db._parts[step.atom.name]
         if test:
             singles = filter(test, singles)
         if not ahead:  # the last step: each passing single-fact row's read is certain
             certain, other = [*map(emit, singles)], []
         else:
-            nexts = dict(zip(map(keyof, certain), certain) if keyof else zip(certain, certain))
-            below: dict[object, list[tuple]] = {}  # the next step's other plain reads by key
-            for read in other:
-                below.setdefault(keyof(read) if keyof else read, []).append(read)
+            nexts = dict(zip(map(keyof, certain), certain))
+            below = _by_key(other, keyof)  # the next step's other plain reads by key
             certain, other = [], []
             keep = certain.append
             for row in singles:
@@ -401,71 +444,10 @@ def _walk(
     return certain, other
 
 
-def _plain_and_certain(
-    q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph, width: int | None = None
-) -> tuple[Iterable, Iterable]:
-    """The certain answers of `q` and its other plain answers, two
-    collections that repeat no answer and share none; with a `width`, the
-    group value of each answer instead (its first `width` values, one bare,
-    see `_grouper`), once per answer.
-
-    A binding is certain at step i when some usable block under it has
-    every fact certain at step i + 1 (at the last step, when there is such
-    a block).  A block is usable when every fact passes the atom's test and
-    agrees with the binding on the atom's bound variables.  Certainty at a
-    step depends only on what it and later steps read.
-
-    `_walk` decides the steps after the last one that `fans` out.  When that
-    is every step, its certain and other plain reads are the answers (every
-    head variable is in some atom, so the first read is the head).  Each
-    step before groups the next step's certain and plain reads by `keyof`
-    (by the whole read without one) and walks its relation's blocks once.
-    A fact's certain reads are its reads with each certain read under its
-    key, and its plain reads likewise; a block's certain reads are those all
-    its facts have, none once one fails the test.  So the first-order
-    rewriting runs set at a time, with one fan-out level per step.  The
-    group values of a plan that fans out are taken off its answer sets.
-    """
-    plan = _elimination_plan(q, graph, width)
-    _check_schema(q, db)
-    start = max((i + 1 for i, step in enumerate(plan) if step.fans), default=0)
-    pick = None if width is None else _grouper([*range(width)])
-    if not start:
-        return _walk(plan, db, pick)
-    certain, other = _walk(plan[start:], db)
-    plain: Collection[tuple] = [*certain, *other]
-    for step in reversed(plan[:start]):
-        test, mine, ahead, keyof = step.test, step.mine, step.ahead, step.keyof
-        sure: dict[object, list[tuple]] = {}  # the next step's certain reads by key
-        every: dict[object, list[tuple]] = {}  # its plain reads by key
-        for read in certain:
-            sure.setdefault(keyof(read) if keyof else read, []).append(read)
-        for read in plain:
-            every.setdefault(keyof(read) if keyof else read, []).append(read)
-        certain, plain = set(), set()
-        singles, conflicts = db._parts[step.atom.name]
-        for rows in chain(zip(singles), conflicts):  # a single-fact row as a one-row block
-            agreed: set[tuple] | None = None  # the reads every fact so far is certain of
-            for row in rows:
-                if test and not test(row):
-                    agreed = set()
-                    continue
-                at = ahead(row)
-                plain.update([mine(row + other) for other in every.get(at, ())])
-                if agreed is None:
-                    agreed = {mine(row + other) for other in sure.get(at, ())}
-                else:
-                    agreed &= {mine(row + other) for other in sure.get(at, ())}
-            certain |= agreed
-    if pick:
-        return map(pick, certain), map(pick, plain - certain)
-    return certain, plain - certain
-
-
 def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     """Tuples true in every repair, by the compiled first-order rewriting.
 
-    Requires an acyclic attack graph, whose elimination order one walk
+    Requires an acyclic attack graph, whose elimination order one loop
     decides (see `_plain_and_certain`).
     """
     return AnswerSet(q.free_vars, frozenset(_plain_and_certain(q, db, attack_graph(q))[0]))

@@ -265,7 +265,7 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
     for sig in sigs:
         got = rows.setdefault(sig.name, {})
         data = root / f"{sig.name}.csv"
-        if not data.is_file():
+        if not data.exists():  # a relation without a CSV is empty
             continue
         reader = csv.reader(io.StringIO(_read_utf8(data), newline=""))
         try:

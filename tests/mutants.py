@@ -58,34 +58,41 @@ MUTANTS = (
     Mutant(
         "fan-out: a block's certain reads are the union over its facts",
         EVALUATE,
-        "agreed &= {mine(row + other) for other in sure.get(at, ())}",
-        "agreed |= {mine(row + other) for other in sure.get(at, ())}",
+        "agreed &= {mine(row + rest) for rest in sure.get(at, ())}",
+        "agreed |= {mine(row + rest) for rest in sure.get(at, ())}",
         (RANDOM_PAIRS, SCALE),
     ),
     Mutant(
         "fan-out: a fact that fails the test is skipped, not emptying its block",
         EVALUATE,
-        "                if test and not test(row):\n"
-        "                    agreed = set()\n"
-        "                    continue\n",
-        "                if test and not test(row):\n"
-        "                    continue\n",
+        "                    if test and not test(row):\n"
+        "                        agreed = set()\n"
+        "                        continue\n",
+        "                    if test and not test(row):\n"
+        "                        continue\n",
         (RANDOM_PAIRS,),
     ),
     Mutant(
         "fan-out: a fact's plain reads taken from the certain reads under its key",
         EVALUATE,
-        "plain.update([mine(row + other) for other in every.get(at, ())])",
-        "plain.update([mine(row + other) for other in sure.get(at, ())])",
+        "plain.update([mine(row + rest) for rest in every.get(at, ())])",
+        "plain.update([mine(row + rest) for rest in sure.get(at, ())])",
         (RANDOM_PAIRS, SCALE),
     ),
     Mutant(
-        "fan-out: the walk's certain reads keyed by the fanning step's keyof, one per key",
+        "fan-out: the next step's certain reads kept one per key",
         EVALUATE,
-        "    plain: Collection[tuple] = [*certain, *other]\n",
-        "    plain: Collection[tuple] = [*certain, *other]\n"
-        "    certain = {plan[start - 1].keyof(r): r for r in certain}.values()\n",
+        "sure, every = _by_key(certain, keyof), _by_key(chain(certain, other), keyof)",
+        "sure, every = {k: reads[:1] for k, reads in _by_key(certain, keyof).items()}, "
+        "_by_key(chain(certain, other), keyof)",
         (SCALE, RANDOM_PAIRS),
+    ),
+    Mutant(
+        "fan-out: a step that does not fan walked though a later step fans",
+        EVALUATE,
+        "fanned |= step.fans",
+        "fanned = step.fans",
+        (RANDOM_PAIRS,),
     ),
     # the walk after the last step that fans out
     Mutant(
@@ -101,6 +108,15 @@ MUTANTS = (
         "                        reads.add(mine(row + rest))\n",
         "                        pass\n",
         (RANDOM_PAIRS, SCALE),
+    ),
+    Mutant(
+        "steps: `ahead` reads a whole next read in another order than `keyof`",
+        EVALUATE,
+        "ahead = _grouper([first[v] for v in shared]) if nxt else None",
+        "ahead = _grouper(sorted(first[v] for v in shared) if shared == after"
+        " else [first[v] for v in shared]) if nxt else None",
+        ("tests/test_evaluate.py::test_certain_answers_on_consistent_db_is_plain_eval",
+         RANDOM_PAIRS),
     ),
     Mutant(
         "walk: `ahead` bare while `keyof` stays a 1-tuple",
@@ -358,6 +374,13 @@ MUTANTS = (
         'data = path.read_bytes().removeprefix(b"\\xef\\xbb\\xbf")',
         "data = path.read_bytes()",
         ("tests/test_cli.py::test_files_starting_with_a_byte_order_mark_read_as_without",),
+    ),
+    Mutant(
+        "bundle: a relation's CSV path that is not a file read as an empty relation",
+        INSTANCES,
+        "if not data.exists():",
+        "if not data.is_file():",
+        ("tests/test_cli.py::test_a_directory_in_place_of_a_csv_is_exit_2",),
     ),
     # the functional dependencies of a query
     Mutant(

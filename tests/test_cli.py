@@ -334,6 +334,20 @@ def test_count_non_utf8_schema_is_exit_2(tmp_path):
     assert "schema.txt:3:" in proc.stderr
 
 
+def test_a_directory_in_place_of_a_csv_is_exit_2(tmp_path, capsys):
+    # a missing CSV is an empty relation, but a path there that cannot be
+    # read as a file is an input error, not an empty relation
+    root = tmp_path / "db"
+    (root / "R.csv").mkdir(parents=True)
+    (root / "schema.txt").write_text("R arity=2 key=1\n")
+    qpath = write_query(tmp_path, parse_query("q(x) :- R(x | y)."))
+    assert main(["count", "--db", str(root), "--query", qpath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert str(root / "R.csv") in captured.err
+
+
 def test_count_internal_error_is_exit_3(tmp_path, capsys, monkeypatch):
     import importlib
 

@@ -508,8 +508,9 @@ def test_parsimonious_route_skips_cforest_and_refuses_with_full_report(monkeypat
 def test_certainty_plan_runs_no_join_and_tests_each_row_once(monkeypatch):
     # the certainty check reads the plain answers off its own walk, one pass
     # per relation: no join, and E's test runs once per E row on the widened
-    # employee plan E (key-joined) -> D; the plan of q(a, b) :- R(a | x),
-    # S(b | x), whose first step fans out, runs no join either
+    # employee plan E (key-joined) -> D; the plans of q(a, b) :- R(a | x),
+    # S(b | x) and of the same with a constant in R, whose first step fans
+    # out, run no join either, and the second tests each R row once
     evaluate_module = importlib.import_module("cqa.evaluate")
     joins, tested = [], collections.Counter()
     join, test = evaluate_module._join, evaluate_module._test
@@ -538,6 +539,12 @@ def test_certainty_plan_runs_no_join_and_tests_each_row_once(monkeypatch):
     q = parse_query("q(a, b) :- R(a | x), S(b | x).")
     assert cqacount_parsimonious(q, _scaled_instance(rng, q, forward))
     assert len(joins) == 0
+    forward["R"] = [(f"a{i}", f"x{i % 7}", "c" if i % 4 else "d") for i in range(40)]
+    q = parse_query("q(a, b) :- R(a | x, 'c'), S(b | x).")
+    db = _scaled_instance(rng, q, forward)
+    assert evaluate_module._elimination_plan(q, support.attack_graph(q))[0].fans
+    assert cqacount_parsimonious(q, db)
+    assert (len(joins), tested["R"]) == (0, len(db.relation_facts("R")))
 
 
 def test_boolean_grouping_yields_single_answer():
@@ -1005,7 +1012,9 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
          "conflicting block fits but disagrees on the read", "key-joined on one shared variable",
          "key-joined on two or more shared variables",
          "fan-out block decided by the intersection",
-         "first read lacks part of its atom's key and two blocks give one answer"), 0)
+         "first read lacks part of its atom's key and two blocks give one answer",
+         "fact holds a whole next read of two or more values",
+         "step that does not fan before a step that does"), 0)
     for q, db, graph, how in _random_pairs():
         if how:
             seen[how] += 1
@@ -1020,14 +1029,25 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
         seen["key-joined level"] += "joined" in shape
         bound, fixed = set(q.free_vars), False  # by the head, then by earlier levels
         order, joined = [q.atom(name) for name in graph.topological_order()], set()
+        fans, whole = [], False  # per level: does it fan; some fact holds a whole next read
         for k, (atom, level) in enumerate(zip(order, shape)):
             fixed |= level == "forward" and atom.key_vars <= bound
+            later = set().union(*(a.variables for a in order[k + 1:]))
+            # its read has a variable it lacks and it does not fix the next
+            # key: "forward" as `_plan_shape` decides it, before carrying it back
+            fans.append(k + 1 < len(order) and not (bound & (atom.variables | later)) <= atom.variables
+                        and not order[k + 1].key_vars <= atom.variables)
             bound |= atom.variables
+            after = bound & later  # the next read
+            whole |= len(after) >= 2 and after <= atom.variables
             if level == "joined":  # walked: no "joined" level comes before a "forward" one
                 # what the atom shares with the next read: its variables that later atoms read
-                shared = atom.variables & set().union(*(a.variables for a in order[k + 1:]))
+                shared = atom.variables & later
                 joined.add(min(len(shared), 2))
         seen["forward step with a fixed key"] += fixed
+        seen["fact holds a whole next read of two or more values"] += whole
+        seen["step that does not fan before a step that does"] += any(
+            fanning and False in fans[:k] for k, fanning in enumerate(fans))
         seen["key-joined on one shared variable"] += 1 in joined
         seen["key-joined on two or more shared variables"] += 2 in joined
         for case in (_bottom_up_cases(q, db, graph, want[0]) | _partition_cases(q, db, graph)
