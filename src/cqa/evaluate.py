@@ -7,31 +7,10 @@ the certain ones among them (first-order passes only, no repairs), while
 per key block, and aggregates min/max counts per group.  The oracle is the
 ground truth the fast route is checked against.
 
-Each first-order pass runs steps compiled once per query by its own
-builder, `_compile_join` or `_elimination_plan`; both scan an atom the same
-way.  A step reads fact rows as they are stored: a test for the atom's
-constants and repeated variables (absent when it has neither, one bare
-compare for a lone constant), and C-level `itemgetter`s at each variable's
-first position.  Bindings are tuples of variable values in binding order.
-The join binds key-bound atoms first, then those with the most bound
-variables, and reads a hash index per step on its bound variables (one
-value bare, several as a tuple, no index for none) over the rows of its
-relation that pass the test.  The certainty check binds the head, then
-follows the attack graph's topological order over key blocks, and decides
-every step bottom-up in one loop, from one walk over its relation into its
-certain reads and its other plain reads; it runs no join.  Each fact finds
-the next step's reads by what it shares with them (one shared variable
-bare) and is read together with them.  A flag, `fanned`, is set at the
-last step that fans out, one whose atom neither holds every variable of
-its read nor fixes the next step's key.  Until then a key holds at most
-one certain read: the loop runs the rows of single-fact blocks in one flat
-pass, and a block of two or more facts is certain of its read when every
-fact passes and finds a certain read (`whole`) and it has one read.  From
-then on a key can hold several, and a block's certain reads are the
-intersection over its facts.  The first step's reads are the certain
-answers and the other plain answers; a count takes the group value of
-each, straight off a single-fact row when no step fans out and the first
-read holds its atom's key.
+Each first-order pass runs steps compiled once per query from one scan of
+each atom (`_scan`): the join's by `_compile_join`, and the certainty
+check's by `_elimination_plan`, which `_plain_and_certain` decides in one
+loop without a join.
 """
 
 from __future__ import annotations
@@ -41,7 +20,7 @@ from dataclasses import replace
 from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, le
-from typing import AbstractSet, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .attacks import AttackGraph, attack_graph
 from .classify import ClassificationReport, CyclicAttackGraphError, _report, in_cforest
@@ -117,25 +96,10 @@ def _grouper(positions: list[int]) -> Callable[[tuple], object]:
     return itemgetter(positions[0]) if len(positions) == 1 else _values(positions)
 
 
-def _test(
-    atom: Atom, consts: list[int], repeats: list[int], first: Mapping[str, int]
-) -> Callable[[tuple], bool] | None:
-    """Fact row -> does it hold the atom's constants (at `consts`) and give each
-    repeated variable (at `repeats`) one value; None when there are neither."""
-    if not consts and not repeats:
-        return None
-    if len(consts) == 1 and not repeats:  # one bare compare, no 1-tuple per row
-        i, c = consts[0], atom.args[consts[0]].symbol
-        return lambda row: row[i] == c
-    at, want = _values(consts + repeats), tuple(atom.args[i].symbol for i in consts)
-    if not repeats:
-        return lambda row: at(row) == want
-    same = _values([first[atom.args[i].symbol] for i in repeats])
-    return lambda row: at(row) == want + same(row)
-
-
 def _scan(atom: Atom) -> tuple[dict[str, int], Callable[[tuple], bool] | None]:
-    """Each variable of the atom -> its first position, and the atom's row test."""
+    """Each variable of the atom -> its first position, and the atom's row
+    test: does a row hold the atom's constants and give each repeated
+    variable one value (None when the atom has neither)."""
     first: dict[str, int] = {}
     consts, repeats = [], []
     for i, t in enumerate(atom.args):
@@ -145,7 +109,14 @@ def _scan(atom: Atom) -> tuple[dict[str, int], Callable[[tuple], bool] | None]:
             repeats.append(i)
         else:
             first[t.symbol] = i
-    return first, _test(atom, consts, repeats, first)
+    if not consts and not repeats:
+        return first, None
+    if len(consts) == 1 and not repeats:  # one bare compare, no 1-tuple per row
+        i, c = consts[0], atom.args[consts[0]].symbol
+        return first, lambda row: row[i] == c
+    at, want = _values(consts + repeats), tuple(atom.args[i].symbol for i in consts)
+    same = _values([first[atom.args[i].symbol] for i in repeats])
+    return first, lambda row: at(row) == want + same(row)
 
 
 class _JoinStep(NamedTuple):

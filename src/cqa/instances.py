@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
@@ -259,13 +260,17 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
         m = _SCHEMA_LINE.match(line)
         if m is None:
             raise BundleError(f"{schema_file}:{lineno}: cannot parse {line!r}")
-        sigs.append(RelationSignature(m["name"], int(m["arity"]), int(m["key"])))
+        try:
+            arity, key = int(m["arity"]), int(m["key"])
+        except ValueError:  # more digits than `int` converts
+            raise BundleError(f"{schema_file}:{lineno}: arity or key has too many digits") from None
+        sigs.append(RelationSignature(m["name"], arity, key))
     # distinct rows in file order, so `sorted` merges the file's ascending runs
     rows: dict[str, dict[Row, None]] = {}
     for sig in sigs:
         got = rows.setdefault(sig.name, {})
         data = root / f"{sig.name}.csv"
-        if not data.exists():  # a relation without a CSV is empty
+        if not os.path.lexists(data):  # a relation without a CSV is empty
             continue
         reader = csv.reader(io.StringIO(_read_utf8(data), newline=""))
         try:

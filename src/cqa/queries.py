@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable
 
@@ -111,24 +112,11 @@ class Atom:
 _VARIABLES = attrgetter("variables")
 
 
-class _lazy:
-    """A field computed on first read and stored in the instance dict,
-    where later reads find it before this descriptor, which defines no
-    `__set__`.  Unlike `functools.cached_property` it takes no lock."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class ConjunctiveQuery:
+    """A query.  Its `variables` are stored when it is built, and
+    `bound_vars` and the atom-by-name map on first read."""
+
     atoms: tuple[Atom, ...]
     free_vars: tuple[str, ...] = ()
     name: str = "q"
@@ -140,17 +128,13 @@ class ConjunctiveQuery:
             raise QueryError(f"self-join on relation {name} is not supported")
         if len(set(self.free_vars)) != len(self.free_vars):
             raise QueryError(f"duplicate variable in head {self.free_vars}")
-        dangling = set(self.free_vars).difference(*map(_VARIABLES, self.atoms))
+        variables = frozenset().union(*map(_VARIABLES, self.atoms))
+        dangling = set(self.free_vars) - variables
         if dangling:
-            raise QueryError(
-                f"free variable(s) {sorted(dangling)} occur in no atom"
-            )
+            raise QueryError(f"free variable(s) {sorted(dangling)} occur in no atom")
+        self.__dict__["variables"] = variables
 
-    @_lazy
-    def variables(self) -> frozenset[str]:
-        return frozenset(self.free_vars).union(*map(_VARIABLES, self.atoms))
-
-    @_lazy
+    @cached_property
     def bound_vars(self) -> tuple[str, ...]:
         """Non-head variables, in first-occurrence order."""
         free = set(self.free_vars)
@@ -158,7 +142,7 @@ class ConjunctiveQuery:
             t.symbol for a in self.atoms for t in a.args if t.is_var and t.symbol not in free
         ))
 
-    @_lazy
+    @cached_property
     def _by_name(self) -> dict[str, Atom]:
         return {a.name: a for a in self.atoms}
 

@@ -188,9 +188,16 @@ MUTANTS = (
     Mutant(
         "steps: a lone constant compared one position too far",
         EVALUATE,
-        "return lambda row: row[i] == c",
-        "return lambda row: row[i + 1] == c",
+        "return first, lambda row: row[i] == c",
+        "return first, lambda row: row[i + 1] == c",
         ("tests/test_evaluate.py::test_certain_answers_employee",),
+    ),
+    Mutant(
+        "steps: the general row test compares each repeated position with itself",
+        EVALUATE,
+        "same = _values([first[atom.args[i].symbol] for i in repeats])",
+        "same = _values(repeats)",
+        (JOIN_PAIRS, RANDOM_PAIRS),
     ),
     Mutant(
         "walk: the empty read not seeded as certain",
@@ -378,9 +385,27 @@ MUTANTS = (
     Mutant(
         "bundle: a relation's CSV path that is not a file read as an empty relation",
         INSTANCES,
-        "if not data.exists():",
+        "if not os.path.lexists(data):",
         "if not data.is_file():",
-        ("tests/test_cli.py::test_a_directory_in_place_of_a_csv_is_exit_2",),
+        ("tests/test_cli.py::test_a_directory_in_place_of_a_csv_is_exit_2",
+         "tests/test_cli.py::test_a_dangling_symlink_in_place_of_a_csv_is_exit_2"),
+    ),
+    Mutant(
+        "bundle: a dangling symlink in place of a CSV read as an empty relation",
+        INSTANCES,
+        "if not os.path.lexists(data):",
+        "if not data.exists():",
+        ("tests/test_cli.py::test_a_dangling_symlink_in_place_of_a_csv_is_exit_2",),
+    ),
+    Mutant(
+        "bundle: a schema number too long for `int` raised as a ValueError",
+        INSTANCES,
+        "        try:\n"
+        '            arity, key = int(m["arity"]), int(m["key"])\n'
+        "        except ValueError:  # more digits than `int` converts\n"
+        '            raise BundleError(f"{schema_file}:{lineno}: arity or key has too many digits") from None\n',
+        '        arity, key = int(m["arity"]), int(m["key"])\n',
+        ("tests/test_cli.py::test_a_schema_number_too_long_for_int_is_exit_2",),
     ),
     # the functional dependencies of a query
     Mutant(
@@ -426,6 +451,14 @@ MUTANTS = (
         "    for start in parent:\n",
         "    for start in ():\n",
         (ANALYSIS, "tests/test_classify.py::test_classification_sorts_once_and_builds_no_fuxman_graph"),
+    ),
+    Mutant(
+        "query: the stored `variables` leave out the head's",
+        "src/cqa/queries.py",
+        'self.__dict__["variables"] = variables',
+        'self.__dict__["variables"] = variables - set(self.free_vars)',
+        ("tests/test_fds.py::test_closure_of_universe_is_universe",
+         "tests/test_acceptance.py::test_criterion_12_fd_engine_vs_two_row_tableau"),
     ),
     Mutant(
         "query graph: built directed, each co-occurrence walked one way only",

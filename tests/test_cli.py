@@ -348,6 +348,33 @@ def test_a_directory_in_place_of_a_csv_is_exit_2(tmp_path, capsys):
     assert str(root / "R.csv") in captured.err
 
 
+def test_a_dangling_symlink_in_place_of_a_csv_is_exit_2(tmp_path, capsys):
+    # a link to a missing file is not a missing CSV: reading it is an input error
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "R.csv").symlink_to(tmp_path / "missing.csv")
+    (root / "schema.txt").write_text("R arity=2 key=1\n")
+    qpath = write_query(tmp_path, parse_query("q(x) :- R(x | y)."))
+    assert main(["count", "--db", str(root), "--query", qpath, "--mode", "parsimonious"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert str(root / "R.csv") in captured.err
+
+
+def test_a_schema_number_too_long_for_int_is_exit_2(tmp_path, capsys):
+    # past `int`'s digit limit, an arity is an input error naming its line
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "schema.txt").write_text("# one relation\nR arity=" + "9" * 5000 + " key=1\n")
+    qpath = write_query(tmp_path, parse_query("q(x) :- R(x | y)."))
+    assert main(["count", "--db", str(root), "--query", qpath, "--mode", "parsimonious"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert f"{root / 'schema.txt'}:2: " in captured.err
+
+
 def test_count_internal_error_is_exit_3(tmp_path, capsys, monkeypatch):
     import importlib
 

@@ -513,19 +513,19 @@ def test_certainty_plan_runs_no_join_and_tests_each_row_once(monkeypatch):
     # out, run no join either, and the second tests each R row once
     evaluate_module = importlib.import_module("cqa.evaluate")
     joins, tested = [], collections.Counter()
-    join, test = evaluate_module._join, evaluate_module._test
+    join, scan = evaluate_module._join, evaluate_module._scan
 
-    def counted_test(atom, *args):
-        predicate = test(atom, *args)
+    def counted_scan(atom):
+        first, predicate = scan(atom)
 
         def counted(row):
             tested[atom.name] += 1
             return predicate(row)
 
-        return predicate and counted
+        return first, predicate and counted
 
     monkeypatch.setattr(evaluate_module, "_join", lambda *args: joins.append(1) or join(*args))
-    monkeypatch.setattr(evaluate_module, "_test", counted_test)
+    monkeypatch.setattr(evaluate_module, "_scan", counted_scan)
     rng = random.Random(2039)
     q = support.employee_query()
     employee = {"E": [(f"e{i}", "F" if rng.random() < 0.6 else "M", f"d{rng.randrange(25)}")
@@ -677,7 +677,8 @@ def test_evaluate_equals_naive_join_on_random_pairs():
     seen = dict.fromkeys(
         ("key constant", "non-key constant", "repeated variable", "key width 0",
          "empty relation", "disjoint atoms", "join dies", "later step binds no earlier variable",
-         "step binds one earlier variable", "step binds several earlier variables"), 0)
+         "step binds one earlier variable", "step binds several earlier variables",
+         "atom with two or more constants and no repeated variable"), 0)
     for _ in range(2400):
         q = random_query(rng, max_atoms=5, max_vars=5, const_prob=0.15)
         db = _join_instance(rng, q)
@@ -700,6 +701,9 @@ def test_evaluate_equals_naive_join_on_random_pairs():
         seen["non-key constant"] += any(not t.is_var for a in q.atoms for t in a.nonkey_args)
         seen["repeated variable"] += any(
             sum(t.is_var for t in a.args) > len(a.variables) for a in q.atoms)
+        seen["atom with two or more constants and no repeated variable"] += any(
+            sum(not t.is_var for t in a.args) >= 2 and sum(t.is_var for t in a.args) == len(a.variables)
+            for a in q.atoms)
         seen["key width 0"] += any(a.relation.key_width == 0 for a in q.atoms)
         empty = any(not db.relation_facts(a.name) for a in q.atoms)
         seen["empty relation"] += empty
