@@ -4,9 +4,9 @@ components, and frozen variables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .fds import FunctionalDependencySet, SequentialProof, fdset, keycl, sequential_proof
+from .fds import SequentialProof, fdset, keycl, sequential_proof
 from .graphs import Digraph, joined, path_to
 from .queries import Atom, ConjunctiveQuery, query_graph
 
@@ -31,22 +31,36 @@ def attacks_variable(atom: Atom, x: str, q: ConjunctiveQuery) -> AttackWitness |
 class AttackGraph(Digraph):
     """Digraph over the atom names of one query, with the set of its strong
     attacks: those (source, target) where key(source) does not determine
-    key(target).  It keeps the query's FD set and query graph it was built
-    from, for later analysis of the same query, and its topological order
+    key(target).  Built from the query alone, it keeps the query, its FD set
+    and its query graph, for later analysis of the same query, and its topological order
     (None on a cycle), sorted once.
-    `reached` maps each atom name, in name order, to the BFS parent links of
-    `attack_graph` over the variables it attacks."""
+    `_reached` maps each atom name, in name order, to the BFS parent links
+    over the variables it attacks."""
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        edges: Iterable[tuple[str, str]],
-        strong: set[tuple[str, str]],
-        reached: Mapping[str, Mapping[str, str | None]],
-        fds: FunctionalDependencySet,
-        qg: Digraph,
-    ):
-        super().__init__((a.name for a in query.atoms), edges)
+    def __init__(self, query: ConjunctiveQuery):
+        """One keycl closure and one BFS per atom, and one key closure per
+        attacking atom; an atom attacks every other atom holding a variable
+        its BFS reaches."""
+        qg = query_graph(query)
+        fds = fdset(query)
+        holders: dict[str, list[int]] = {}  # variable -> positions of its atoms
+        for j, other in enumerate(query.atoms):
+            for v in other.variables:
+                holders.setdefault(v, []).append(j)
+        succ: dict[str, list[str]] = {}  # atom name -> the names of the atoms it attacks
+        strong: set[tuple[str, str]] = set()
+        reached: dict[str, dict[str, str | None]] = {}
+        for i, atom in sorted(enumerate(query.atoms), key=lambda p: p[1].name):
+            avoid = fds.closure(atom.key_vars, fds.deps[i + 1])  # keycl: atom i owns dep i + 1
+            parent = reached[atom.name] = qg.reach(atom.nonkey_vars, qg.vertices - avoid)
+            hits = {j for v in parent for j in holders[v] if j != i}
+            if not hits:
+                continue
+            determined = fds.closure(atom.key_vars)
+            others = [query.atoms[j] for j in hits]
+            succ[atom.name] = [b.name for b in others]
+            strong.update((atom.name, b.name) for b in others if not b.key_vars <= determined)
+        super().__init__((a.name for a in query.atoms), ((s, t) for s, ts in succ.items() for t in ts))
         self.query = query
         self._strong = strong
         self.fds = fds
@@ -88,29 +102,8 @@ class AttackGraph(Digraph):
 
 
 def attack_graph(q: ConjunctiveQuery) -> AttackGraph:
-    """One keycl closure and one BFS per atom, and one key closure per
-    attacking atom; an atom attacks every other atom holding a variable
-    its BFS reaches."""
-    qg = query_graph(q)
-    fds = fdset(q)
-    holders: dict[str, list[int]] = {}  # variable -> positions of its atoms
-    for j, other in enumerate(q.atoms):
-        for v in other.variables:
-            holders.setdefault(v, []).append(j)
-    succ: dict[str, list[str]] = {}  # atom name -> the names of the atoms it attacks
-    strong: set[tuple[str, str]] = set()
-    reached: dict[str, dict[str, str | None]] = {}
-    for i, atom in sorted(enumerate(q.atoms), key=lambda p: p[1].name):
-        avoid = fds.closure(atom.key_vars, fds.deps[i + 1])  # keycl: atom i owns dep i + 1
-        parent = reached[atom.name] = qg.reach(atom.nonkey_vars, qg.vertices - avoid)
-        hits = {j for v in parent for j in holders[v] if j != i}
-        if not hits:
-            continue
-        determined = fds.closure(atom.key_vars)
-        others = [q.atoms[j] for j in hits]
-        succ[atom.name] = [b.name for b in others]
-        strong.update((atom.name, b.name) for b in others if not b.key_vars <= determined)
-    return AttackGraph(q, ((s, t) for s, ts in succ.items() for t in ts), strong, reached, fds, qg)
+    """The attack graph of `q` (see `AttackGraph`)."""
+    return AttackGraph(q)
 
 
 @dataclass(frozen=True)

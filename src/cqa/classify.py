@@ -116,18 +116,18 @@ def is_id_set(
 
 def in_cparsimony(q: ConjunctiveQuery) -> ClassificationReport:
     """Full classification report; `id_set` is the minimal one when membership holds."""
-    return _report(q, attack_graph(q), in_cforest(q))
+    return _report(attack_graph(q), in_cforest(q))
 
 
-def _report(q: ConjunctiveQuery, g: AttackGraph, cforest: bool = False) -> ClassificationReport:
-    """`in_cparsimony` for a caller that keeps the attack graph `g` of `q` and
-    needs only the Cparsimony fields; `in_cforest` is `cforest` as given."""
+def _report(g: AttackGraph, cforest: bool = False) -> ClassificationReport:
+    """`in_cparsimony` of `g.query` for a caller that keeps its attack graph
+    `g` and needs only the Cparsimony fields; `in_cforest` is `cforest` as given."""
     acyclic = g.is_acyclic()
     strong = g.strong_edges()
     if not acyclic or strong:
         return ClassificationReport(acyclic, strong, None, None, False, cforest)
-    candidate = tuple(sorted(candidate_id_set(q, g)))
-    ok, violation = is_id_set(q, candidate, g)
+    candidate = tuple(sorted(candidate_id_set(g.query, g)))
+    ok, violation = is_id_set(g.query, candidate, g)
     return ClassificationReport(
         acyclic=acyclic,
         strong_attacks=strong,

@@ -37,7 +37,6 @@ from .instances import (
 )
 from .queries import (
     ConjunctiveQuery,
-    QueryError,
     make_free,
     parse_query,
     query_graph,

@@ -26,7 +26,7 @@ from .attacks import AttackGraph, attack_graph
 from .classify import ClassificationReport, CyclicAttackGraphError, _report, in_cforest
 from .errors import AnalysisRefusal, InputError, InternalError
 from .instances import DEFAULT_REPAIR_CAP, DatabaseInstance, _picks, is_repair_of
-from .queries import Atom, ConjunctiveQuery, make_free, substitute
+from .queries import Atom, ConjunctiveQuery, substitute
 
 
 class EvaluationError(InputError, ValueError):
@@ -244,14 +244,14 @@ class _Step(NamedTuple):
 
 
 def _elimination_plan(
-    q: ConjunctiveQuery, graph: AttackGraph, width: int | None = None
+    graph: AttackGraph, head: tuple[str, ...], width: int | None = None
 ) -> tuple[_Step, ...]:
-    """One step per atom in a topological order of `graph`, the attack graph
-    of `q` or of the query `q` widens, compiled once per query; with a
-    `width`, the first step takes the group value of each read.
+    """One step per atom of `graph.query`, in a topological order of `graph`,
+    compiled once per query and `head` (its own or one widened by bound
+    variables); with a `width`, the first step takes the group value of each read.
 
     Grounding the variables of an unattacked atom or making variables free
-    only removes attacks, so the order stays valid for the widened query and
+    only removes attacks, so the order stays valid for a widened head and
     after any candidate tuple and any earlier step have been bound.
     """
     names = graph.topological_order()
@@ -259,9 +259,9 @@ def _elimination_plan(
         raise CyclicAttackGraphError(
             "attack graph is cyclic: no first-order certainty check; use the repair oracle"
         )
-    order = [q.atom(n) for n in names]
+    order = [graph.query.atom(n) for n in names]
     later = [*accumulate((a.variables for a in reversed(order)), frozenset.union)][::-1]
-    slots = {v: i for i, v in enumerate(q.free_vars)}
+    slots = {v: i for i, v in enumerate(head)}
     steps = []
     for k, atom in enumerate(order):
         first, test = _scan(atom)
@@ -293,12 +293,12 @@ def _by_key(reads: Iterable[tuple], keyof: Callable[[tuple], object]) -> dict[ob
 
 
 def _plain_and_certain(
-    q: ConjunctiveQuery, db: DatabaseInstance, graph: AttackGraph, width: int | None = None
+    graph: AttackGraph, db: DatabaseInstance, head: tuple[str, ...], width: int | None = None
 ) -> tuple[Iterable, Iterable]:
-    """The certain answers of `q` and its other plain answers, two
-    collections that repeat no answer and share none; with a `width`, the
-    group value of each answer instead (its first `width` values, one bare,
-    see `_grouper`), once per answer.
+    """The certain answers of `graph.query` with the head `head` and its
+    other plain answers, two collections that repeat no answer and share
+    none; with a `width`, the group value of each answer instead (its first
+    `width` values, one bare, see `_grouper`), once per answer.
 
     A binding is certain at step i when some usable block under it has
     every fact certain at step i + 1 (at the last step, when there is such
@@ -343,8 +343,8 @@ def _plain_and_certain(
     facts have, none once one fails the test.  So the first-order rewriting
     runs set at a time, with one fan-out level per step.
     """
-    plan = _elimination_plan(q, graph, width)
-    _check_schema(q, db)
+    plan = _elimination_plan(graph, head, width)
+    _check_schema(graph.query, db)
     pick = None if width is None else _grouper([*range(width)])
     certain: Collection = [()]
     other: Collection = []
@@ -421,7 +421,8 @@ def certain_answers(q: ConjunctiveQuery, db: DatabaseInstance) -> AnswerSet:
     Requires an acyclic attack graph, whose elimination order one loop
     decides (see `_plain_and_certain`).
     """
-    return AnswerSet(q.free_vars, frozenset(_plain_and_certain(q, db, attack_graph(q))[0]))
+    certain = _plain_and_certain(attack_graph(q), db, q.free_vars)[0]
+    return AnswerSet(q.free_vars, frozenset(certain))
 
 
 # --- range-consistent counting ----------------------------------------------
@@ -474,11 +475,11 @@ def cqacount_parsimonious(
     certificate) when the query is outside the class.
     """
     graph = attack_graph(q)
-    report = _report(q, graph)
+    report = _report(graph)
     if not report.in_cparsimony:
         raise NotInCparsimonyError(replace(report, in_cforest=in_cforest(q)))
     width = len(q.free_vars)
-    certain, other = _plain_and_certain(make_free(q, report.id_set or ()), db, graph, width)
+    certain, other = _plain_and_certain(graph, db, q.free_vars + report.id_set, width)
     lower, more = Counter(certain), Counter(other)
     counts = lower.values()
     uppers = [*map(add, counts, map(more.get, lower, repeat(0)))]
@@ -526,7 +527,7 @@ def is_pessimistic_repair(
 ) -> bool:
     """Does every answer on the repair hold in all repairs (for this group)?"""
     fixed, join = _pinned(repair, db, query, group)
-    certain = _plain_and_certain(fixed, db, attack_graph(fixed))[0]
+    certain = _plain_and_certain(attack_graph(fixed), db, fixed.free_vars)[0]
     return _join(join, _relations(join, repair)) <= {*certain}
 
 

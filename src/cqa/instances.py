@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import AnalysisRefusal, InputError
-from .queries import ConjunctiveQuery, RelationSignature, parse_query
+from .queries import ConjunctiveQuery, QueryError, RelationSignature, parse_query
 
 DEFAULT_REPAIR_CAP = 1_000_000
 
@@ -252,7 +252,7 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
     schema_file = root / "schema.txt"
     if not schema_file.is_file():
         raise BundleError(f"{schema_file} not found")
-    sigs: list[RelationSignature] = []
+    sigs: dict[str, RelationSignature] = {}
     for lineno, raw in enumerate(_read_utf8(schema_file).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -261,13 +261,17 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
         if m is None:
             raise BundleError(f"{schema_file}:{lineno}: cannot parse {line!r}")
         try:
-            arity, key = int(m["arity"]), int(m["key"])
+            sig = RelationSignature(m["name"], int(m["arity"]), int(m["key"]))
+        except QueryError as exc:  # an arity of 0, or a key wider than the arity
+            raise BundleError(f"{schema_file}:{lineno}: {exc}") from None
         except ValueError:  # more digits than `int` converts
             raise BundleError(f"{schema_file}:{lineno}: arity or key has too many digits") from None
-        sigs.append(RelationSignature(m["name"], arity, key))
+        if sig.name in sigs:
+            raise BundleError(f"{schema_file}:{lineno}: relation {sig.name} declared twice")
+        sigs[sig.name] = sig
     # distinct rows in file order, so `sorted` merges the file's ascending runs
     rows: dict[str, dict[Row, None]] = {}
-    for sig in sigs:
+    for sig in sigs.values():
         got = rows.setdefault(sig.name, {})
         data = root / f"{sig.name}.csv"
         if not os.path.lexists(data):  # a relation without a CSV is empty
@@ -280,7 +284,7 @@ def load_bundle(path: str | Path) -> DatabaseInstance:
                 got[tuple(row)] = None
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise BundleError(f"{data}:{reader.line_num}: {exc}") from None
-    schema = _schema(sigs)
+    schema = _schema(sigs.values())
     return DatabaseInstance._from_rows(schema, {name: tuple(sorted(rows[name])) for name in schema})
 
 

@@ -256,6 +256,20 @@ MUTANTS = (
         (PARTKEY, GROUPS),
     ),
     Mutant(
+        "certainty: the plan reads the query's own head, dropping the id-set",
+        EVALUATE,
+        "slots = {v: i for i, v in enumerate(head)}",
+        "slots = {v: i for i, v in enumerate(graph.query.free_vars)}",
+        (RANDOM_PAIRS, GROUPS),
+    ),
+    Mutant(
+        "parsimonious: the certainty head not widened by the id-set",
+        EVALUATE,
+        "_plain_and_certain(graph, db, q.free_vars + report.id_set, width)",
+        "_plain_and_certain(graph, db, q.free_vars, width)",
+        ("tests/test_evaluate.py::test_parsimonious_employee",),
+    ),
+    Mutant(
         "parsimonious: lower bounds counted from the plain answers",
         EVALUATE,
         "lower, more = Counter(certain), Counter(other)",
@@ -286,8 +300,8 @@ MUTANTS = (
     Mutant(
         "pessimistic check against the other plain answers",
         EVALUATE,
-        "certain = _plain_and_certain(fixed, db, attack_graph(fixed))[0]",
-        "certain = _plain_and_certain(fixed, db, attack_graph(fixed))[1]",
+        "certain = _plain_and_certain(attack_graph(fixed), db, fixed.free_vars)[0]",
+        "certain = _plain_and_certain(attack_graph(fixed), db, fixed.free_vars)[1]",
         ("tests/test_evaluate.py::test_optimistic_pessimistic_chain_matrix",),
     ),
     Mutant(
@@ -400,12 +414,17 @@ MUTANTS = (
     Mutant(
         "bundle: a schema number too long for `int` raised as a ValueError",
         INSTANCES,
-        "        try:\n"
-        '            arity, key = int(m["arity"]), int(m["key"])\n'
         "        except ValueError:  # more digits than `int` converts\n"
         '            raise BundleError(f"{schema_file}:{lineno}: arity or key has too many digits") from None\n',
-        '        arity, key = int(m["arity"]), int(m["key"])\n',
+        "",
         ("tests/test_cli.py::test_a_schema_number_too_long_for_int_is_exit_2",),
+    ),
+    Mutant(
+        "bundle: a schema signature error without its line",
+        INSTANCES,
+        'raise BundleError(f"{schema_file}:{lineno}: {exc}") from None',
+        'raise BundleError(f"{schema_file}: {exc}") from None',
+        ("tests/test_cli.py::test_a_signature_out_of_range_is_exit_2_naming_its_line",),
     ),
     # the functional dependencies of a query
     Mutant(
@@ -466,6 +485,27 @@ MUTANTS = (
         "return Digraph(bound, edges, directed=False)",
         "return Digraph(bound, edges)",
         (ANALYSIS, "tests/test_cli.py::test_shipped_bundles_graph_as_their_goldens[query-joined]"),
+    ),
+    Mutant(
+        "attack graph: keycl taken with the atom's own dependency",
+        ATTACKS,
+        "avoid = fds.closure(atom.key_vars, fds.deps[i + 1])",
+        "avoid = fds.closure(atom.key_vars)",
+        (ANALYSIS,),
+    ),
+    Mutant(
+        "attack graph: keycl leaving out the dependency of the atom before",
+        ATTACKS,
+        "avoid = fds.closure(atom.key_vars, fds.deps[i + 1])",
+        "avoid = fds.closure(atom.key_vars, fds.deps[i])",
+        (ANALYSIS,),
+    ),
+    Mutant(
+        "attack graph: a weak attack labelled strong, key(target) not closed over",
+        ATTACKS,
+        "determined = fds.closure(atom.key_vars)",
+        "determined = atom.key_vars",
+        (ANALYSIS,),
     ),
     Mutant(
         "attack graph: an empty order stored for a cyclic graph",

@@ -798,7 +798,17 @@ def test_schema_declaring_a_relation_twice_is_exit_2(tmp_path, capsys):
     with open(f"{db}/schema.txt", "a") as fh:
         fh.write("E arity=3 key=1\n")
     assert main(["repairs", "--db", db]) == 2
-    assert capsys.readouterr().err == "error: relation E declared twice\n"
+    assert capsys.readouterr().err == f"error: {db}/schema.txt:3: relation E declared twice\n"
+
+
+@pytest.mark.parametrize("line, message", [("R arity=2 key=3", "relation R: key width 3 outside 0..2"),
+                                           ("R arity=0 key=0", "relation R: arity must be positive")])
+def test_a_signature_out_of_range_is_exit_2_naming_its_line(tmp_path, capsys, line, message):
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "schema.txt").write_text(f"S arity=1 key=1\n\n{line}\n")
+    assert main(["repairs", "--db", str(root)]) == 2
+    assert capsys.readouterr() == ("", f"error: {root / 'schema.txt'}:3: {message}\n")
 
 
 @pytest.mark.parametrize("env", ["junk", "-1"])

@@ -151,7 +151,7 @@ def test_group_counts_by_width():
         for width in (0, 1, 2, 3):
             for given in (tuples, set()):
                 db = DatabaseInstance([q.atoms[0].relation], (Fact("R", t) for t in given))
-                certain, other = evaluate_module._plain_and_certain(q, db, attack_graph(q), width)
+                certain, other = evaluate_module._plain_and_certain(attack_graph(q), db, q.free_vars, width)
                 counted, empty = (certain, other) if all_certain else (other, certain)
                 counts = collections.Counter(counted)
                 assert not [*empty], (text, width)
@@ -542,7 +542,7 @@ def test_certainty_plan_runs_no_join_and_tests_each_row_once(monkeypatch):
     forward["R"] = [(f"a{i}", f"x{i % 7}", "c" if i % 4 else "d") for i in range(40)]
     q = parse_query("q(a, b) :- R(a | x, 'c'), S(b | x).")
     db = _scaled_instance(rng, q, forward)
-    assert evaluate_module._elimination_plan(q, support.attack_graph(q))[0].fans
+    assert evaluate_module._elimination_plan(support.attack_graph(q), q.free_vars)[0].fans
     assert cqacount_parsimonious(q, db)
     assert (len(joins), tested["R"]) == (0, len(db.relation_facts("R")))
 
@@ -928,7 +928,7 @@ def _split_equals_reference(q, db, graph, context):
     the reference attack graph of the query `graph` was built for."""
     order = support.reference_attack_graph(graph.query)
     plain, certain = want = support.reference_plain_and_certain(q, db, order)
-    got, other = evaluate_module._plain_and_certain(q, db, graph)
+    got, other = evaluate_module._plain_and_certain(graph, db, q.free_vars)
     sure, rest = {*got}, {*other}
     assert (len(sure), len(rest)) == (len(got), len(other)), context  # no answer twice
     assert sure.isdisjoint(rest), context
@@ -1133,7 +1133,7 @@ def _walk_groups(q, db, graph, width):
     """The group values, the first `width` values of each answer (bare at
     width 1), of the certain answers and of the other plain answers that
     the certainty check gives for `q`."""
-    return evaluate_module._plain_and_certain(q, db, graph, width)
+    return evaluate_module._plain_and_certain(graph, db, q.free_vars, width)
 
 
 def test_group_counts_equal_reference_at_every_width():
@@ -1148,7 +1148,7 @@ def test_group_counts_equal_reference_at_every_width():
     for q, db, graph in pairs:
         order = support.reference_attack_graph(graph.query)
         plain, certain = support.reference_plain_and_certain(q, db, order)
-        plan = evaluate_module._elimination_plan(q, graph)
+        plan = evaluate_module._elimination_plan(graph, q.free_vars)
         cases = ["fan-out" if any(step.fans for step in plan) else "no fan-out"]
         if plan:
             cases.append("first step holds" if plan[0].holds else "first step does not hold")
