@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, le
+from operator import itemgetter, le
 from typing import AbstractSet, Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .attacks import AttackGraph, attack_graph
@@ -63,10 +62,6 @@ class RangeAnswer(NamedTuple):
     group: tuple[str, ...]
     lower: int
     upper: int
-
-
-# `RangeAnswer._make` without its length check
-_range_answer = partial(tuple.__new__, RangeAnswer)
 
 
 def _check_schema(q: ConjunctiveQuery, db: DatabaseInstance) -> None:
@@ -239,6 +234,7 @@ class _Step(NamedTuple):
     keyof: Callable[[tuple], object]
     fans: bool  # see `_plain_and_certain`
     holds: bool  # the read holds every key variable, so two blocks never give one read
+    full: bool  # the read holds every variable, so at the last step two facts give two reads
     # at a count's first step: `mine`'s argument -> the read's first `width` values
     group: Callable[[tuple], object] | None
 
@@ -279,8 +275,8 @@ def _elimination_plan(
         # it fans out when some variable of `read` is not the atom's own
         # (never at the last step) and the atom does not fix the next key
         fans = not {*read} <= first.keys() and not nxt.key_vars <= first.keys()
-        holds = atom.key_vars <= {*read}
-        steps.append(_Step(atom, test, _values(positions), ahead, keyof, fans, holds, group))
+        holds, full = atom.key_vars <= {*read}, first.keys() <= {*read}
+        steps.append(_Step(atom, test, _values(positions), ahead, keyof, fans, holds, full, group))
     return tuple(steps)
 
 
@@ -327,15 +323,18 @@ def _plain_and_certain(
     one read, as a fact of a whole block adds exactly its one read;
     otherwise they are other plain reads.  The rows of single-fact blocks,
     which always agree, go through one flat loop (one `map` at the last
-    step).  A step's read holds each variable of the next read that its
-    atom lacks, so one fact's reads are distinct, and a block of two or
-    more facts dedups its reads in one set.  When the read also holds the
-    atom's key variables (`holds`), two blocks never give one read, and
-    both collections are lists; otherwise they become sets, and the
-    certain reads leave the other ones.  A first step that holds gives a
-    single-fact row's group value straight, by its `group`, and the others
-    through `pick`; every other first step's reads go through `pick` once
-    deduped.
+    step).  When the last step's read holds every variable of its atom
+    (`full`), two facts give two reads, so no conflicting block agrees,
+    and every conflicting row that passes the test goes to the other plain
+    reads in one more `map`.  A step's read holds each variable of the
+    next read that its atom lacks, so one fact's reads are distinct, and a
+    block of two or more facts dedups its reads in one set.  When the read
+    also holds the atom's key variables (`holds`), two blocks never give
+    one read, and both collections are lists; otherwise they become sets,
+    and the certain reads leave the other ones.  A first step that holds
+    gives a single-fact row's group value straight, by its `group`, and the
+    others through `pick`; every other first step's reads go through
+    `pick` once deduped.
 
     Once `fanned` is set, a key can hold several certain reads.  A fact's
     certain reads are its reads with each certain read under its key, and
@@ -377,6 +376,9 @@ def _plain_and_certain(
             singles = filter(test, singles)
         if not ahead:  # the last step: each passing single-fact row's read is certain
             certain, other = [*map(emit, singles)], []
+            if step.full:  # no conflicting block agrees: each passing row's read is other
+                rows = chain.from_iterable(conflicts)
+                other, conflicts = [*map(emit, filter(test, rows) if test else rows)], ()
         else:
             nexts = dict(zip(map(keyof, certain), certain))
             below = _by_key(other, keyof)  # the next step's other plain reads by key
@@ -470,9 +472,11 @@ def cqacount_parsimonious(
     subset of the plain answers.  `_plain_and_certain` gives the group value
     of each answer once, so a group's lower bound is the count of its value
     among the certain answers, and its upper bound that count plus the
-    count among the other plain answers.  The answer groups are the groups
-    with a lower bound.  Raises NotInCparsimonyError (with the classifier's
-    certificate) when the query is outside the class.
+    count among the other plain answers: a copy of the lower bounds that
+    counts the other answers in too.  The answer groups are the groups
+    with a lower bound, each read off both counts once.  Raises
+    NotInCparsimonyError (with the classifier's certificate) when the
+    query is outside the class.
     """
     graph = attack_graph(q)
     report = _report(graph)
@@ -480,10 +484,13 @@ def cqacount_parsimonious(
         raise NotInCparsimonyError(replace(report, in_cforest=in_cforest(q)))
     width = len(q.free_vars)
     certain, other = _plain_and_certain(graph, db, q.free_vars + report.id_set, width)
-    lower, more = Counter(certain), Counter(other)
-    counts = lower.values()
-    uppers = [*map(add, counts, map(more.get, lower, repeat(0)))]
-    out = frozenset(map(_range_answer, zip(zip(lower) if width == 1 else lower, counts, uppers)))
+    lower = Counter(certain)
+    upper = Counter(lower)
+    upper.update(other)
+    counts, uppers = lower.values(), [*map(upper.__getitem__, lower)]
+    groups = zip(lower) if width == 1 else lower
+    # `RangeAnswer._make` without its length check
+    out = frozenset(map(tuple.__new__, repeat(RangeAnswer), zip(groups, counts, uppers)))
     if min(counts, default=1) < 1 or not all(map(le, counts, uppers)):
         group, m, n = min(a for a in out if not 1 <= a.lower <= a.upper)
         raise InternalError(f"inconsistent parsimonious bounds [{m}, {n}] for group {group}")

@@ -21,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -234,6 +235,20 @@ MUTANTS = (
         (SCALE, RANDOM_PAIRS),
     ),
     Mutant(
+        "steps: every step's read taken to hold every variable of its atom",
+        EVALUATE,
+        "first.keys() <= {*read}",
+        "True",
+        (RANDOM_PAIRS, "tests/test_cli.py::test_shipped_bundles_count_as_their_goldens[blocks]"),
+    ),
+    Mutant(
+        "walk: the last step's conflicting rows sent to the other plain reads untested",
+        EVALUATE,
+        "[*map(emit, filter(test, rows) if test else rows)]",
+        "[*map(emit, rows)]",
+        (RANDOM_PAIRS, GROUPS),
+    ),
+    Mutant(
         "walk: the key-holding test read off the last step for every step",
         EVALUATE,
         "if not step.holds:",
@@ -272,16 +287,25 @@ MUTANTS = (
     Mutant(
         "parsimonious: lower bounds counted from the plain answers",
         EVALUATE,
-        "lower, more = Counter(certain), Counter(other)",
-        "lower, more = Counter([*certain, *other]), Counter(other)",
+        "    lower = Counter(certain)\n",
+        "    certain, other = [*certain], [*other]\n"
+        "    lower = Counter(certain + other)\n",
         ("tests/test_evaluate.py::test_parsimonious_employee",),
     ),
     Mutant(
         "parsimonious: upper bounds counted from the other plain answers alone",
         EVALUATE,
-        "uppers = [*map(add, counts, map(more.get, lower, repeat(0)))]",
-        "uppers = [*map(more.get, lower, repeat(0))]",
+        "upper = Counter(lower)",
+        "upper = Counter()",
         ("tests/test_evaluate.py::test_parsimonious_employee",),
+    ),
+    Mutant(
+        "parsimonious: the other plain answers left out of the upper bounds",
+        EVALUATE,
+        "    upper.update(other)\n",
+        "",
+        ("tests/test_evaluate.py::test_parsimonious_employee",
+         "tests/test_evaluate.py::test_parsimonious_chain"),
     ),
     Mutant(
         "parsimonious: the m >= 1 half of the bounds guard dropped",
@@ -574,6 +598,8 @@ def main() -> int:
                 print(f"  pytest exit {run.returncode}:\n{_tail(run)}")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - started:.0f} s")
+    by_file = Counter(m.path for m in MUTANTS)
+    print("by file: " + ", ".join(f"{Path(path).name} {n}" for path, n in by_file.most_common()))
     return 1 if survivors else 0
 
 

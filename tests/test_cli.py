@@ -380,7 +380,8 @@ def test_count_internal_error_is_exit_3(tmp_path, capsys, monkeypatch):
 
     evaluate_module = importlib.import_module("cqa.evaluate")
     counter = evaluate_module.Counter
-    # every per-group count two short, of the certain and of the other plain answers alike
+    # every `Counter` built two short, the lower bounds and the copy of them the
+    # upper bounds start from: [c - 2, c - 4 + o] for c certain and o other answers
     monkeypatch.setattr(
         evaluate_module, "Counter", lambda groups: counter({g: n - 2 for g, n in counter(groups).items()})
     )

@@ -446,11 +446,13 @@ def test_parsimonious_groups_are_the_certain_answers():
 
 @pytest.mark.parametrize("fault, bounds", [
     # each breaks one half of `1 <= m <= n` alone
-    # every per-group count one short, of the certain and of the other
-    # plain answers alike, on the instance
+    # every `Counter` built one short, the lower bounds and the copy of them
+    # the upper bounds start from, on the instance: [c - 1, c - 2 + o] for
+    # a group's c certain and o other plain answers
     ("tally", "[0, 1]"),
-    # upper bounds from the other plain answers alone, on a repair, where
-    # every plain answer is certain
+    # upper bounds from the other plain answers alone (the copy of the
+    # lower bounds built empty), on a repair, where every plain answer is
+    # certain
     ("alone", "[3, 0]"),
 ])
 def test_parsimonious_inconsistent_bounds_are_internal_errors(monkeypatch, fault, bounds):
@@ -459,7 +461,8 @@ def test_parsimonious_inconsistent_bounds_are_internal_errors(monkeypatch, fault
         monkeypatch.setattr(evaluate_module, "Counter",
                             lambda groups: counter({g: n - 1 for g, n in counter(groups).items()}))
     else:
-        monkeypatch.setattr(evaluate_module, "add", lambda lower, other: other)
+        monkeypatch.setattr(evaluate_module, "Counter",
+                            lambda groups: counter(() if isinstance(groups, counter) else groups))
         db = next(enumerate_repairs(db))
     with pytest.raises(InternalError) as err:
         cqacount_parsimonious(support.employee_query(), db)
@@ -920,6 +923,31 @@ def _repeat_cases(q, db, graph):
     return set()
 
 
+def _last_step_cases(q, db, graph):
+    """The cases of the walk's last step on this pair, from the atoms and
+    blocks alone: the last atom of the elimination order has each of its
+    variables in the head or an earlier atom, and a block of two or more
+    facts that fit it; or it has some variable in neither, and a block of
+    two or more facts that all fit it and agree on the others."""
+    order = [q.atom(name) for name in graph.topological_order()]
+    if not order:
+        return set()
+    last = order[-1]
+    read = sorted(last.variables & set(q.free_vars).union(*(a.variables for a in order[:-1])))
+    width = last.relation.key_width
+    blocks = collections.defaultdict(list)  # key -> per fact, its read, None when it does not fit
+    for f in db.relation_facts(last.name):
+        b = support._unify(last, f, {})
+        blocks[f.values[:width]].append(None if b is None else tuple(b[v] for v in read))
+    if len(read) == len(last.variables):
+        if any(len(reads) - reads.count(None) >= 2 for reads in blocks.values()):
+            return {"last step reads every variable of its atom, with a conflicting block"}
+    elif any(len(reads) >= 2 and None not in reads and len({*reads}) == 1
+             for reads in blocks.values()):
+        return {"last step leaves a variable unread, and a conflicting block agrees on its read"}
+    return set()
+
+
 def _split_equals_reference(q, db, graph, context):
     """`_plain_and_certain` on this pair: its certain answers, and their
     union with its other plain answers, equal the reference's, and neither
@@ -1018,7 +1046,9 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
          "fan-out block decided by the intersection",
          "first read lacks part of its atom's key and two blocks give one answer",
          "fact holds a whole next read of two or more values",
-         "step that does not fan before a step that does"), 0)
+         "step that does not fan before a step that does",
+         "last step reads every variable of its atom, with a conflicting block",
+         "last step leaves a variable unread, and a conflicting block agrees on its read"), 0)
     for q, db, graph, how in _random_pairs():
         if how:
             seen[how] += 1
@@ -1055,7 +1085,8 @@ def test_plain_and_certain_equals_reference_on_random_pairs():
         seen["key-joined on one shared variable"] += 1 in joined
         seen["key-joined on two or more shared variables"] += 2 in joined
         for case in (_bottom_up_cases(q, db, graph, want[0]) | _partition_cases(q, db, graph)
-                     | _fan_out_cases(q, db, graph) | _repeat_cases(q, db, graph)):
+                     | _fan_out_cases(q, db, graph) | _repeat_cases(q, db, graph)
+                     | _last_step_cases(q, db, graph)):
             seen[case] += 1
     assert min(seen.values()) >= 50, seen
 
