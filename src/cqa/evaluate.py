@@ -350,7 +350,7 @@ def _plain_and_certain(
     fanned = grouped = False
     for step in reversed(plan):
         test, mine, ahead, keyof = step.test, step.mine, step.ahead, step.keyof
-        singles, conflicts = db._parts[step.atom.name]
+        singles, conflicts = db._part(step.atom.name)
         fanned |= step.fans
         if fanned:  # the intersection; a step that fans is never the last, so `ahead` is set
             sure, every = _by_key(certain, keyof), _by_key(chain(certain, other), keyof)
@@ -446,10 +446,9 @@ def cqacount_oracle(
     group_vars = tuple(group_vars)
     plan = _counting_join(q_full, group_vars)
     _check_schema(q_full, db)
-    parts = [db._parts[step.atom.name] for step in plan.steps]
     stats: dict[tuple[str, ...], tuple[int, int, int]] = {}
     repairs = 0
-    for picks in _picks([(*zip(singles), *conflicts) for singles, conflicts in parts], cap):
+    for picks in _picks([db._part(step.atom.name) for step in plan.steps], cap):
         repairs += 1
         counts = _group_counts(_join(plan, picks), len(group_vars))
         for group, count in counts.items():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AnalysisRefusal, InputError
 from .queries import ConjunctiveQuery, QueryError, RelationSignature, parse_query
@@ -86,32 +86,6 @@ def _schema(sigs: Iterable[RelationSignature]) -> dict[str, RelationSignature]:
 _Part = tuple[tuple[Row, ...], tuple[tuple[Row, ...], ...]]
 
 
-class _Partition(Mapping[str, _Part]):
-    """Per relation of an instance, in schema order: the rows of its single-fact
-    blocks, then its blocks of two or more facts, the only ones in which
-    repairs differ; each in key order.  A relation is grouped when it is
-    first read, so a relation that no reader asks for is never grouped."""
-
-    def __init__(self, schema: dict[str, RelationSignature], rows: dict[str, tuple[Row, ...]]):
-        self._schema, self._rows = schema, rows
-        self._done: dict[str, _Part] = {}
-
-    def __getitem__(self, name: str) -> _Part:
-        part = self._done.get(name)
-        if part is None:
-            key = itemgetter(slice(0, self._schema[name].key_width))
-            blocks = [tuple(rows) for _, rows in itertools.groupby(self._rows[name], key)]
-            part = self._done[name] = (tuple(rows[0] for rows in blocks if len(rows) == 1),
-                                       tuple(rows for rows in blocks if len(rows) > 1))
-        return part
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._schema)
-
-    def __len__(self) -> int:
-        return len(self._schema)
-
-
 class DatabaseInstance:
     """Immutable set of facts over a fixed schema, indexed by key.
 
@@ -121,6 +95,7 @@ class DatabaseInstance:
 
     schema: dict[str, RelationSignature]  # in name order
     _rows: dict[str, tuple[Row, ...]]  # per relation, in schema order: sorted distinct rows
+    _parted: dict[str, _Part]  # per relation read so far, its `_part`
 
     def __init__(self, schema: Iterable[RelationSignature], facts: Iterable[Fact] = ()):
         sigs = _schema(schema)
@@ -136,6 +111,7 @@ class DatabaseInstance:
                               f"fact {fact} has {len(fact.values)} columns, expected {sig.arity}")
         self.schema = sigs
         self._rows = {name: tuple(sorted(rows[name])) for name in sigs}
+        self._parted = {}
 
     @classmethod
     def _from_rows(cls, schema, rows) -> DatabaseInstance:
@@ -143,12 +119,21 @@ class DatabaseInstance:
         and checked against `schema` (in name order); nothing is sorted or
         validated again."""
         db = cls.__new__(cls)
-        db.schema, db._rows = schema, rows
+        db.schema, db._rows, db._parted = schema, rows, {}
         return db
 
-    @cached_property
-    def _parts(self) -> _Partition:
-        return _Partition(self.schema, self._rows)
+    def _part(self, name: str) -> _Part:
+        """The rows of relation `name`'s single-fact blocks, then its blocks of
+        two or more facts, the only ones in which repairs differ; each in key
+        order.  A relation is grouped when it is first read, so a relation
+        that no reader asks for is never grouped."""
+        part = self._parted.get(name)
+        if part is None:
+            key = itemgetter(slice(0, self.schema[name].key_width))
+            blocks = [tuple(rows) for _, rows in itertools.groupby(self._rows[name], key)]
+            part = self._parted[name] = (tuple(rows[0] for rows in blocks if len(rows) == 1),
+                                         tuple(rows for rows in blocks if len(rows) > 1))
+        return part
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -186,25 +171,26 @@ class DatabaseInstance:
         )
 
     def is_consistent(self) -> bool:
-        return not any(conflicts for _, conflicts in self._parts.values())
+        return not any(conflicts for _, conflicts in map(self._part, self.schema))
 
 
 def repair_count(db: DatabaseInstance) -> int:
-    return math.prod(len(rows) for _, conflicts in db._parts.values() for rows in conflicts)
+    return math.prod(len(rows) for _, conflicts in map(db._part, db.schema) for rows in conflicts)
 
 
-def _picks(blocks: Sequence[Collection[Sequence]], cap: int) -> Iterator[list[tuple]]:
-    """Every pick of one member per block, lexicographically by block order and
-    member index, as one tuple of picks per group of `blocks` (its blocks in
-    order).  Refuses more than `cap` picks outright."""
-    members = [block for group in blocks for block in group]
+def _picks(parts: Sequence[_Part], cap: int) -> Iterator[list[tuple[Row, ...]]]:
+    """Every pick of one row per conflicting block of `parts`, lexicographically
+    by block order and row index, as per part its single-fact rows followed
+    by one row per conflicting block.  Single-fact blocks have one pick
+    each, so they add no factor.  Refuses more than `cap` picks outright."""
+    members = [rows for _, conflicts in parts for rows in conflicts]
     count = math.prod(map(len, members))
     if count > cap:
         raise RepairSpaceOverflow(count, cap)
-    ends = itertools.accumulate(map(len, blocks), initial=0)
+    ends = itertools.accumulate((len(conflicts) for _, conflicts in parts), initial=0)
     cuts = [slice(*span) for span in itertools.pairwise(ends)]
     for choice in itertools.product(*members):
-        yield [choice[cut] for cut in cuts]
+        yield [singles + choice[cut] for (singles, _), cut in zip(parts, cuts)]
 
 
 def enumerate_repairs(
@@ -214,10 +200,11 @@ def enumerate_repairs(
 
     Refuses spaces larger than `cap` outright: sampling would break the
     tight-bound guarantee the enumeration exists to provide.  Each repair
-    keeps rows only, one per block; picked in key order, they are already sorted.
+    keeps rows only, one per block; a relation's rows are its single-fact
+    rows and its picks, two ascending runs that `sorted` merges in one pass.
     """
-    for rows in _picks([sorted((*zip(singles), *conflicts)) for singles, conflicts in db._parts.values()], cap):
-        yield DatabaseInstance._from_rows(db.schema, dict(zip(db.schema, rows)))
+    for rows in _picks([*map(db._part, db.schema)], cap):
+        yield DatabaseInstance._from_rows(db.schema, dict(zip(db.schema, map(tuple, map(sorted, rows)))))
 
 
 def is_repair_of(candidate: DatabaseInstance, db: DatabaseInstance) -> bool:
@@ -225,7 +212,7 @@ def is_repair_of(candidate: DatabaseInstance, db: DatabaseInstance) -> bool:
         candidate.schema == db.schema
         and all(set(rows) <= set(db._rows[name]) for name, rows in candidate._rows.items())
         and candidate.is_consistent()
-        and sum(map(len, candidate._rows.values())) == sum(map(len, itertools.chain(*db._parts.values())))
+        and sum(map(len, candidate._rows.values())) == sum(map(len, itertools.chain(*map(db._part, db.schema))))
     )
 
 

@@ -347,8 +347,8 @@ MUTANTS = (
     Mutant(
         "oracle: single-fact rows left out of the picks",
         EVALUATE,
-        "_picks([(*zip(singles), *conflicts) for singles, conflicts in parts], cap)",
-        "_picks([conflicts for singles, conflicts in parts], cap)",
+        "_picks([db._part(step.atom.name) for step in plan.steps], cap)",
+        "_picks([((), db._part(step.atom.name)[1]) for step in plan.steps], cap)",
         ("tests/test_evaluate.py::test_oracle_twin_lookup_instances", ORACLE_PAIRS),
     ),
     # the partition of each relation's rows, and what reads it
@@ -369,16 +369,41 @@ MUTANTS = (
     Mutant(
         "partition: every relation grouped on first use",
         INSTANCES,
-        "return _Partition(self.schema, self._rows)",
-        "return dict(_Partition(self.schema, self._rows))",
+        "        part = self._parted.get(name)\n",
+        "        if not self._parted:\n"
+        "            self._parted.update(dict.fromkeys(self.schema))\n"
+        "            [*map(self._part, self.schema)]\n"
+        "        part = self._parted.get(name)\n",
         ("tests/test_instances.py::test_count_never_groups_a_relation_the_query_does_not_read",),
     ),
     Mutant(
-        "repairs: the one-row and conflicting blocks not merged back in key order",
+        "repairs: the single-fact rows and the picks not merged back in key order",
         INSTANCES,
-        "_picks([sorted((*zip(singles), *conflicts))",
-        "_picks([(*zip(singles), *conflicts)",
+        "dict(zip(db.schema, map(tuple, map(sorted, rows))))",
+        "dict(zip(db.schema, map(tuple, rows)))",
         (ROW_STORE, "tests/test_cli.py::test_repairs_dump_golden"),
+    ),
+    Mutant(
+        "repair count: read off the first relation alone",
+        INSTANCES,
+        "for _, conflicts in map(db._part, db.schema) for rows in conflicts",
+        "for _, conflicts in map(db._part, [*db.schema][:1]) for rows in conflicts",
+        (PARTS, "tests/test_instances.py::test_repair_count_and_enumeration_employee"),
+    ),
+    # the product over the conflicting blocks, shared by the oracle and the repairs
+    Mutant(
+        "picks: each part's picks cut by its count of single-fact rows",
+        INSTANCES,
+        "itertools.accumulate((len(conflicts) for _, conflicts in parts), initial=0)",
+        "itertools.accumulate((len(singles) for singles, _ in parts), initial=0)",
+        (ORACLE_PAIRS, ROW_STORE),
+    ),
+    Mutant(
+        "picks: every part given the first part's single-fact rows",
+        INSTANCES,
+        "yield [singles + choice[cut] for (singles, _), cut in zip(parts, cuts)]",
+        "yield [parts[0][0] + choice[cut] for cut in cuts]",
+        (ORACLE_PAIRS, ROW_STORE),
     ),
     # counts too long for `str`
     Mutant(

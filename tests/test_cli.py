@@ -1060,6 +1060,14 @@ def test_shipped_bundles_graph_as_their_goldens(capsys, name, kind):
     assert capsys.readouterr().out == (root / f"graph-{kind}.dot").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["employee", "forward", "blocks", "joined", "partkey"])
+def test_shipped_bundles_repairs_as_their_goldens(capsys, name):
+    # the first three repairs CI diffs the installed script against
+    root = Path(__file__).resolve().parents[1] / "examples" / name
+    assert main(["repairs", "--db", str(root), "--limit", "3"]) == 0
+    assert capsys.readouterr().out == (root / "repairs-3.txt").read_text(encoding="utf-8")
+
+
 def _with_bom(path: Path) -> None:
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
 

@@ -71,7 +71,7 @@ def test_parts_put_each_row_in_one_part_in_key_order():
     facts += [Fact("Mixed", row) for row in (("c", "x", "1"), ("a", "x", "1"), ("b", "y", "2"),
                                              ("a", "x", "2"), ("d", "z", "3"))]
     db = DatabaseInstance(sigs, facts)
-    assert db._parts == {
+    assert {name: db._part(name) for name in db.schema} == {
         "Clash": ((), ((("a", "x"), ("a", "y")), (("b", "x"), ("b", "y")))),
         "Empty": ((), ()),
         "Full": ((("a", "a"), ("a", "b"), ("b", "a")), ()),
@@ -83,8 +83,8 @@ def test_parts_put_each_row_in_one_part_in_key_order():
     rng = random.Random(73)
     for _ in range(200):
         db = random_instance(rng, random_query(rng), max_repairs=1 << 8)
-        assert db._parts.keys() == db.schema.keys()
-        for name, (singles, conflicts) in db._parts.items():
+        for name in db.schema:
+            singles, conflicts = db._part(name)
             key = itemgetter(slice(db.schema[name].key_width))
             size = Counter(map(key, db._rows[name]))
             assert sorted([*singles, *(row for rows in conflicts for row in rows)]) == [
@@ -118,7 +118,7 @@ def test_count_keeps_little_memory_above_the_rows_on_a_lookup_bundle(tmp_path):
         kept = tracemalloc.get_traced_memory()[0] - start - rows
     finally:
         tracemalloc.stop()
-    assert [*map(len, db._parts["R"])] == [40_500, 4_500]
+    assert [*map(len, db._part("R"))] == [40_500, 4_500]
     assert kept <= rows / 4
 
 
@@ -135,7 +135,7 @@ def test_count_never_groups_a_relation_the_query_does_not_read(tmp_path, monkeyp
     monkeypatch.setattr(itertools, "groupby", lambda rows, key: grouped.append(rows) or groupby(rows, key))
     assert cqacount_parsimonious(support.employee_query(), db) == want
     assert [rows is db._rows["U"] for rows in grouped] == [False, False]  # D and E
-    assert len(db._parts["U"][1]) == 50_000  # read, so grouped
+    assert len(db._part("U")[1]) == 50_000  # read, so grouped
     assert [rows is db._rows["U"] for rows in grouped] == [False, False, True]
 
 
